@@ -38,6 +38,7 @@ from .kernels import (
 )
 from .measure import (
     IntensitySpec,
+    NumericalError,
     PointConfiguration,
     mc_integral,
     replication_rng,

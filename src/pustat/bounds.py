@@ -34,7 +34,13 @@ import numpy as np
 
 from .chaos import MCValue, chaos_kernel_values, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
-from .measure import IntensitySpec, mc_integral, sample_point_process, sample_points
+from .measure import (
+    IntensitySpec,
+    NumericalError,
+    mc_integral,
+    sample_point_process,
+    sample_points,
+)
 from .partitions import enumerate_partitions, variables
 from .ustat import add_one_costs, evaluate, inverse_ou_add_one_costs
 
@@ -116,7 +122,7 @@ def compute_Mij(
 
         est, se = mc_integral(integrand, intensity, dim, samples, rng)
         if not math.isfinite(est):
-            raise ValueError(f"non-finite partition integral for M_{i}{j}")
+            raise NumericalError(f"non-finite partition integral for M_{i}{j}")
         total += est
         var_acc += se * se
     return MCValue(total, math.sqrt(var_acc))

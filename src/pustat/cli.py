@@ -9,9 +9,9 @@ Subcommands:
     berry-esseen  exact Poisson Kolmogorov distances against 8/sqrt(t)
     experiment    t-sweep from a JSON config, CSV output
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure (an
-unreliable bound integral under --strict).  Identical argv (including
---seed) produces byte-identical output.
+Exit codes: 0 success, 2 usage/config error, 3 numerical failure (a
+non-finite integral, or an unreliable bound integral under --strict).
+Identical argv (including --seed) produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bounds import bound_report
 from .chaos import MCValue, variance_from_kernels
 from .distance import empirical_dK, empirical_dW, poisson_exact_dK
 from .kernels import make_kernel
-from .measure import IntensitySpec, sample_point_process
+from .measure import IntensitySpec, NumericalError, sample_point_process
 from .partitions import count_partitions, enumerate_partitions
 from .stein import check_stein_properties
 from .ustat import evaluate
@@ -397,6 +397,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

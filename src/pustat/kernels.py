@@ -63,7 +63,7 @@ class SymmetricKernel:
     """Order-k symmetric kernel with batched evaluation.
 
     ``pair_radius`` is set for the distance indicator and routes the order-2
-    hot paths through the compiled counting backend.
+    hot paths through the neighbour counter in ``pustat._accel``.
     """
 
     name: str
@@ -74,6 +74,7 @@ class SymmetricKernel:
     abs_marginal_fn: Optional[Callable] = None
     pair_radius: Optional[float] = None
     params: dict = field(default_factory=dict)
+    _integral_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -127,9 +128,11 @@ class SymmetricKernel:
     def full_integral(
         self, intensity: IntensitySpec, *, absolute: bool = False, mc=None
     ) -> float:
-        """Integral of f (or |f|) against mu_t^k, cached per intensity."""
-        key = (id(self), absolute)
-        cache = intensity._integral_cache
+        """Integral of f (or |f|) against mu_t^k, cached per intensity and mc."""
+        mc = mc or MarginalIntegration()
+        # the key holds the intensity itself, so no entry outlives it
+        key = (intensity, absolute, mc)
+        cache = self._integral_cache
         if key not in cache:
             x0 = np.empty((1, 0, intensity.dim))
             cache[key] = float(self.marginal(intensity, x0, 0, absolute=absolute, mc=mc)[0])

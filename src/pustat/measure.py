@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "IntensitySpec",
     "PointConfiguration",
     "total_mass",
@@ -28,6 +29,10 @@ __all__ = [
 # fixed probe stream for mass estimation so an IntensitySpec is a pure
 # function of its arguments
 _MASS_PROBE_SEED = 0x1D2B5
+
+
+class NumericalError(ValueError):
+    """A computation produced non-finite values; the CLI exits 3 on it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +117,6 @@ class IntensitySpec:
         self._lo = np.array([lo for lo, _ in box])
         self._hi = np.array([hi for _, hi in box])
         self.volume = float(np.prod(self._hi - self._lo))
-        self._integral_cache: dict = {}
 
         if density is None:
             base, se = self.volume, 0.0
@@ -218,7 +222,7 @@ def mc_integral(
     x = sample_points(intensity, samples * n, rng).reshape(samples, n, intensity.dim)
     vals = np.asarray(g(x), dtype=float).reshape(samples)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values")
+        raise NumericalError("integrand returned non-finite values")
     scale = intensity.total_mass**n
     est = float(vals.mean()) * scale
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples) * scale if samples > 1 else math.inf

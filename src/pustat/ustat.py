@@ -108,8 +108,25 @@ def _sum_over_tuples(values_fn, points: np.ndarray, k: int) -> float:
     return math.factorial(k) * total
 
 
-def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
-    """Sum of f over all ordered k-tuples of distinct configuration points."""
+def _sum_with_point(values_fn, points: np.ndarray, zs: np.ndarray, size: int) -> np.ndarray:
+    """For each row z of zs, the sum of values_fn(z, subset) over unordered
+    ``size``-subsets of points."""
+    out = np.zeros(len(zs))
+    for idx in _combo_chunks(len(points), size):
+        sub = points[idx]  # (c, size, d)
+        c = len(sub)
+        zchunk = max(1, _EVAL_CHUNK // max(c, 1))
+        for s in range(0, len(zs), zchunk):
+            zblock = zs[s : s + zchunk]
+            m = len(zblock)
+            left = np.repeat(zblock[:, None, :], c, axis=0).reshape(m * c, 1, -1)
+            right = np.tile(sub, (m, 1, 1))
+            vals = values_fn(np.concatenate([left, right], axis=1)).reshape(m, c)
+            out[s : s + m] += vals.sum(axis=1)
+    return out
+
+
+def _evaluate(kernel: SymmetricKernel, config: PointConfiguration, values_fn) -> UStatValue:
     n, k = len(config), kernel.order
     tc = _falling_factorial(n, k)
     if n < k:
@@ -117,19 +134,17 @@ def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
     if kernel.pair_radius is not None and k == 2:
         pairs = _accel.count_pairs_within(config.points, kernel.pair_radius)
         return UStatValue(2.0 * pairs, tc)
-    return UStatValue(_sum_over_tuples(kernel, config.points, k), tc)
+    return UStatValue(_sum_over_tuples(values_fn, config.points, k), tc)
+
+
+def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
+    """Sum of f over all ordered k-tuples of distinct configuration points."""
+    return _evaluate(kernel, config, kernel)
 
 
 def evaluate_abs(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
     """As evaluate, with |f| in place of f."""
-    n, k = len(config), kernel.order
-    tc = _falling_factorial(n, k)
-    if n < k:
-        return UStatValue(0.0, tc)
-    if kernel.pair_radius is not None and k == 2:
-        pairs = _accel.count_pairs_within(config.points, kernel.pair_radius)
-        return UStatValue(2.0 * pairs, tc)
-    return UStatValue(_sum_over_tuples(kernel.abs_values, config.points, k), tc)
+    return _evaluate(kernel, config, kernel.abs_values)
 
 
 def add_one_costs(
@@ -146,27 +161,12 @@ def add_one_costs(
     computation instead of the O(n^k) difference of two full evaluations.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    n, k = len(config), kernel.order
+    k = kernel.order
     if kernel.pair_radius is not None and k == 2:
         counts = _accel.count_neighbors(config.points, zs, kernel.pair_radius)
         return 2.0 * counts.astype(float)
-    if n < k - 1:
-        return np.zeros(len(zs))
     fn = kernel.abs_values if absolute else kernel
-    kfact = math.factorial(k)
-    out = np.zeros(len(zs))
-    for idx in _combo_chunks(n, k - 1):
-        sub = config.points[idx]  # (c, k-1, d)
-        c = len(sub)
-        zchunk = max(1, _EVAL_CHUNK // max(c, 1))
-        for s in range(0, len(zs), zchunk):
-            zblock = zs[s : s + zchunk]
-            m = len(zblock)
-            left = np.repeat(zblock[:, None, :], c, axis=0).reshape(m * c, 1, -1)
-            right = np.tile(sub, (m, 1, 1))
-            vals = fn(np.concatenate([left, right], axis=1)).reshape(m, c)
-            out[s : s + m] += vals.sum(axis=1)
-    return kfact * out
+    return math.factorial(k) * _sum_with_point(fn, config.points, zs, k - 1)
 
 
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
@@ -244,34 +244,18 @@ def inverse_ou_add_one_costs(
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     k = kernel.order
-    n = len(config)
-    points = config.points
     out = np.zeros(len(zs))
     for m in range(1, k + 1):
-        if n < m - 1:
-            continue
         # fast path: order-2 radius indicator, marginal_2 = f is a neighbor count
         if m == 2 and kernel.pair_radius is not None and k == 2:
-            counts = _accel.count_neighbors(points, zs, kernel.pair_radius)
+            counts = _accel.count_neighbors(config.points, zs, kernel.pair_radius)
             out += counts.astype(float)
             continue
         if m == 1:
-            vals = kernel.marginal(intensity, zs[:, None, :], 1, mc=mc)
-            out += vals
+            out += kernel.marginal(intensity, zs[:, None, :], 1, mc=mc)
             continue
-        mm1_fact = math.factorial(m - 1)
-        acc = np.zeros(len(zs))
-        for idx in _combo_chunks(n, m - 1):
-            sub = points[idx]  # (c, m-1, d)
-            c = len(sub)
-            zchunk = max(1, _EVAL_CHUNK // max(c, 1))
-            for s in range(0, len(zs), zchunk):
-                zblock = zs[s : s + zchunk]
-                mz = len(zblock)
-                left = np.repeat(zblock[:, None, :], c, axis=0).reshape(mz * c, 1, -1)
-                right = np.tile(sub, (mz, 1, 1))
-                args = np.concatenate([left, right], axis=1)
-                vals = kernel.marginal(intensity, args, m, mc=mc).reshape(mz, c)
-                acc[s : s + mz] += vals.sum(axis=1)
-        out += mm1_fact * acc
+        acc = _sum_with_point(
+            lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc), config.points, zs, m - 1
+        )
+        out += math.factorial(m - 1) * acc
     return out

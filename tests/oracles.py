@@ -1,10 +1,11 @@
 """Independent oracle implementations used to pin expected test values.
 
-Everything here deliberately avoids the code paths under test: partitions
-come from filtering a plain restricted-growth enumeration of ALL set
-partitions, the Stein solution from direct numerical quadrature of its
-defining integral, the Wasserstein distance from a Riemann sum, and the
-Poisson Kolmogorov distance from high-precision arithmetic.
+Everything here deliberately avoids the code paths under test: neighbour
+counts come from the full matrix of squared distances, partitions from
+filtering a plain restricted-growth enumeration of ALL set partitions, the
+Stein solution from direct numerical quadrature of its defining integral,
+the Wasserstein distance from a Riemann sum, and the Poisson Kolmogorov
+distance from high-precision arithmetic.
 """
 
 import math
@@ -12,6 +13,28 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
+
+
+# ---------------------------------------------------------------------------
+# neighbour counts: every pair, no band, no blocks
+# ---------------------------------------------------------------------------
+
+
+def within_r_matrix(points, queries, r):
+    """(m, n) booleans: query q within distance r of point j, by sum(dx**2) <= r*r."""
+    d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    return d2 <= r * r
+
+
+def brute_force_pairs(points, r):
+    """Unordered pairs of distinct indices at distance <= r."""
+    within = within_r_matrix(points, points, r)
+    return int(np.triu(within, k=1).sum())
+
+
+def brute_force_neighbors(points, queries, r):
+    """For each query, the number of points at distance <= r."""
+    return within_r_matrix(points, queries, r).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ def test_bound_strict_flags_unreliable_integrals(capsys):
     assert json.loads(out)["unreliable"]
 
 
+def test_nan_kernel_exits_3(capsys):
+    code, _, err = _run(capsys, "bound", "--kernel", "constant", "--c", "nan", "--k", "2",
+                        "--t", "10", "--seed", "1", "--mc-samples", "100")
+    assert code == 3
+    assert "non-finite" in err
+
+
 def test_berry_esseen_table(capsys):
     code, out, _ = _run(capsys, "berry-esseen", "--tmax", "64")
     assert code == 0

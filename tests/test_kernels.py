@@ -136,3 +136,14 @@ def test_product_kernel_marginals():
     assert k.full_integral(spec) == pytest.approx(9.0)
     vals = k(_tuples([[0.5], [0.25]]))
     assert vals == pytest.approx([0.5])
+
+
+def test_full_integral_cache_survives_reused_ids():
+    # kernels built after others were dropped may reuse their id(); the cached
+    # integral must still be that of the new kernel
+    spec = IntensitySpec(UNIT, t=100.0)
+    small = [make_geometric_indicator(0.05) for _ in range(500)]
+    assert [k.full_integral(spec) for k in small] == [pytest.approx(975.0)] * 500
+    del small
+    large = [make_geometric_indicator(0.5) for _ in range(500)]
+    assert [k.full_integral(spec) for k in large] == [pytest.approx(7500.0)] * 500

@@ -10,6 +10,7 @@ from pustat.ustat import (
     add_one_costs,
     evaluate,
     evaluate_abs,
+    inverse_ou_add_one_costs,
     inverse_ou_pathwise,
     iterated_difference,
 )
@@ -186,3 +187,30 @@ def test_inverse_ou_add_one_matches_difference(rng):
     for row, z in enumerate(zs):
         direct = inverse_ou_pathwise(k, cfg.with_point(z), spec) - inverse_ou_pathwise(k, cfg, spec)
         assert inc[row] == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+
+# Ties: a pair at distance exactly r counts.  The coordinates below are
+# exact binary fractions, so every distance of r is exactly r in floats.
+
+
+def test_ties_at_r_1d():
+    spec = IntensitySpec(UNIT, t=10.0)
+    k = make_geometric_indicator(0.25)
+    cfg = _config([0.0], [0.25], [0.5], [0.75], [1.0])
+    assert evaluate(k, cfg).value == 8.0  # 4 neighbouring pairs, each at 0.25
+    zs = np.array([[0.5], [0.125], [1.25], [1.5]])
+    assert add_one_costs(k, cfg, zs).tolist() == [6.0, 4.0, 2.0, 0.0]
+    # marginal_1(z) = t * |[z - r, z + r] ∩ [0, 1]| plus the neighbour count
+    assert inverse_ou_add_one_costs(k, cfg, spec, zs).tolist() == [8.0, 5.75, 1.0, 0.0]
+
+
+def test_ties_at_r_2d():
+    spec = IntensitySpec(UNIT * 2, t=10.0)
+    k = make_geometric_indicator(0.5)
+    cfg = _config([0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5])
+    assert evaluate(k, cfg).value == 8.0  # the 4 sides; the diagonals are longer
+    zs = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.0], [1.0, 1.0]])
+    counts = [3.0, 1.0, 2.0, 0.0]
+    assert add_one_costs(k, cfg, zs).tolist() == [2.0 * c for c in counts]
+    marginal = k.marginal(spec, zs[:, None, :], 1)
+    assert inverse_ou_add_one_costs(k, cfg, spec, zs).tolist() == (marginal + counts).tolist()
