@@ -1,10 +1,10 @@
 """Normal-approximation bound certificates for Poisson U-statistics.
 
 Simulates Poisson point processes on boxes, evaluates U-statistics and
-their Malliavin-type operators pathwise, enumerates the partition class
-behind the bound integrals M_ij, and compares the resulting Kolmogorov and
-Wasserstein bound values against exact or empirical distances to the
-standard normal.
+their Malliavin-type operators pathwise, integrates the bound terms M_ij
+over contraction classes of partitions, and compares the resulting
+Kolmogorov and Wasserstein bound values against exact or empirical
+distances to the standard normal.
 """
 
 from ._accel import BACKEND

@@ -7,7 +7,11 @@ The computable core is the family of partition-indexed integrals
 
 where fbar_i are the chaos kernels of the absolute-kernel statistic and the
 contraction replaces all variables sharing a block of p by one integration
-variable.  From these and Var F:
+variable.  The integral of p depends only on the multiset of its blocks'
+group masks, so ``compute_Mij`` runs one integral per contraction class
+(``partitions.contraction_classes``) and weights it by the number of
+partitions in the class.  M_ij = M_ji; ``bound_report`` integrates i <= j
+only and mirrors the result.  From these and Var F:
 
     dK <= 19 k^5     * sum_{i,j}    sqrt(M_ij) / Var F,
     dW <=  2 k^{7/2} * sum_{i<=j}   sqrt(M_ij) / Var F,
@@ -41,7 +45,7 @@ from .measure import (
     sample_point_process,
     sample_points,
 )
-from .partitions import enumerate_partitions, variables
+from .partitions import check_order, contraction_classes
 from .ustat import add_one_costs, evaluate, inverse_ou_add_one_costs
 
 __all__ = [
@@ -63,11 +67,6 @@ UNRELIABLE_RATIO = 0.5  # stderr/estimate above this flags a divergent integral
 _SUP_NOTE = "grid maximum over s; a lower estimate of the supremum"
 
 
-def _check_order(k: int):
-    if k > 4:
-        raise ValueError("bound machinery is capped at kernel order 4")
-
-
 def compute_Mij(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
@@ -78,53 +77,48 @@ def compute_Mij(
     rng: Optional[np.random.Generator] = None,
     mc: Optional[MarginalIntegration] = None,
 ) -> MCValue:
-    """Monte Carlo value of M_ij: one plain-MC integral per partition.
+    """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
 
-    Each partition contributes an integral over box^{number of blocks}; the
-    integrand evaluates one absolute chaos kernel per variable group at the
-    block-shared coordinates and multiplies the four factors.  Standard
+    M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
+    stream.  Each class integrates over box^{number of blocks} with
+    ``samples`` draws; group a of the integrand evaluates its absolute chaos
+    kernel at the blocks whose mask holds bit a, and the four factors
+    multiply.  Class estimates add with their weights, and their standard
     errors combine in quadrature.
     """
     k = kernel.order
-    _check_order(k)
+    check_order(k)
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
+    i, j = min(i, j), max(i, j)
     rng = (
         rng
         if rng is not None
         else np.random.default_rng(np.random.SeedSequence(_M_SEED, spawn_key=(i, j)))
     )
     mc = mc or MarginalIntegration()
-    vars_ = variables(i, j)
     sizes = (i, i, j, j)
+    # independent fallback draws per factor keep the product unbiased
+    factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
     total = 0.0
     var_acc = 0.0
-    for part in enumerate_partitions(i, j):
-        dim = part.num_blocks
-        if dim > 8:
-            raise ValueError("integration dimension above 8")
-        lbl = part.labels()
-        labels = np.array([lbl[v] for v in vars_], dtype=np.intp)
+    for masks, weight in contraction_classes(i, j):
+        columns = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(4)]
 
-        def integrand(w, labels=labels):
+        def integrand(w, columns=columns):
             vals = np.ones(len(w))
-            pos = 0
-            for a, size in enumerate(sizes):
-                idx = labels[pos : pos + size]
-                pos += size
-                # independent fallback draws per factor keep the product unbiased
-                mc_a = replace(mc, seed=mc.seed + 7919 * (a + 1))
+            for size, idx, mc_a in zip(sizes, columns, factor_mc):
                 fv, _ = chaos_kernel_values(
                     kernel, intensity, size, w[:, idx, :], absolute=True, mc=mc_a
                 )
                 vals = vals * fv
             return vals
 
-        est, se = mc_integral(integrand, intensity, dim, samples, rng)
+        est, se = mc_integral(integrand, intensity, len(masks), samples, rng)
         if not math.isfinite(est):
-            raise NumericalError(f"non-finite partition integral for M_{i}{j}")
-        total += est
-        var_acc += se * se
+            raise NumericalError(f"non-finite contraction-class integral for M_{i}{j}")
+        total += weight * est
+        var_acc += (weight * se) ** 2
     return MCValue(total, math.sqrt(var_acc))
 
 
@@ -137,19 +131,33 @@ class BoundValue(NamedTuple):
     effective: float
 
 
-def _root_sum(entries: List[MCValue]) -> Tuple[float, float]:
-    """sum of sqrt(M) with delta-method variance of the sum."""
+def _upper_triangle(m_matrix: List[List[MCValue]], k: int, off_diagonal: float):
+    """(weight, M_ij) for i <= j, with ``off_diagonal`` as the weight of i < j.
+
+    M_ji is the same estimate as M_ij, so a sum over all (i, j) reads each
+    off-diagonal entry once with weight 2; two reads would count it as two
+    independent estimates and understate the stderr.
+    """
+    return [
+        (1.0 if i == j else off_diagonal, m_matrix[i][j]) for i in range(k) for j in range(i, k)
+    ]
+
+
+def _root_sum(entries: List[Tuple[float, MCValue]]) -> Tuple[float, float]:
+    """weighted sum of sqrt(M) with delta-method variance of the sum."""
     total = 0.0
     var_acc = 0.0
-    for mv in entries:
-        total += math.sqrt(max(mv.value, 0.0))
+    for weight, mv in entries:
+        total += weight * math.sqrt(max(mv.value, 0.0))
         if mv.stderr > 0.0:
             denom = 2.0 * math.sqrt(max(mv.value, mv.stderr))
-            var_acc += (mv.stderr / denom) ** 2
+            var_acc += (weight * mv.stderr / denom) ** 2
     return total, var_acc
 
 
-def _scaled_bound(const: float, entries: List[MCValue], var_f: MCValue) -> BoundValue:
+def _scaled_bound(
+    const: float, entries: List[Tuple[float, MCValue]], var_f: MCValue
+) -> BoundValue:
     if var_f.value <= 0.0:
         raise ValueError("Var F must be positive")
     root_total, root_var = _root_sum(entries)
@@ -161,25 +169,24 @@ def _scaled_bound(const: float, entries: List[MCValue], var_f: MCValue) -> Bound
 
 
 def dk_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> BoundValue:
-    """Kolmogorov bound 19 k^5 sum_{i,j} sqrt(M_ij) / Var F (full double sum)."""
-    entries = [m_matrix[i][j] for i in range(k) for j in range(k)]
-    return _scaled_bound(19.0 * k**5, entries, var_f)
+    """Kolmogorov bound 19 k^5 sum_{i,j} sqrt(M_ij) / Var F (full double sum,
+    read from the upper triangle)."""
+    return _scaled_bound(19.0 * k**5, _upper_triangle(m_matrix, k, 2.0), var_f)
 
 
 def dw_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> BoundValue:
     """Wasserstein bound 2 k^{7/2} sum_{i<=j} sqrt(M_ij) / Var F (triangular sum)."""
-    entries = [m_matrix[i][j] for i in range(k) for j in range(i, k)]
-    return _scaled_bound(2.0 * k**3.5, entries, var_f)
+    return _scaled_bound(2.0 * k**3.5, _upper_triangle(m_matrix, k, 1.0), var_f)
 
 
 def fourth_moment_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> MCValue:
-    """k^2 sum_{i,j} M_ij + 3 k^2 (Var F)^2 bounds the centred fourth moment."""
+    """k^2 sum_{i,j} M_ij + 3 k^2 (Var F)^2 bounds the centred fourth moment
+    (the double sum read from the upper triangle)."""
     value = 0.0
     var_acc = 0.0
-    for i in range(k):
-        for j in range(k):
-            value += k * k * m_matrix[i][j].value
-            var_acc += (k * k * m_matrix[i][j].stderr) ** 2
+    for weight, mv in _upper_triangle(m_matrix, k, 2.0):
+        value += k * k * weight * mv.value
+        var_acc += (k * k * weight * mv.stderr) ** 2
     value += 3.0 * k * k * var_f.value**2
     var_acc += (6.0 * k * k * var_f.value * var_f.stderr) ** 2
     return MCValue(value, math.sqrt(var_acc))
@@ -425,12 +432,13 @@ def bound_report(
 ) -> BoundReport:
     """Assemble the full certificate with a deterministic stream tree.
 
-    Every Monte Carlo stage (variance, each M_ij, each R_ij, the
-    replication terms) draws from its own child stream of ``seed``, so the
-    report is reproducible and individual stages are independent.
+    Every Monte Carlo stage (variance, each M_ij with i <= j, each R_ij,
+    the replication terms) draws from its own child stream of ``seed``, so
+    the report is reproducible and individual stages are independent.
+    ``m_samples`` is the number of draws per contraction-class integral.
     """
     k = kernel.order
-    _check_order(k)
+    check_order(k)
 
     def _stream(*key):
         return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
@@ -438,13 +446,13 @@ def bound_report(
     vr = variance_from_kernels(kernel, intensity, mc_samples=var_samples, rng=_stream(0), mc=mc)
     var_f = MCValue(vr.variance, vr.stderr)
 
-    m = [
-        [
-            compute_Mij(kernel, intensity, i, j, samples=m_samples, rng=_stream(1, i, j), mc=mc)
-            for j in range(1, k + 1)
-        ]
-        for i in range(1, k + 1)
-    ]
+    # M_ji = M_ij: integrate i <= j and mirror
+    m: List[List[MCValue]] = [[None] * k for _ in range(k)]
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
+                kernel, intensity, i, j, samples=m_samples, rng=_stream(1, i, j), mc=mc
+            )
     unreliable = tuple(
         (i + 1, j + 1)
         for i in range(k)

@@ -26,11 +26,11 @@ import numpy as np
 
 from .kernels import MarginalIntegration, SymmetricKernel
 from .measure import IntensitySpec, mc_integral, sample_point_process
+from .partitions import check_order
 from .ustat import iterated_difference
 
 __all__ = [
     "MCValue",
-    "MAX_ORDER",
     "chaos_kernel_values",
     "kernel_f_i",
     "kernel_empirical",
@@ -38,8 +38,6 @@ __all__ = [
     "VarianceResult",
     "wiener_ito_I1",
 ]
-
-MAX_ORDER = 4  # integration cost of the bound terms grows with 2i+2j
 
 _VARIANCE_SEED = 0xC4A05
 
@@ -49,11 +47,6 @@ class MCValue(NamedTuple):
 
     value: float
     stderr: float
-
-
-def _check_order(k: int):
-    if k > MAX_ORDER:
-        raise ValueError(f"chaos machinery is capped at kernel order {MAX_ORDER}")
 
 
 def chaos_kernel_values(
@@ -70,7 +63,7 @@ def chaos_kernel_values(
     Returns (values, stderrs); stderrs vanish when the marginal is analytic.
     """
     k = kernel.order
-    _check_order(k)
+    check_order(k)
     if not 1 <= i <= k:
         raise ValueError(f"chaos kernel index {i} outside 1..{k}")
     vals, ses = kernel.marginal_with_stderr(intensity, x, i, absolute=absolute, mc=mc)
@@ -140,7 +133,7 @@ def variance_from_kernels(
     keeps the norm estimate unbiased.
     """
     k = kernel.order
-    _check_order(k)
+    check_order(k)
     rng = rng if rng is not None else np.random.default_rng(np.random.SeedSequence(_VARIANCE_SEED))
     mc = mc or MarginalIntegration()
     terms = []

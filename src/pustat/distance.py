@@ -49,29 +49,24 @@ def empirical_dW(samples) -> float:
     """Wasserstein-1 distance of the empirical law to the standard normal.
 
     Exact: integral of |Fhat - Phi| over the real line, with analytic tails
-    beyond the extreme order statistics.
+    beyond the extreme order statistics.  Between consecutive order
+    statistics a <= b the level Fhat is constant; each gap splits at the
+    point where Phi crosses that level, clipped into [a, b], so ties and
+    gaps without a crossing give zero-width pieces.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
-    total = _cdf_antideriv(x[0])  # left tail: integral of Phi
-    total += _cdf_antideriv(x[-1]) - x[-1]  # right tail: integral of 1 - Phi
-
-    def signed(level, a, b):
-        return level * (b - a) - (_cdf_antideriv(b) - _cdf_antideriv(a))
-
-    for idx in range(1, n):
-        a, b = x[idx - 1], x[idx]
-        if a == b:
-            continue
-        level = idx / n
-        q = ndtri(level)  # Phi crosses the level here
-        if a < q < b:
-            total += abs(signed(level, a, q)) + abs(signed(level, q, b))
-        else:
-            total += abs(signed(level, a, b))
-    return float(total)
+    anti = _cdf_antideriv(x)
+    a, b = x[:-1], x[1:]
+    level = np.arange(1, n) / n
+    q = np.clip(ndtri(level), a, b)
+    anti_q = _cdf_antideriv(q)
+    left = level * (q - a) - (anti_q - anti[:-1])
+    right = level * (b - q) - (anti[1:] - anti_q)
+    tails = anti[0] + anti[-1] - x[-1]  # integral of Phi below x[0], of 1 - Phi above x[-1]
+    return float(tails + np.sum(np.abs(left) + np.abs(right)))
 
 
 def _poisson_tail_log(t: float, a: int) -> float:

@@ -14,7 +14,9 @@ Built-ins:
     count                  k=1, f == 1
     constant(c, k)         f == c
     geometric_indicator(r) k=2, f(x, y) = 1(|x - y| <= r), analytic
-                           marginals on 1-D boxes with unit density
+                           marginals on 1-D boxes with unit density, and
+                           an analytic full integral on 2-D boxes with
+                           unit density and r at most either side
     product(g, k)          f = prod_j g(x_j)
 """
 
@@ -234,7 +236,19 @@ def make_geometric_indicator(r: float) -> SymmetricKernel:
         d2 = ((x[:, 0, :] - x[:, 1, :]) ** 2).sum(axis=1)
         return (d2 <= r2).astype(float)
 
+    def _pair_integral_2d(intensity):
+        # t^2 times the integral of the a x b box's covariogram (a - |h1|)(b - |h2|)
+        # over the disc |h| <= r, which lies inside [-a, a] x [-b, b]
+        (lo_a, hi_a), (lo_b, hi_b) = intensity.box
+        a, b = hi_a - lo_a, hi_b - lo_b
+        if r > min(a, b):
+            raise MarginalUnavailable("the 2-D full integral needs r <= both box sides")
+        area = math.pi * r2 * a * b - 4.0 / 3.0 * r2 * r * (a + b) + r2 * r2 / 2.0
+        return intensity.t**2 * area
+
     def _marg(intensity, x, i):
+        if i == 0 and intensity.dim == 2 and intensity.density is None:
+            return np.full(len(x), _pair_integral_2d(intensity))
         _require_unit_density_1d(intensity)
         lo, hi = intensity.box[0]
         t = intensity.t

@@ -1,4 +1,4 @@
-"""Enumeration of connected even partitions of four variable groups.
+"""Connected partitions of four variable groups, and their contraction classes.
 
 The variables come in four groups with sizes (i, i, j, j), written g:s for
 group g in 1..4 and slot s.  We enumerate the set partitions of all
@@ -18,13 +18,21 @@ order (groups ascending, slots ascending), pruning same-group collisions as
 labels are assigned; block sizes and connectivity are checked on completed
 strings.  The output order is the lexicographic order of the growth strings
 and is deterministic.
+
+A partition's contracted integral depends only on the multiset of its
+blocks' group masks (bit g-1 set when the block holds a variable of group
+g), because the chaos kernels are symmetric and the blocks are exchangeable
+integration variables.  ``contraction_classes`` lists these multisets
+directly, each with the number of partitions it stands for, without
+building any partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from math import factorial, prod
+from typing import Tuple
 
 __all__ = [
     "PartitionVariable",
@@ -33,14 +41,19 @@ __all__ = [
     "enumerate_partitions",
     "count_partitions",
     "is_valid",
+    "contraction_classes",
+    "check_order",
     "MAX_GROUP_SIZE",
 ]
 
+# the largest group size, and so the largest kernel order the bound terms take
 MAX_GROUP_SIZE = 4
 
 # one representative per unordered proper bipartition of {1,2,3,4}: the side
 # containing group 1, as a bitmask over groups 1..4 -> bits 0..3
 _SEPARATORS = tuple(a for a in range(1, 15) if a & 1)
+# group masks a block can carry: at least two groups
+_BLOCK_MASKS = tuple(m for m in range(1, 16) if bin(m).count("1") >= 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -64,10 +77,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def labels(self) -> Dict[PartitionVariable, int]:
-        """Variable -> block index map."""
-        return {v: b for b, block in enumerate(self.blocks) for v in block}
-
     def __str__(self) -> str:
         return " ".join("{" + ", ".join(str(v) for v in block) + "}" for block in self.blocks)
 
@@ -85,6 +94,14 @@ def variables(i: int, j: int) -> Tuple[PartitionVariable, ...]:
 def _check_sizes(i: int, j: int):
     if not (1 <= i <= MAX_GROUP_SIZE and 1 <= j <= MAX_GROUP_SIZE):
         raise ValueError(f"group sizes must lie in 1..{MAX_GROUP_SIZE}, got ({i}, {j})")
+
+
+def check_order(k: int):
+    """Raise ValueError for a kernel order the contraction classes do not cover."""
+    if k > MAX_GROUP_SIZE:
+        raise ValueError(
+            f"chaos and bound machinery is capped at kernel order {MAX_GROUP_SIZE}, got {k}"
+        )
 
 
 def _connected(masks) -> bool:
@@ -139,6 +156,41 @@ def enumerate_partitions(i: int, j: int) -> Tuple[Partition, ...]:
         sizes.pop()
 
     _rec(0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def contraction_classes(i: int, j: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The contraction classes for group sizes (i, i, j, j), as
+    (block_masks, weight) pairs.
+
+    ``block_masks`` is a nondecreasing tuple of group masks, one per block:
+    every mask has at least two bits, group g lies in exactly size_g masks,
+    and no group bipartition splits them.  ``weight`` counts the partitions
+    of the class, prod size_g! / prod (multiplicity of each mask)!, so the
+    weights sum to ``count_partitions(i, j)``.
+    """
+    _check_sizes(i, j)
+    sizes = (i, i, j, j)
+    numerator = prod(factorial(s) for s in sizes)
+    out = []
+
+    # take 0, 1, ... copies of each block mask in turn while every group
+    # still needs that many slots
+    def _rec(pos: int, need: Tuple[int, ...], chosen: Tuple[int, ...]):
+        if not any(need):
+            if _connected(chosen):
+                mult = prod(factorial(chosen.count(m)) for m in set(chosen))
+                out.append((chosen, numerator // mult))
+            return
+        if pos == len(_BLOCK_MASKS):
+            return
+        m = _BLOCK_MASKS[pos]
+        for copies in range(min(n for g, n in enumerate(need) if m >> g & 1) + 1):
+            rest = tuple(n - copies if m >> g & 1 else n for g, n in enumerate(need))
+            _rec(pos + 1, rest, chosen + (m,) * copies)
+
+    _rec(0, sizes, ())
     return tuple(out)
 
 

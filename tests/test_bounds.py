@@ -52,12 +52,59 @@ def test_m11_geometric_analytic_oracle(rng):
 
 
 def test_m_matrix_symmetric_within_errors(rng):
+    # on one shared stream, (i, j) and (j, i) draw different samples and
+    # agree within their errors
     spec = IntensitySpec(UNIT, t=8.0)
     k = make_geometric_indicator(0.2)
     for i, j in ((1, 2), (2, 2)):
         a = compute_Mij(k, spec, i, j, samples=100_000, rng=rng)
         b = compute_Mij(k, spec, j, i, samples=100_000, rng=rng)
         assert abs(a.value - b.value) <= 4.0 * math.hypot(a.stderr, b.stderr)
+    # M_ij = M_ji exactly: (i, j) and (j, i) run the same class integrals,
+    # on the same default stream or on equal explicit streams
+    a = compute_Mij(k, spec, 1, 2, samples=20_000)
+    b = compute_Mij(k, spec, 2, 1, samples=20_000)
+    assert a == b and a.stderr > 0.0
+    a = compute_Mij(k, spec, 1, 2, samples=20_000, rng=np.random.default_rng(5))
+    b = compute_Mij(k, spec, 2, 1, samples=20_000, rng=np.random.default_rng(5))
+    assert a == b
+    rep = bound_report(k, spec, seed=2, m_samples=5000, var_samples=5000)
+    assert rep.m[0][1] == rep.m[1][0]
+    assert rep.to_dict()["m"][0][1] == rep.to_dict()["m"][1][0]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_m_constant_kernel_exact_high_order(order):
+    # every factor is the constant C(k,i) c m^{k-i}, so a class with |c|
+    # blocks integrates to m^{|c|} times the product; c = 1.5 and m = 2 keep
+    # every product and sum exact in binary, so the stderr is exactly 0
+    from pustat.kernels import make_constant
+    from pustat.partitions import contraction_classes
+
+    c = 1.5
+    spec = IntensitySpec(UNIT, t=2.0)
+    mass = spec.total_mass
+    rep = bound_report(make_constant(c, order), spec, seed=1, m_samples=1000, var_samples=1000)
+    for i in range(1, order + 1):
+        for j in range(1, order + 1):
+            fi = math.comb(order, i) * c * mass ** (order - i)
+            fj = math.comb(order, j) * c * mass ** (order - j)
+            classes = contraction_classes(min(i, j), max(i, j))
+            target = sum(w * mass ** len(masks) for masks, w in classes) * fi**2 * fj**2
+            got = rep.m[i - 1][j - 1]
+            assert got.value == pytest.approx(target, rel=1e-12)
+            assert got.stderr == 0.0
+    assert rep.unreliable == ()
+
+
+def test_m_order_cap():
+    from pustat.kernels import make_constant
+
+    spec = IntensitySpec(UNIT, t=1.0)
+    with pytest.raises(ValueError, match="capped"):
+        compute_Mij(make_constant(1.0, 5), spec, 1, 1, samples=10)
+    with pytest.raises(ValueError, match="capped"):
+        bound_report(make_constant(1.0, 5), spec, seed=1, m_samples=10, var_samples=10)
 
 
 def test_m_nonnegative(rng):
@@ -96,6 +143,23 @@ def test_dw_bound_count_closed_form():
     dw = dw_bound([[_mc(4.0)]], _mc(4.0), 1)
     assert dk.value / dw.value == pytest.approx(9.5, rel=1e-13)
     assert dk.value >= 0.0 and dw.value >= 0.0
+
+
+def test_bounds_read_the_upper_triangle():
+    # M_21 is the same estimate as M_12: the lower triangle is never read,
+    # and the off-diagonal entry enters the full double sums with weight 2,
+    # stderr included
+    m = [[_mc(4.0), _mc(9.0, 0.3)], [_mc(1e9, 1e9), _mc(16.0)]]
+    var = _mc(1.0)
+    dk = dk_bound(m, var, 2)
+    assert dk.value == pytest.approx(19.0 * 32 * (2.0 + 2 * 3.0 + 4.0), rel=1e-14)
+    assert dk.stderr == pytest.approx(19.0 * 32 * 2 * 0.3 / 6.0, rel=1e-14)
+    dw = dw_bound(m, var, 2)
+    assert dw.value == pytest.approx(2.0 * 2**3.5 * (2.0 + 3.0 + 4.0), rel=1e-14)
+    assert dw.stderr == pytest.approx(2.0 * 2**3.5 * 0.3 / 6.0, rel=1e-14)
+    fm = fourth_moment_bound(m, var, 2)
+    assert fm.value == pytest.approx(4 * (4.0 + 2 * 9.0 + 16.0) + 12.0, rel=1e-14)
+    assert fm.stderr == pytest.approx(4 * 2 * 0.3, rel=1e-14)
 
 
 def test_bounds_require_positive_variance():

@@ -90,6 +90,36 @@ def test_nan_kernel_exits_3(capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("order", ["3", "4"])
+def test_bound_high_order_constant(capsys, order):
+    code, out, err = _run(capsys, "bound", "--kernel", "constant", "--k", order, "--t", "2",
+                          "--seed", "1", "--mc-samples", "1000")
+    assert code == 0, err
+    data = json.loads(out)
+    assert len(data["m"]) == int(order)
+    assert data["unreliable"] == []
+
+
+def test_bound_order_above_cap_exits_2(capsys):
+    code, _, err = _run(capsys, "bound", "--kernel", "constant", "--k", "5", "--t", "2",
+                        "--seed", "1", "--mc-samples", "100")
+    assert code == 2
+    assert "capped" in err
+
+
+def test_ustat_2d_replications_are_centred(capsys):
+    # every standardized value subtracts the same EF, so an EF error shows
+    # as a mean offset; a Monte Carlo EF from 20k fixed draws is 1.5 sd off here
+    n = 300
+    code, out, _ = _run(capsys, "ustat", "--kernel", "geometric_indicator", "--r", "0.05",
+                        "--dim", "2", "--t", "400", "--reps", str(n), "--mc-samples", "500",
+                        "--seed", "3")
+    assert code == 0
+    vals = [float(v) for v in out.splitlines()[5:]]
+    assert len(vals) == n
+    assert abs(sum(vals) / n * math.sqrt(n)) <= 4.0
+
+
 def test_berry_esseen_table(capsys):
     code, out, _ = _run(capsys, "berry-esseen", "--tmax", "64")
     assert code == 0

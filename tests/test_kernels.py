@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pustat.kernels import (
     MarginalIntegration,
+    MarginalUnavailable,
     make_constant,
     make_count,
     make_geometric_indicator,
@@ -107,6 +111,52 @@ def test_geometric_full_integral():
     assert k.full_integral(spec) == pytest.approx(9.0 * (0.2 - 0.01), rel=1e-14)
 
 
+def _pair_integral_2d(t, r, a, b):
+    return t * t * (math.pi * r * r * a * b - 4.0 / 3.0 * r**3 * (a + b) + r**4 / 2.0)
+
+
+def test_geometric_full_integral_2d():
+    # t^2 (pi r^2 ab - 4/3 r^3 (a + b) + r^4/2) on an a x b box, r <= min(a, b)
+    for box, t, r in (([(0.0, 1.0), (0.0, 1.0)], 3.0, 0.1),
+                      ([(0.0, 2.0), (0.0, 0.5)], 5.0, 0.2),
+                      ([(0.0, 2.0), (0.0, 0.5)], 5.0, 0.5)):
+        spec = IntensitySpec(box, t=t)
+        k = make_geometric_indicator(r)
+        (a0, a1), (b0, b1) = box
+        assert k.full_integral(spec) == pytest.approx(
+            _pair_integral_2d(t, r, a1 - a0, b1 - b0), rel=1e-14
+        )
+        assert k.full_integral(spec, absolute=True) == k.full_integral(spec)
+
+
+def test_geometric_full_integral_2d_matches_mc_fallback():
+    for box, r in (([(0.0, 1.0), (0.0, 1.0)], 0.1), ([(0.0, 2.0), (0.0, 0.5)], 0.2)):
+        spec = IntensitySpec(box, t=4.0)
+        k = make_geometric_indicator(r)
+        bare = replace(k, marginal_fn=None, abs_marginal_fn=None)
+        x0 = np.empty((1, 0, 2))
+        est, se = bare.marginal_with_stderr(spec, x0, 0, mc=MarginalIntegration(samples=400_000))
+        assert abs(est[0] - k.full_integral(spec)) <= 4.0 * se[0]
+
+
+def test_geometric_2d_analytic_cases_are_narrow():
+    # only the full integral, only unit density, only r <= both sides
+    k = make_geometric_indicator(0.6)
+    x0 = np.empty((1, 0, 2))
+    for spec in (
+        IntensitySpec([(0.0, 2.0), (0.0, 0.5)], t=2.0),
+        IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0, density=lambda p: p[:, 0], density_sup=1.0,
+                      base_integral=0.5),
+    ):
+        with pytest.raises(MarginalUnavailable):
+            k.marginal_fn(spec, x0, 0)
+    unit2 = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0)
+    with pytest.raises(MarginalUnavailable):
+        make_geometric_indicator(0.1).marginal_fn(unit2, np.full((1, 1, 2), 0.5), 1)
+    with pytest.raises(MarginalUnavailable):
+        make_geometric_indicator(0.1).marginal_fn(IntensitySpec([(0.0, 1.0)] * 3), np.empty((1, 0, 3)), 0)
+
+
 def test_abs_values_match_abs_of_eval(rng):
     x = rng.random((50, 2, 1))
     for k in (make_geometric_indicator(0.3), make_constant(-2.0, 2)):
@@ -117,8 +167,6 @@ def test_marginal_mc_fallback_agrees_with_analytic():
     # strip the analytic marginal and compare the Monte Carlo fallback
     spec = IntensitySpec(UNIT, t=5.0)
     k = make_geometric_indicator(0.1)
-    from dataclasses import replace
-
     bare = replace(k, marginal_fn=None, abs_marginal_fn=None)
     x = np.array([[[0.2]], [[0.55]], [[0.9]]])
     analytic = k.marginal(spec, x, 1)

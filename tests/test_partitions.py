@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from pustat.partitions import (
+    MAX_GROUP_SIZE,
     Partition,
     PartitionVariable,
+    check_order,
+    contraction_classes,
     count_partitions,
     enumerate_partitions,
     is_valid,
@@ -95,3 +100,68 @@ def test_is_valid_rejects_malformed():
 def test_partition_rendering():
     (p,) = enumerate_partitions(1, 1)
     assert str(p) == "{1:1, 2:1, 3:1, 4:1}"
+
+
+# ---------------------------------------------------------------------------
+# contraction classes
+# ---------------------------------------------------------------------------
+
+SMALL_CASES = [(i, j) for i in range(1, 5) for j in range(1, 5) if 2 * i + 2 * j <= 12]
+
+
+def _block_masks(p):
+    return tuple(sorted(sum(1 << (v.group - 1) for v in block) for block in p.blocks))
+
+
+@pytest.mark.parametrize("i, j", SMALL_CASES)
+def test_classes_group_the_partitions(i, j):
+    grouped = Counter(_block_masks(p) for p in enumerate_partitions(i, j))
+    classes = contraction_classes(i, j)
+    assert len({masks for masks, _ in classes}) == len(classes)  # each class once
+    assert {masks: w for masks, w in classes} == dict(grouped)
+
+
+@pytest.mark.parametrize(
+    "i, j, n_classes, weight_sum",
+    [
+        (1, 1, 1, 1),
+        (1, 2, 4, 16),
+        (2, 2, 13, 200),
+        (2, 3, 20, 2_160),
+        (3, 3, 46, 41_364),
+        (3, 4, 65, 687_168),
+        (4, 4, 130, 18_365_184),
+    ],
+)
+def test_class_counts_and_weight_sums(i, j, n_classes, weight_sum):
+    classes = contraction_classes(i, j)
+    assert len(classes) == n_classes
+    assert sum(w for _, w in classes) == weight_sum
+
+
+def test_class_weight_sums_symmetric():
+    for i in range(1, MAX_GROUP_SIZE + 1):
+        for j in range(1, MAX_GROUP_SIZE + 1):
+            assert sum(w for _, w in contraction_classes(i, j)) == sum(
+                w for _, w in contraction_classes(j, i)
+            )
+
+
+def test_class_masks_obey_the_rules():
+    for i in range(1, MAX_GROUP_SIZE + 1):
+        for j in range(i, MAX_GROUP_SIZE + 1):
+            for masks, weight in contraction_classes(i, j):
+                assert all(bin(m).count("1") >= 2 for m in masks)
+                assert [sum(m >> g & 1 for m in masks) for g in range(4)] == [i, i, j, j]
+                assert list(masks) == sorted(masks)
+                assert len(masks) <= 2 * j and weight >= 1
+
+
+def test_class_size_cap():
+    with pytest.raises(ValueError):
+        contraction_classes(MAX_GROUP_SIZE + 1, 1)
+    with pytest.raises(ValueError):
+        contraction_classes(1, 0)
+    check_order(MAX_GROUP_SIZE)
+    with pytest.raises(ValueError, match="capped"):
+        check_order(MAX_GROUP_SIZE + 1)
