@@ -18,9 +18,11 @@ only and mirrors the result.  From these and Var F:
     E (F - EF)^4 <= k^2 sum_{i,j} M_ij + 3 k^2 (Var F)^2.
 
 The module also estimates, by replication, the variance-type quantities
-R_ij (order <= 2) that the partition integrals dominate, and the
-Malliavin--Stein inner-product terms of the general Kolmogorov bound for
-the standardized statistic G = (F - EF)/sqrt(Var F):
+R_ij (order <= 2) that the partition integrals dominate (R_ij = R_ji, so
+``estimate_Rij`` returns the whole matrix from one replication pass, on
+stream (2,) in ``bound_report``), and the Malliavin--Stein inner-product
+terms of the general Kolmogorov bound for the standardized statistic
+G = (F - EF)/sqrt(Var F):
 
     T1 = E|1 - <DG, -DL^{-1}G>|,   T2 = E<(DG)^2, (DL^{-1}G)^2>,
 
@@ -46,7 +48,7 @@ from .measure import (
     sample_points,
 )
 from .partitions import check_order, contraction_classes
-from .ustat import add_one_costs, evaluate, inverse_ou_add_one_costs
+from .ustat import _inverse_ou_lower_costs, add_one_costs, evaluate
 
 __all__ = [
     "compute_Mij",
@@ -209,50 +211,46 @@ def _mean_with_stderr(a: np.ndarray) -> MCValue:
 def estimate_Rij(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
-    i: int,
-    j: int,
     *,
     reps: int = 2000,
     z_samples: int = 256,
     rng: np.random.Generator,
-) -> MCValue:
-    """Replication estimate of R_ij, the variance across realizations of
+) -> List[List[MCValue]]:
+    """Replication estimates of the k x k matrix R, where R_ij is the
+    variance across realizations of
 
         integral over z of I_{i-1}(f_i(z, .)) I_{j-1}(f_j(z, .)) dmu_t.
 
     Supported for kernel order <= 2, where the inner factors are the
     deterministic f_1(z) and the pathwise first-order integral of the
-    z-section of f_2.  The z-integral uses one shared set of draws across
-    replications, so a deterministic integrand yields exactly zero.
+    z-section of f_2.  One pass records every i <= j; R_ji is the same
+    estimate as R_ij.  The z-integral shares its draws across replications,
+    so a deterministic integrand (R_11) yields exactly zero.
     """
     k = kernel.order
     if k > 2:
         raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if z_samples < 1:
+        raise ValueError("z_samples must be >= 1")
     mass = intensity.total_mass
     z = sample_points(intensity, z_samples, rng)
-    static_f1 = None
-    section_integral = None
-    if 1 in (i, j):
-        static_f1, _ = chaos_kernel_values(kernel, intensity, 1, z[:, None, :])
-    if 2 in (i, j):
+    f1, _ = chaos_kernel_values(kernel, intensity, 1, z[:, None, :])
+    if k == 2:
         # z-section of f_2 = f integrates to the plain first marginal
         section_integral = kernel.marginal(intensity, z[:, None, :], 1)
-
-    a_vals = np.empty(reps)
+    a_vals = {(i, j): np.empty(reps) for i in range(k) for j in range(i, k)}
     for rep in range(reps):
-        eta = sample_point_process(intensity, rng)
-        i1_vals = None
-        if 2 in (i, j):
+        factors = [f1]
+        if k == 2:
             # sum_x f(z, x) is half the order-2 add-one cost
-            i1_vals = add_one_costs(kernel, eta, z) / 2.0 - section_integral
-        factor_i = static_f1 if i == 1 else i1_vals
-        factor_j = static_f1 if j == 1 else i1_vals
-        a_vals[rep] = mass * float(np.mean(factor_i * factor_j))
-    return _variance_with_stderr(a_vals)
+            eta = sample_point_process(intensity, rng)
+            factors.append(add_one_costs(kernel, eta, z) / 2.0 - section_integral)
+        for (i, j), column in a_vals.items():
+            column[rep] = mass * float(np.mean(factors[i] * factors[j]))
+    r = {ij: _variance_with_stderr(column) for ij, column in a_vals.items()}
+    return [[r[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
 
 
 @dataclass
@@ -289,13 +287,16 @@ def estimate_stein_terms(
     """Estimate the Kolmogorov-bound terms for G = (F - EF)/sqrt(Var F).
 
     Per replication, D_z G comes from the add-one cost and -D_z L^{-1} G
-    from the add-one cost of the inverse-generator representation; inner
+    from the add-one cost of the inverse-generator representation, whose
+    top term D_z F / k reuses the add-one cost; inner
     products in L^2(mu_t) are Monte Carlo averages over z drawn from
     mu_t/mass, scaled by the mass.  The sup term is reported as a grid
     maximum and labeled a lower estimate.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if z_samples < 1:
+        raise ValueError("z_samples must be >= 1")
     if var_f is None:
         vr = variance_from_kernels(kernel, intensity, rng=rng.spawn(1)[0], mc=mc)
         var_f = MCValue(vr.variance, vr.stderr)
@@ -315,8 +316,9 @@ def estimate_stein_terms(
     for rep in range(reps):
         eta = sample_point_process(intensity, rng)
         z = sample_points(intensity, z_samples, rng)
-        dg = add_one_costs(kernel, eta, z) / sigma
-        mdl = inverse_ou_add_one_costs(kernel, eta, intensity, z, mc=mc) / sigma
+        d = add_one_costs(kernel, eta, z)
+        dg = d / sigma
+        mdl = (d / kernel.order + _inverse_ou_lower_costs(kernel, eta, intensity, z, mc)) / sigma
         gv = (evaluate(kernel, eta).value - ef) / sigma
         ip1[rep] = mass * float(np.mean(dg * mdl))
         q2[rep] = mass * float(np.mean(dg * dg * mdl * mdl))
@@ -381,7 +383,7 @@ class BoundReport:
     dk: BoundValue
     dw: BoundValue
     fourth_moment: MCValue
-    r: Optional[List[List[Optional[MCValue]]]] = None
+    r: Optional[List[List[MCValue]]] = None
     stein_terms: Optional[SteinTerms] = None
     unreliable: Tuple[Tuple[int, int], ...] = ()
 
@@ -432,9 +434,10 @@ def bound_report(
 ) -> BoundReport:
     """Assemble the full certificate with a deterministic stream tree.
 
-    Every Monte Carlo stage (variance, each M_ij with i <= j, each R_ij,
-    the replication terms) draws from its own child stream of ``seed``, so
-    the report is reproducible and individual stages are independent.
+    Every Monte Carlo stage draws from its own child stream of ``seed``:
+    Var F from (0,), each M_ij with i <= j from (1, i, j), the R matrix
+    from (2,) and the Stein terms from (3,).  So the report is reproducible
+    and individual stages are independent.
     ``m_samples`` is the number of draws per contraction-class integral.
     """
     k = kernel.order
@@ -462,23 +465,9 @@ def bound_report(
 
     r = None
     if with_rij:
-        if k > 2:
-            raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
-        r = [
-            [
-                estimate_Rij(
-                    kernel,
-                    intensity,
-                    i,
-                    j,
-                    reps=rij_reps,
-                    z_samples=rij_z_samples,
-                    rng=_stream(2, i, j),
-                )
-                for j in range(1, k + 1)
-            ]
-            for i in range(1, k + 1)
-        ]
+        r = estimate_Rij(
+            kernel, intensity, reps=rij_reps, z_samples=rij_z_samples, rng=_stream(2)
+        )
 
     stein_terms = None
     if with_stein_terms:

@@ -88,28 +88,23 @@ def _intensity(box, t) -> IntensitySpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _replicate_standardized(kernel, intensity, reps, seed, var_samples):
-    """Standardized samples of the U-statistic plus Var F used for scaling.
+def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
+    """Replications of (F - EF)/sqrt(Var F), each on stream (0xA0, rep), and
+    the Var F that scaled them (a tuple, samples first).
 
     Stream keys are length-2 tuples so they can never collide with the
     length-1/length-3 keys used inside bound_report under the same seed.
     """
-    vr = variance_from_kernels(
-        kernel,
-        intensity,
-        mc_samples=var_samples,
-        rng=np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFE, 0))),
-    )
-    if vr.variance <= 0:
+    if var_f.value <= 0:
         raise ConfigError("variance: estimated Var F is not positive")
     ef = kernel.full_integral(intensity)
-    sigma = math.sqrt(vr.variance)
+    sigma = math.sqrt(var_f.value)
     vals = np.empty(reps)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
         cfg = sample_point_process(intensity, rng)
         vals[rep] = (evaluate(kernel, cfg).value - ef) / sigma
-    return vals, MCValue(vr.variance, vr.stderr)
+    return vals, var_f
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +127,15 @@ def _cmd_ustat(args) -> int:
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
     intensity = _intensity(box, args.t)
-    vals, var_f = _replicate_standardized(kernel, intensity, args.reps, args.seed, args.mc_samples)
+    vr = variance_from_kernels(
+        kernel,
+        intensity,
+        mc_samples=args.mc_samples,
+        rng=np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xFE, 0))),
+    )
+    vals, var_f = _replicate_standardized(
+        kernel, intensity, args.reps, args.seed, MCValue(vr.variance, vr.stderr)
+    )
     dk = empirical_dK(vals)
     dw = empirical_dW(vals)
     lines = [
@@ -272,9 +275,8 @@ def _cmd_experiment(args) -> int:
             term_reps=cfg["term_reps"],
             z_samples=cfg["z_samples"],
         )
-        vals, _ = _replicate_standardized(
-            kernel, intensity, cfg["reps"], cfg["seed"], cfg["mc_samples"]
-        )
+        # standardize by the Var F the row prints
+        vals, _ = _replicate_standardized(kernel, intensity, cfg["reps"], cfg["seed"], report.var_f)
         dk_emp = empirical_dK(vals)
         dw_emp = empirical_dW(vals)
         dk_se = _bootstrap_se(vals, empirical_dK, cfg["seed"])

@@ -88,10 +88,6 @@ class SymmetricKernel:
     def abs_values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.abs_eval_fn(x), dtype=float).reshape(len(x))
 
-    @property
-    def has_marginals(self) -> bool:
-        return self.marginal_fn is not None
-
     def marginal_with_stderr(
         self,
         intensity: IntensitySpec,

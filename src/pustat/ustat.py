@@ -15,7 +15,8 @@ has the explicit pathwise representation
     sum_{m=1..k} (1/m) * [ U_m(eta) - integral of f dmu_t^k ],
 
 where U_m is the order-m U-statistic whose kernel is the m-th marginal
-integral of f (binomial factor excluded).
+integral of f (binomial factor excluded).  The order-k marginal is f
+itself, so U_k = F and the top term of -D_z L^{-1}F is exactly D_z F / k.
 """
 
 from __future__ import annotations
@@ -240,17 +241,25 @@ def inverse_ou_add_one_costs(
 
     Add-one cost of the marginal U-statistics: the constant terms cancel,
     leaving sum_{m=1..k} (m-1)! * sum over (m-1)-subsets of
-    marginal_m(z, subset).
+    marginal_m(z, subset).  The order-k marginal is f itself, so the top
+    term is D_z F / k.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    k = kernel.order
+    return add_one_costs(kernel, config, zs) / kernel.order + _inverse_ou_lower_costs(
+        kernel, config, intensity, zs, mc
+    )
+
+
+def _inverse_ou_lower_costs(
+    kernel: SymmetricKernel,
+    config: PointConfiguration,
+    intensity: IntensitySpec,
+    zs: np.ndarray,
+    mc: Optional[MarginalIntegration],
+) -> np.ndarray:
+    """The m < k terms of inverse_ou_add_one_costs, for (q, d) rows zs."""
     out = np.zeros(len(zs))
-    for m in range(1, k + 1):
-        # fast path: order-2 radius indicator, marginal_2 = f is a neighbor count
-        if m == 2 and kernel.pair_radius is not None and k == 2:
-            counts = _accel.count_neighbors(config.points, zs, kernel.pair_radius)
-            out += counts.astype(float)
-            continue
+    for m in range(1, kernel.order):
         if m == 1:
             out += kernel.marginal(intensity, zs[:, None, :], 1, mc=mc)
             continue

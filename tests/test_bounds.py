@@ -249,7 +249,7 @@ def test_fourth_moment_bounds_empirical_moment(rng):
 
 def test_r11_count_kernel_zero(rng):
     spec = IntensitySpec(UNIT, t=9.0)
-    out = estimate_Rij(make_count(), spec, 1, 1, reps=200, z_samples=64, rng=rng)
+    out = estimate_Rij(make_count(), spec, reps=200, z_samples=64, rng=rng)[0][0]
     assert abs(out.value) <= 1e-10
     assert out.stderr <= 1e-10
 
@@ -257,8 +257,9 @@ def test_r11_count_kernel_zero(rng):
 def test_r_below_m(rng):
     spec = IntensitySpec(UNIT, t=8.0)
     k = make_geometric_indicator(0.2)
+    r_matrix = estimate_Rij(k, spec, reps=1500, z_samples=128, rng=rng)
     for i, j in ((1, 1), (1, 2), (2, 2)):
-        r = estimate_Rij(k, spec, i, j, reps=1500, z_samples=128, rng=rng)
+        r = r_matrix[i - 1][j - 1]
         m = compute_Mij(k, spec, i, j, samples=50_000, rng=rng)
         assert r.value <= m.value + 4.0 * (r.stderr + m.stderr)
         assert r.value >= -4.0 * r.stderr
@@ -269,7 +270,26 @@ def test_r_order_guard(rng):
 
     spec = IntensitySpec(UNIT, t=1.0)
     with pytest.raises(ValueError):
-        estimate_Rij(make_constant(1.0, 3), spec, 1, 1, rng=rng)
+        estimate_Rij(make_constant(1.0, 3), spec, rng=rng)
+
+
+def test_r_matrix_symmetric():
+    spec = IntensitySpec(UNIT, t=20.0)
+    rep = bound_report(make_geometric_indicator(0.1), spec, seed=5, m_samples=2000,
+                       var_samples=2000, with_rij=True, rij_reps=100, rij_z_samples=32)
+    assert rep.r[0][1] == rep.r[1][0]
+    assert rep.r[0][1].stderr > 0.0
+    r = rep.to_dict()["r"]
+    assert r[0][1] == r[1][0]
+
+
+def test_z_samples_must_be_positive(rng):
+    spec = IntensitySpec(UNIT, t=5.0)
+    k = make_geometric_indicator(0.2)
+    with pytest.raises(ValueError, match="z_samples"):
+        estimate_Rij(k, spec, reps=10, z_samples=0, rng=rng)
+    with pytest.raises(ValueError, match="z_samples"):
+        estimate_stein_terms(k, spec, reps=10, z_samples=0, rng=rng, var_f=_mc(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pustat.cli import main
+from pustat.distance import empirical_dK
+from pustat.kernels import make_geometric_indicator
+from pustat.measure import IntensitySpec, sample_point_process
+from pustat.ustat import evaluate
 
 from oracles import brute_force_partitions
 
@@ -88,6 +93,21 @@ def test_nan_kernel_exits_3(capsys):
                         "--t", "10", "--seed", "1", "--mc-samples", "100")
     assert code == 3
     assert "non-finite" in err
+
+
+def test_z_samples_below_1_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, "bound", "--kernel", "count", "--t", "10", "--seed", "1",
+                          "--stein-terms", "--reps", "50", "--z-samples", "0")
+    assert code == 2
+    assert "z_samples" in err
+    assert out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"name": "count"}, "t_values": [10], "seed": 1,
+                               "reps": 50, "mc_samples": 100, "z_samples": 0,
+                               "term_reps": 50}))
+    code, _, err = _run(capsys, "experiment", str(cfg))
+    assert code == 2
+    assert "z_samples" in err
 
 
 @pytest.mark.parametrize("order", ["3", "4"])
@@ -238,3 +258,30 @@ def test_experiment_sweep(tmp_path, capsys):
     out2 = tmp_path / "sweep2.csv"
     _run(capsys, "experiment", str(cfg), "--out", str(out2))
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_experiment_standardizes_by_printed_var_f(tmp_path, capsys):
+    # dk_emp must come from the replications scaled by the row's own var_f
+    seed, reps, t = 17, 200, 20.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"name": "geometric_indicator", "r": 0.1},
+        "t_values": [t],
+        "seed": seed,
+        "reps": reps,
+        "mc_samples": 2000,
+        "stein_terms": False,
+    }))
+    code, out, _ = _run(capsys, "experiment", str(cfg))
+    assert code == 0
+    header, line = out.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    kernel = make_geometric_indicator(0.1)
+    spec = IntensitySpec([(0.0, 1.0)], t=t)
+    ef = kernel.full_integral(spec)
+    sigma = math.sqrt(float(row["var_f"]))
+    vals = np.empty(reps)
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
+        vals[rep] = (evaluate(kernel, sample_point_process(spec, rng)).value - ef) / sigma
+    assert empirical_dK(vals) == float(row["dk_emp"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pustat.kernels import make_constant, make_count, make_geometric_indicator
+from pustat.kernels import make_constant, make_count, make_geometric_indicator, make_product
 from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process
 from pustat.ustat import (
     add_one_cost,
@@ -176,11 +176,18 @@ def test_inverse_ou_zero_mean(rng):
     assert abs(vals.mean()) <= 4.0 * se
 
 
-def test_inverse_ou_add_one_matches_difference(rng):
-    from pustat.ustat import inverse_ou_add_one_costs
-
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_geometric_indicator(0.2),
+        # order 3 checks the m < k sum and the D_z F / k top term
+        lambda: make_product(lambda p: 2.0 * p[:, 0], 3, base_integral=1.0),
+    ],
+    ids=["geometric_indicator", "product_k3"],
+)
+def test_inverse_ou_add_one_matches_difference(rng, make):
     spec = IntensitySpec(UNIT, t=2.0)
-    k = make_geometric_indicator(0.2)
+    k = make()
     cfg = PointConfiguration(rng.random((6, 1)))
     zs = rng.random((4, 1))
     inc = inverse_ou_add_one_costs(k, cfg, spec, zs)
