@@ -208,6 +208,17 @@ def _mean_with_stderr(a: np.ndarray) -> MCValue:
     return MCValue(float(a.mean()), float(a.std(ddof=1)) / math.sqrt(len(a)))
 
 
+def _check_replication_args(reps: int, z_samples: int, *, rij_order: Optional[int] = None):
+    """Refuse replication settings that no estimate can use; ``rij_order``
+    is the kernel order when the R matrix is asked for."""
+    if rij_order is not None and rij_order > 2:
+        raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
+    if z_samples < 1:
+        raise ValueError("z_samples must be >= 1")
+
+
 def estimate_Rij(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
@@ -228,12 +239,7 @@ def estimate_Rij(
     so a deterministic integrand (R_11) yields exactly zero.
     """
     k = kernel.order
-    if k > 2:
-        raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    if z_samples < 1:
-        raise ValueError("z_samples must be >= 1")
+    _check_replication_args(reps, z_samples, rij_order=k)
     mass = intensity.total_mass
     z = sample_points(intensity, z_samples, rng)
     f1, _ = chaos_kernel_values(kernel, intensity, 1, z[:, None, :])
@@ -293,10 +299,7 @@ def estimate_stein_terms(
     mu_t/mass, scaled by the mass.  The sup term is reported as a grid
     maximum and labeled a lower estimate.
     """
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    if z_samples < 1:
-        raise ValueError("z_samples must be >= 1")
+    _check_replication_args(reps, z_samples)
     if var_f is None:
         vr = variance_from_kernels(kernel, intensity, rng=rng.spawn(1)[0], mc=mc)
         var_f = MCValue(vr.variance, vr.stderr)
@@ -439,9 +442,15 @@ def bound_report(
     from (2,) and the Stein terms from (3,).  So the report is reproducible
     and individual stages are independent.
     ``m_samples`` is the number of draws per contraction-class integral.
+    The replication settings of the requested stages are checked before
+    the first integral.
     """
     k = kernel.order
     check_order(k)
+    if with_rij:
+        _check_replication_args(rij_reps, rij_z_samples, rij_order=k)
+    if with_stein_terms:
+        _check_replication_args(term_reps, z_samples)
 
     def _stream(*key):
         return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))

@@ -8,7 +8,10 @@ Alongside f we carry |f| and, where available, the partial integrals
 
 supplied WITHOUT the binomial factor C(k, i); the chaos layer applies it.
 Kernels lacking an analytic marginal fall back to Monte Carlo with common
-random numbers across probe points (see MarginalIntegration).
+random numbers across probe points (see MarginalIntegration).  For the
+distance indicator's first marginal the fallback counts: f(x, Y) is 0 or 1,
+so the average over the draws Y is the number of draws within r of x, which
+one call of the neighbour counter gives for every probe at once.
 
 Built-ins:
     count                  k=1, f == 1
@@ -28,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _accel
 from .measure import IntensitySpec, sample_points
 
 __all__ = [
@@ -54,10 +58,15 @@ class MarginalIntegration:
 
     The y-draws are seeded deterministically (common random numbers across
     probe points), so fallback marginals are pure functions of their inputs.
+    At least 2 samples are needed for a standard error.
     """
 
     samples: int = 20_000
     seed: int = 0x9A7C
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValueError("marginal integration samples must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +74,8 @@ class SymmetricKernel:
     """Order-k symmetric kernel with batched evaluation.
 
     ``pair_radius`` is set for the distance indicator and routes the order-2
-    hot paths through the neighbour counter in ``pustat._accel``.
+    hot paths, and its Monte Carlo first marginal, through the neighbour
+    counter in ``pustat._accel``.
     """
 
     name: str
@@ -138,11 +148,24 @@ class SymmetricKernel:
 
 
 def _marginal_mc(kernel, intensity, x, i, absolute, mc):
-    """Monte Carlo marginal: average f(x, Y) over shared draws Y ~ mu_t/mass."""
+    """Monte Carlo marginal: average f(x, Y) over shared draws Y ~ mu_t/mass.
+
+    When one variable is left free and f is the distance indicator (so
+    |f| = f), f(x, Y) is 0 or 1 and its sum over the n draws is the number
+    c of draws within r of x.  One neighbour count per call gives every
+    probe's c; the value is c / n and the stderr comes from the 0/1 sample
+    variance c (n - c) / (n (n - 1)).  A sum of 0/1 values is exact, so the
+    values equal the dense average bit for bit.  Every other case evaluates
+    f on the probes x draws matrix.
+    """
     extra = kernel.order - i
     rng = np.random.default_rng(np.random.SeedSequence(mc.seed, spawn_key=(i,)))
     y = sample_points(intensity, mc.samples * extra, rng).reshape(mc.samples, extra, -1)
     scale = intensity.total_mass**extra
+    if kernel.pair_radius is not None and extra == 1:
+        n = mc.samples
+        c = _accel.count_neighbors(y[:, 0, :], x[:, 0, :], kernel.pair_radius).astype(float)
+        return c / n * scale, np.sqrt(c * (n - c) / (n * (n - 1))) / math.sqrt(n) * scale
     m = len(x)
     vals = np.empty(m)
     ses = np.empty(m)

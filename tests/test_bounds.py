@@ -14,7 +14,8 @@ from pustat.bounds import (
     fourth_moment_bound,
 )
 from pustat.chaos import MCValue, variance_from_kernels
-from pustat.kernels import make_count, make_geometric_indicator, scale_kernel
+from pustat import bounds
+from pustat.kernels import make_constant, make_count, make_geometric_indicator, scale_kernel
 from pustat.measure import IntensitySpec, sample_point_process
 from pustat.ustat import evaluate
 
@@ -290,6 +291,24 @@ def test_z_samples_must_be_positive(rng):
         estimate_Rij(k, spec, reps=10, z_samples=0, rng=rng)
     with pytest.raises(ValueError, match="z_samples"):
         estimate_stein_terms(k, spec, reps=10, z_samples=0, rng=rng, var_f=_mc(1.0))
+
+
+def test_bound_report_checks_replication_args_first(monkeypatch):
+    def _no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran before the arguments were checked")
+
+    monkeypatch.setattr(bounds, "variance_from_kernels", _no_integrals)
+    monkeypatch.setattr(bounds, "compute_Mij", _no_integrals)
+    spec = IntensitySpec(UNIT, t=100.0)
+    k = make_geometric_indicator(0.05)
+    with pytest.raises(ValueError, match="z_samples"):
+        bound_report(k, spec, seed=1, with_stein_terms=True, z_samples=0)
+    with pytest.raises(ValueError, match="z_samples"):
+        bound_report(k, spec, seed=1, with_rij=True, rij_z_samples=0)
+    with pytest.raises(ValueError, match="reps"):
+        bound_report(k, spec, seed=1, with_stein_terms=True, term_reps=1)
+    with pytest.raises(ValueError, match="order <= 2"):
+        bound_report(make_constant(1.0, 3), spec, seed=1, with_rij=True)
 
 
 # ---------------------------------------------------------------------------

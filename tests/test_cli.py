@@ -140,6 +140,21 @@ def test_ustat_2d_replications_are_centred(capsys):
     assert abs(sum(vals) / n * math.sqrt(n)) <= 4.0
 
 
+@pytest.mark.parametrize("extra", [(), ("--stein-terms", "--reps", "50", "--z-samples", "16")],
+                         ids=["plain", "stein_terms"])
+def test_bound_2d_certificate(capsys, extra):
+    argv = ("bound", "--kernel", "geometric_indicator", "--r", "0.05", "--dim", "2", "--t", "100",
+            "--mc-samples", "500", "--seed", "1", *extra)
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    data = json.loads(out)
+    assert math.isfinite(data["var_f"]["value"]) and math.isfinite(data["var_f"]["stderr"])
+    assert all(math.isfinite(v["value"]) and math.isfinite(v["stderr"])
+               for row in data["m"] for v in row)
+    assert (data["t1"] is not None) == bool(extra)
+    assert _run(capsys, *argv) == (0, out, "")
+
+
 def test_berry_esseen_table(capsys):
     code, out, _ = _run(capsys, "berry-esseen", "--tmax", "64")
     assert code == 0

@@ -15,7 +15,9 @@ from pustat.kernels import (
     symmetry_check,
     kernel_descriptor,
 )
-from pustat.measure import IntensitySpec, mc_integral
+from pustat.bounds import compute_Mij
+from pustat.chaos import variance_from_kernels
+from pustat.measure import IntensitySpec, mc_integral, sample_points
 
 UNIT = [(0.0, 1.0)]
 
@@ -173,6 +175,92 @@ def test_marginal_mc_fallback_agrees_with_analytic():
     mc = MarginalIntegration(samples=40_000)
     est, se = bare.marginal_with_stderr(spec, x, 1, mc=mc)
     assert np.all(np.abs(est - analytic) <= 4.0 * se + 1e-12)
+
+
+def test_marginal_integration_needs_two_samples():
+    # the standard errors divide by samples - 1
+    with pytest.raises(ValueError, match="samples"):
+        MarginalIntegration(samples=1)
+    with pytest.raises(ValueError, match="samples"):
+        MarginalIntegration(samples=0)
+    assert MarginalIntegration(samples=2).samples == 2
+
+
+_PAIR_CASES = {
+    "1d": (IntensitySpec(UNIT, t=7.0), 0.1),
+    "2d": (IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0), 0.05),
+    "3d": (IntensitySpec([(0.0, 1.0)] * 3, t=5.0), 0.2),
+    "2d_density": (
+        IntensitySpec([(0.0, 2.0), (-1.0, 0.5)], t=4.0, density=lambda p: p[:, 0] / 2.0,
+                      density_sup=1.0, base_integral=1.5),
+        0.3,
+    ),
+}
+
+
+def _counted_and_dense(r):
+    """The distance indicator without analytic marginals, with and without
+    its pair radius: the first counts neighbours, the second evaluates f."""
+    counted = replace(make_geometric_indicator(r), marginal_fn=None, abs_marginal_fn=None)
+    return counted, replace(counted, pair_radius=None)
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["f", "abs"])
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_pair_marginal_counts_match_dense(case, absolute):
+    spec, r = _PAIR_CASES[case]
+    counted, dense = _counted_and_dense(r)
+    mc = MarginalIntegration(samples=3000, seed=11)
+    # the draws the fallback makes for i = 1; probes at y_j +- r e_1 put
+    # pairs at, or within an ulp of, distance r
+    y = sample_points(spec, mc.samples, np.random.default_rng(np.random.SeedSequence(mc.seed, spawn_key=(1,))))
+    step = np.zeros(spec.dim)
+    step[0] = r
+    rng = np.random.default_rng(5)
+    lo, hi = np.array(spec.box).T
+    probes = np.concatenate([y[:40] + step, y[:40] - step, lo + (hi - lo) * rng.random((200, spec.dim))])
+    x = probes[:, None, :]
+    vals, ses = counted.marginal_with_stderr(spec, x, 1, absolute=absolute, mc=mc)
+    dense_vals, dense_ses = dense.marginal_with_stderr(spec, x, 1, absolute=absolute, mc=mc)
+    assert np.array_equal(vals, dense_vals)
+    assert np.allclose(ses, dense_ses, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(vals) > 0
+
+
+def test_pair_marginal_routes_give_identical_integrals():
+    spec, r = _PAIR_CASES["2d"]
+    counted, dense = _counted_and_dense(r)
+    mc = MarginalIntegration(samples=2000)
+
+    def _stream():
+        return np.random.default_rng(17)
+
+    assert variance_from_kernels(counted, spec, mc_samples=500, rng=_stream(), mc=mc) == (
+        variance_from_kernels(dense, spec, mc_samples=500, rng=_stream(), mc=mc)
+    )
+    for i, j in ((1, 1), (1, 2)):
+        assert compute_Mij(counted, spec, i, j, samples=300, rng=_stream(), mc=mc) == (
+            compute_Mij(dense, spec, i, j, samples=300, rng=_stream(), mc=mc)
+        )
+
+
+def test_variance_2d_evaluates_only_the_top_order():
+    # the i = 1 marginals are neighbour counts, so only the two factors of the
+    # i = 2 term evaluate f: 2m rows in place of 2 m samples + 2m
+    rows = [0]
+    k = make_geometric_indicator(0.1)
+
+    def _counting_eval(x):
+        rows[0] += len(x)
+        return k.eval_fn(x)
+
+    counted = replace(k, eval_fn=_counting_eval, abs_eval_fn=_counting_eval)
+    spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0)
+    m = 500
+    res = variance_from_kernels(counted, spec, mc_samples=m, rng=np.random.default_rng(3),
+                                mc=MarginalIntegration(samples=2000))
+    assert res.variance > 0.0
+    assert rows[0] <= 2 * m
 
 
 def test_product_kernel_marginals():
