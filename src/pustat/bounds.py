@@ -48,7 +48,12 @@ from .measure import (
     sample_points,
 )
 from .partitions import check_order, contraction_classes
-from .ustat import _inverse_ou_lower_costs, add_one_costs, evaluate
+from .ustat import (
+    _inverse_ou_lower_costs,
+    add_one_costs_many,
+    evaluate_many,
+    replication_blocks,
+)
 
 __all__ = [
     "compute_Mij",
@@ -247,14 +252,21 @@ def estimate_Rij(
         # z-section of f_2 = f integrates to the plain first marginal
         section_integral = kernel.marginal(intensity, z[:, None, :], 1)
     a_vals = {(i, j): np.empty(reps) for i in range(k) for j in range(i, k)}
-    for rep in range(reps):
-        factors = [f1]
-        if k == 2:
-            # sum_x f(z, x) is half the order-2 add-one cost
+    if k == 1:
+        a_vals[0, 0][:] = mass * float(np.mean(f1 * f1))
+    else:
+
+        def draw(rep):
             eta = sample_point_process(intensity, rng)
-            factors.append(add_one_costs(kernel, eta, z) / 2.0 - section_integral)
-        for (i, j), column in a_vals.items():
-            column[rep] = mass * float(np.mean(factors[i] * factors[j]))
+            return len(eta) + z_samples, eta
+
+        for rows, etas in replication_blocks(reps, draw):
+            # sum_x f(z, x) is half the order-2 add-one cost
+            zs = np.broadcast_to(z, (len(etas), *z.shape))
+            section = add_one_costs_many(kernel, etas, zs) / 2.0 - section_integral
+            factors = [np.broadcast_to(f1, section.shape), section]
+            for (i, j), column in a_vals.items():
+                column[rows] = mass * np.mean(factors[i] * factors[j], axis=1)
     r = {ij: _variance_with_stderr(column) for ij, column in a_vals.items()}
     return [[r[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
 
@@ -285,7 +297,6 @@ def estimate_stein_terms(
     *,
     reps: int = 2000,
     z_samples: int = 128,
-    s_grid: Optional[np.ndarray] = None,
     rng: np.random.Generator,
     var_f: Optional[MCValue] = None,
     mc: Optional[MarginalIntegration] = None,
@@ -308,7 +319,7 @@ def estimate_stein_terms(
     sigma = math.sqrt(var_f.value)
     ef = kernel.full_integral(intensity, mc=mc)
     mass = intensity.total_mass
-    grid = np.linspace(-4.0, 4.0, 41) if s_grid is None else np.asarray(s_grid, dtype=float)
+    grid = np.linspace(-4.0, 4.0, 41)
 
     ip1 = np.empty(reps)
     q2 = np.empty(reps)
@@ -316,21 +327,30 @@ def estimate_stein_terms(
     ipdg = np.empty(reps)
     g4 = np.empty(reps)
     sup_mat = np.empty((reps, len(grid)))
-    for rep in range(reps):
+
+    def draw(rep):
         eta = sample_point_process(intensity, rng)
         z = sample_points(intensity, z_samples, rng)
-        d = add_one_costs(kernel, eta, z)
+        return len(eta) + z_samples, (eta, z)
+
+    for rows, block in replication_blocks(reps, draw):
+        etas = [eta for eta, _ in block]
+        zs = np.stack([z for _, z in block])
+        d = add_one_costs_many(kernel, etas, zs)
         dg = d / sigma
-        mdl = (d / kernel.order + _inverse_ou_lower_costs(kernel, eta, intensity, z, mc)) / sigma
-        gv = (evaluate(kernel, eta).value - ef) / sigma
-        ip1[rep] = mass * float(np.mean(dg * mdl))
-        q2[rep] = mass * float(np.mean(dg * dg * mdl * mdl))
-        dg4[rep] = mass * float(np.mean(dg**4))
-        ipdg[rep] = (mass * float(np.mean(dg * dg))) ** 2
-        g4[rep] = gv**4
-        jump = ((gv + dg)[:, None] > grid[None, :]).astype(float) - (gv > grid)[None, :]
-        w = dg * np.abs(mdl)
-        sup_mat[rep] = mass * (jump * w[:, None]).mean(axis=0)
+        mdl = (d / kernel.order + _inverse_ou_lower_costs(kernel, etas, intensity, zs, mc)) / sigma
+        gv = (evaluate_many(kernel, etas) - ef) / sigma
+        ip1[rows] = mass * np.mean(dg * mdl, axis=1)
+        q2[rows] = mass * np.mean(dg * dg * mdl * mdl, axis=1)
+        dg4[rows] = mass * np.mean(dg**4, axis=1)
+        # libm's pow, through Python floats: numpy's vectorised power rounds
+        # some values differently, which would change the output bytes
+        ipdg[rows] = [v**2 for v in (mass * np.mean(dg * dg, axis=1)).tolist()]
+        g4[rows] = [v**4 for v in gv.tolist()]
+        for rep, g, dg_r, mdl_r in zip(range(rows.start, rows.stop), gv.tolist(), dg, mdl):
+            jump = ((g + dg_r)[:, None] > grid[None, :]).astype(float) - (g > grid)[None, :]
+            w = dg_r * np.abs(mdl_r)
+            sup_mat[rep] = mass * (jump * w[:, None]).mean(axis=0)
 
     t1 = _mean_with_stderr(np.abs(1.0 - ip1))
     t2 = _mean_with_stderr(q2)
@@ -432,7 +452,6 @@ def bound_report(
     with_stein_terms: bool = False,
     term_reps: int = 2000,
     z_samples: int = 128,
-    s_grid: Optional[np.ndarray] = None,
     mc: Optional[MarginalIntegration] = None,
 ) -> BoundReport:
     """Assemble the full certificate with a deterministic stream tree.
@@ -485,7 +504,6 @@ def bound_report(
             intensity,
             reps=term_reps,
             z_samples=z_samples,
-            s_grid=s_grid,
             rng=_stream(3),
             var_f=var_f,
             mc=mc,

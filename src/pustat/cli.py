@@ -31,7 +31,7 @@ from .kernels import make_kernel
 from .measure import IntensitySpec, NumericalError, sample_point_process
 from .partitions import count_partitions, enumerate_partitions
 from .stein import check_stein_properties
-from .ustat import evaluate
+from .ustat import evaluate_many, replication_blocks
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -99,11 +99,15 @@ def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
         raise ConfigError("variance: estimated Var F is not positive")
     ef = kernel.full_integral(intensity)
     sigma = math.sqrt(var_f.value)
-    vals = np.empty(reps)
-    for rep in range(reps):
+
+    def draw(rep):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
         cfg = sample_point_process(intensity, rng)
-        vals[rep] = (evaluate(kernel, cfg).value - ef) / sigma
+        return len(cfg), cfg
+
+    vals = np.empty(reps)
+    for rows, configs in replication_blocks(reps, draw):
+        vals[rows] = (evaluate_many(kernel, configs) - ef) / sigma
     return vals, var_f
 
 
@@ -216,7 +220,9 @@ _EXPERIMENT_FIELDS = {
 }
 
 
-def _load_experiment_config(path: str) -> dict:
+def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
+    """The config at ``path`` with its defaults; ``seed``, when given,
+    replaces the config's own seed."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -224,6 +230,10 @@ def _load_experiment_config(path: str) -> dict:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected a JSON object")
+    if seed is not None:
+        cfg["seed"] = seed
     for key in ("kernel", "t_values", "seed"):
         if key not in cfg:
             raise ConfigError(f"{key}: missing required config field")
@@ -257,7 +267,7 @@ def _bootstrap_se(vals: np.ndarray, stat, seed: int, draws: int = 100) -> float:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_experiment_config(args.config)
+    cfg = _load_experiment_config(args.config, args.seed)
     try:
         kernel = make_kernel(cfg["kernel"])
     except ValueError as exc:
@@ -323,9 +333,10 @@ def _add_kernel_flags(sub):
     sub.add_argument("--k", type=int, default=1, help="constant kernel order")
 
 
-def _add_common(sub, *, seed_required=True):
-    sub.add_argument("--seed", type=int, required=seed_required, default=0,
-                     help="master seed; identical seeds give identical bytes")
+def _add_common(sub, *, seed_required=True, seed_default=0,
+                seed_help="master seed; identical seeds give identical bytes"):
+    sub.add_argument("--seed", type=int, required=seed_required, default=seed_default,
+                     help=seed_help)
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -385,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("experiment", help="t-sweep from a JSON config, CSV output")
     p.add_argument("config", help="path to the experiment JSON config")
-    _add_common(p, seed_required=False)
+    _add_common(p, seed_required=False, seed_default=None,
+                seed_help="master seed; replaces the config's \"seed\" when given")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

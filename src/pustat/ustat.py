@@ -17,6 +17,11 @@ has the explicit pathwise representation
 where U_m is the order-m U-statistic whose kernel is the m-th marginal
 integral of f (binomial factor excluded).  The order-k marginal is f
 itself, so U_k = F and the top term of -D_z L^{-1}F is exactly D_z F / k.
+
+Replication loops draw their configurations one at a time, in stream order,
+and hand them over in blocks (``replication_blocks``); ``evaluate_many`` and
+``add_one_costs_many`` then count a whole block of distance-indicator
+configurations with one call of the grouped neighbour counter.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +40,12 @@ from .measure import IntensitySpec, PointConfiguration
 __all__ = [
     "UStatValue",
     "evaluate",
+    "evaluate_many",
     "evaluate_abs",
     "add_one_cost",
     "add_one_costs",
+    "add_one_costs_many",
+    "replication_blocks",
     "iterated_difference",
     "inverse_ou_pathwise",
     "inverse_ou_add_one_costs",
@@ -45,6 +53,7 @@ __all__ = [
 
 _EVAL_CHUNK = 1 << 19  # tuples per batched kernel call
 _MAX_ITERATED = 20  # inclusion-exclusion guard: 2^n terms
+_BLOCK_POINTS = 1 << 14  # points (and queries) per block of replications
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,17 @@ def _sum_with_point(values_fn, points: np.ndarray, zs: np.ndarray, size: int) ->
     return out
 
 
+def _counted(kernel: SymmetricKernel) -> bool:
+    """Whether F and D_z F of the kernel are neighbour counts."""
+    return kernel.pair_radius is not None and kernel.order == 2
+
+
 def _evaluate(kernel: SymmetricKernel, config: PointConfiguration, values_fn) -> UStatValue:
     n, k = len(config), kernel.order
     tc = _falling_factorial(n, k)
     if n < k:
         return UStatValue(0.0, tc)
-    if kernel.pair_radius is not None and k == 2:
+    if _counted(kernel):
         pairs = _accel.count_pairs_within(config.points, kernel.pair_radius)
         return UStatValue(2.0 * pairs, tc)
     return UStatValue(_sum_over_tuples(values_fn, config.points, k), tc)
@@ -146,6 +160,44 @@ def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
 def evaluate_abs(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
     """As evaluate, with |f| in place of f."""
     return _evaluate(kernel, config, kernel.abs_values)
+
+
+def replication_blocks(
+    reps: int, draw: Callable[[int], Tuple[int, object]]
+) -> Iterator[Tuple[slice, list]]:
+    """Draw replications 0..reps-1 in order and yield them in blocks.
+
+    ``draw(rep)`` returns (size, item): the number of points and queries
+    the replication holds, and what the caller keeps of it.  Yields
+    (rows, items), where ``rows`` is the slice of replication indices; a
+    block closes once it holds _BLOCK_POINTS points.
+    """
+    items: list = []
+    held = start = 0
+    for rep in range(reps):
+        size, item = draw(rep)
+        items.append(item)
+        held += size
+        if held >= _BLOCK_POINTS or rep == reps - 1:
+            yield slice(start, rep + 1), items
+            items, held, start = [], 0, rep + 1
+
+
+def _stacked(configs: Sequence[PointConfiguration]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every configuration's points in one array, and each point's block index."""
+    sizes = [len(c) for c in configs]
+    points = np.concatenate([c.points for c in configs])
+    return points, np.repeat(np.arange(len(configs)), sizes)
+
+
+def evaluate_many(kernel: SymmetricKernel, configs: List[PointConfiguration]) -> np.ndarray:
+    """evaluate(kernel, c).value for each configuration c; the distance
+    indicator counts them all in one call."""
+    if _counted(kernel):
+        points, labels = _stacked(configs)
+        pairs = _accel.count_group_pairs(points, labels, kernel.pair_radius, len(configs))
+        return 2.0 * pairs.astype(float)
+    return np.array([evaluate(kernel, c).value for c in configs])
 
 
 def add_one_costs(
@@ -163,11 +215,28 @@ def add_one_costs(
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     k = kernel.order
-    if kernel.pair_radius is not None and k == 2:
+    if _counted(kernel):
         counts = _accel.count_neighbors(config.points, zs, kernel.pair_radius)
         return 2.0 * counts.astype(float)
     fn = kernel.abs_values if absolute else kernel
     return math.factorial(k) * _sum_with_point(fn, config.points, zs, k - 1)
+
+
+def add_one_costs_many(
+    kernel: SymmetricKernel, configs: List[PointConfiguration], zs: np.ndarray
+) -> np.ndarray:
+    """add_one_costs(kernel, configs[b], zs[b]) for each b, as a (b, q)
+    array for (b, q, d) query points zs; the distance indicator counts them
+    all in one call."""
+    zs = np.asarray(zs, dtype=float)
+    if _counted(kernel):
+        points, labels = _stacked(configs)
+        b, q, d = zs.shape
+        counts = _accel.count_neighbors(
+            points, zs.reshape(b * q, d), kernel.pair_radius, labels, np.repeat(np.arange(b), q)
+        )
+        return 2.0 * counts.astype(float).reshape(b, q)
+    return np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)])
 
 
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
@@ -246,25 +315,32 @@ def inverse_ou_add_one_costs(
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     return add_one_costs(kernel, config, zs) / kernel.order + _inverse_ou_lower_costs(
-        kernel, config, intensity, zs, mc
-    )
+        kernel, [config], intensity, zs[None], mc
+    )[0]
 
 
 def _inverse_ou_lower_costs(
     kernel: SymmetricKernel,
-    config: PointConfiguration,
+    configs: List[PointConfiguration],
     intensity: IntensitySpec,
     zs: np.ndarray,
     mc: Optional[MarginalIntegration],
 ) -> np.ndarray:
-    """The m < k terms of inverse_ou_add_one_costs, for (q, d) rows zs."""
-    out = np.zeros(len(zs))
+    """The m < k terms of inverse_ou_add_one_costs for each configuration b
+    and its query rows zs[b], as a (b, q) array.  The order-1 term does not
+    depend on the configuration: one marginal call gives it for all rows."""
+    b, q, d = zs.shape
+    out = np.zeros((b, q))
     for m in range(1, kernel.order):
         if m == 1:
-            out += kernel.marginal(intensity, zs[:, None, :], 1, mc=mc)
+            out += kernel.marginal(intensity, zs.reshape(b * q, 1, d), 1, mc=mc).reshape(b, q)
             continue
-        acc = _sum_with_point(
-            lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc), config.points, zs, m - 1
-        )
-        out += math.factorial(m - 1) * acc
+        for row, config in enumerate(configs):
+            acc = _sum_with_point(
+                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc),
+                config.points,
+                zs[row],
+                m - 1,
+            )
+            out[row] += math.factorial(m - 1) * acc
     return out

@@ -14,8 +14,15 @@ from pustat.bounds import (
     fourth_moment_bound,
 )
 from pustat.chaos import MCValue, variance_from_kernels
-from pustat import bounds
-from pustat.kernels import make_constant, make_count, make_geometric_indicator, scale_kernel
+from pustat import bounds, ustat
+from pustat.cli import _replicate_standardized
+from pustat.kernels import (
+    MarginalIntegration,
+    make_constant,
+    make_count,
+    make_geometric_indicator,
+    scale_kernel,
+)
 from pustat.measure import IntensitySpec, sample_point_process
 from pustat.ustat import evaluate
 
@@ -397,8 +404,6 @@ def test_two_dimensional_mc_fallback(rng):
     # no analytic marginals in 2-D: variance and M flow through the nested
     # Monte Carlo with independent inner draws, and stay consistent with a
     # direct replication estimate
-    from pustat.kernels import MarginalIntegration
-
     spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0)
     k = make_geometric_indicator(0.15)
     mc = MarginalIntegration(samples=2000)
@@ -466,3 +471,59 @@ def test_certification_smoke(rng):
     assert dk_emp <= rep.dk.value
     assert dw_emp <= rep.dw.value
     assert dk_emp <= 2.0 * math.sqrt(dw_emp) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# replication blocks
+# ---------------------------------------------------------------------------
+
+
+def _at_block_caps(monkeypatch, run):
+    """run() with one replication per block, then with all in one block."""
+    out = []
+    for cap in (1, 1 << 40):
+        monkeypatch.setattr(ustat, "_BLOCK_POINTS", cap)
+        out.append(run())
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocking_changes_nothing(monkeypatch, dim):
+    spec = IntensitySpec(UNIT * dim, t=40.0)
+    mc = MarginalIntegration(samples=500) if dim == 2 else None
+    var_f = MCValue(60.0, 1.0)
+    for kernel in (make_geometric_indicator(0.15), make_constant(1.5, 2)):
+        one, many = _at_block_caps(
+            monkeypatch, lambda: _replicate_standardized(kernel, spec, 50, 3, var_f)[0]
+        )
+        assert np.array_equal(one, many)
+
+        def stein():
+            return estimate_stein_terms(
+                kernel, spec, reps=30, z_samples=16,
+                rng=np.random.default_rng(5), var_f=var_f, mc=mc,
+            )
+
+        one, many = _at_block_caps(monkeypatch, stein)
+        assert one == many
+
+        def rij():
+            return estimate_Rij(kernel, spec, reps=30, z_samples=16, rng=np.random.default_rng(6))
+
+        one, many = _at_block_caps(monkeypatch, rij)
+        assert one == many
+
+
+def test_blocking_changes_nothing_at_order_three(monkeypatch):
+    # the order-2 marginal term of -D_z L^{-1} F is taken per configuration
+    spec = IntensitySpec(UNIT, t=4.0)
+    kernel = make_constant(1.0, 3)
+
+    def stein():
+        return estimate_stein_terms(
+            kernel, spec, reps=20, z_samples=4,
+            rng=np.random.default_rng(7), var_f=MCValue(500.0, 1.0),
+        )
+
+    one, many = _at_block_caps(monkeypatch, stein)
+    assert one == many

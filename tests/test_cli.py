@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,48 @@ def test_experiment_standardizes_by_printed_var_f(tmp_path, capsys):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
         vals[rep] = (evaluate(kernel, sample_point_process(spec, rng)).value - ef) / sigma
     assert empirical_dK(vals) == float(row["dk_emp"])
+
+
+def test_experiment_seed_flag_replaces_config_seed(tmp_path, capsys):
+    base = {
+        "kernel": {"name": "geometric_indicator", "r": 0.1},
+        "t_values": [10],
+        "reps": 100,
+        "mc_samples": 2000,
+        "z_samples": 8,
+        "term_reps": 20,
+    }
+    outputs = {}
+    for name, cfg, flags in (
+        ("config_7", {**base, "seed": 7}, ()),
+        ("config_1_flag_7", {**base, "seed": 1}, ("--seed", "7")),
+        ("no_seed_flag_7", base, ("--seed", "7")),
+        ("config_1", {**base, "seed": 1}, ()),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        code, outputs[name], _ = _run(capsys, "experiment", str(path), *flags)
+        assert code == 0
+    assert outputs["config_1_flag_7"] == outputs["config_7"]
+    assert outputs["no_seed_flag_7"] == outputs["config_7"]
+    assert outputs["config_1"] != outputs["config_7"]
+
+
+def test_traced_bound_prints_the_untraced_bytes(tmp_path):
+    # the benchmark's tracer wraps the counters and reads int() of a pair
+    # count and len() of a neighbour count; its run must print the same bytes
+    root = Path(__file__).resolve().parents[1]
+    argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "20", "--rij",
+            "--stein-terms", "--reps", "50", "--mc-samples", "2000", "--seed", "1"]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    spans = tmp_path / "spans.json"
+    plain = subprocess.run([sys.executable, "-m", "pustat.cli", *argv],
+                           capture_output=True, env=env, cwd=tmp_path)
+    traced = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
+                             "--spans", str(spans), "--", *argv],
+                            capture_output=True, env=env, cwd=tmp_path)
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["spans"]["accel.count_neighbors"]["calls"] > 0

@@ -5,14 +5,18 @@ import pytest
 
 from pustat.kernels import make_constant, make_count, make_geometric_indicator, make_product
 from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process
+from pustat import ustat
 from pustat.ustat import (
     add_one_cost,
     add_one_costs,
+    add_one_costs_many,
     evaluate,
+    evaluate_many,
     evaluate_abs,
     inverse_ou_add_one_costs,
     inverse_ou_pathwise,
     iterated_difference,
+    replication_blocks,
 )
 
 UNIT = [(0.0, 1.0)]
@@ -221,3 +225,31 @@ def test_ties_at_r_2d():
     assert add_one_costs(k, cfg, zs).tolist() == [2.0 * c for c in counts]
     marginal = k.marginal(spec, zs[:, None, :], 1)
     assert inverse_ou_add_one_costs(k, cfg, spec, zs).tolist() == (marginal + counts).tolist()
+
+
+def test_replication_blocks_keep_order(monkeypatch):
+    monkeypatch.setattr(ustat, "_BLOCK_POINTS", 5)
+    drawn = []
+
+    def draw(rep):
+        drawn.append(rep)
+        return rep % 4, rep
+
+    blocks = list(replication_blocks(11, draw))
+    assert drawn == list(range(11))
+    assert [items for _, items in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
+    assert [list(range(11))[rows] for rows, _ in blocks] == [items for _, items in blocks]
+    assert list(replication_blocks(0, draw)) == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_many_configurations_match_one_at_a_time(rng, dim):
+    spec = IntensitySpec(UNIT * dim, t=25.0)
+    configs = [sample_point_process(spec, rng) for _ in range(6)]
+    configs += [PointConfiguration.empty(dim), _config([0.5] * dim)]
+    zs = rng.random((len(configs), 9, dim))
+    for kernel in (make_geometric_indicator(0.2), make_constant(2.0, 2), make_count()):
+        expected = [evaluate(kernel, c).value for c in configs]
+        assert evaluate_many(kernel, configs).tolist() == expected
+        costs = add_one_costs_many(kernel, configs, zs)
+        assert np.array_equal(costs, np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)]))
