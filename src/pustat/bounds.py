@@ -40,13 +40,7 @@ import numpy as np
 
 from .chaos import MCValue, chaos_kernel_values, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
-from .measure import (
-    IntensitySpec,
-    NumericalError,
-    mc_integral,
-    sample_point_process,
-    sample_points,
-)
+from .measure import IntensitySpec, NumericalError, mc_integral, sample_points
 from .partitions import check_order, contraction_classes
 from .ustat import (
     _inverse_ou_lower_costs,
@@ -241,7 +235,8 @@ def estimate_Rij(
     deterministic f_1(z) and the pathwise first-order integral of the
     z-section of f_2.  One pass records every i <= j; R_ji is the same
     estimate as R_ij.  The z-integral shares its draws across replications,
-    so a deterministic integrand (R_11) yields exactly zero.
+    so a deterministic integrand (R_11) yields exactly zero.  ``rng`` gives
+    the z draws first, then the configurations (``replication_blocks``).
     """
     k = kernel.order
     _check_replication_args(reps, z_samples, rij_order=k)
@@ -255,15 +250,10 @@ def estimate_Rij(
     if k == 1:
         a_vals[0, 0][:] = mass * float(np.mean(f1 * f1))
     else:
-
-        def draw(rep):
-            eta = sample_point_process(intensity, rng)
-            return len(eta) + z_samples, eta
-
-        for rows, etas in replication_blocks(reps, draw):
+        for rows, points, sizes in replication_blocks(intensity, reps, rng, z_samples):
             # sum_x f(z, x) is half the order-2 add-one cost
-            zs = np.broadcast_to(z, (len(etas), *z.shape))
-            section = add_one_costs_many(kernel, etas, zs) / 2.0 - section_integral
+            zs = np.broadcast_to(z, (len(sizes), *z.shape))
+            section = add_one_costs_many(kernel, points, sizes, zs) / 2.0 - section_integral
             factors = [np.broadcast_to(f1, section.shape), section]
             for (i, j), column in a_vals.items():
                 column[rows] = mass * np.mean(factors[i] * factors[j], axis=1)
@@ -308,11 +298,14 @@ def estimate_stein_terms(
     top term D_z F / k reuses the add-one cost; inner
     products in L^2(mu_t) are Monte Carlo averages over z drawn from
     mu_t/mass, scaled by the mass.  The sup term is reported as a grid
-    maximum and labeled a lower estimate.
+    maximum and labeled a lower estimate.  The configurations come from
+    ``rng`` (``replication_blocks``) and the z from a generator spawned from
+    it, so that on a constant density neither depends on the block size.
     """
     _check_replication_args(reps, z_samples)
+    var_rng, z_rng = rng.spawn(2)
     if var_f is None:
-        vr = variance_from_kernels(kernel, intensity, rng=rng.spawn(1)[0], mc=mc)
+        vr = variance_from_kernels(kernel, intensity, rng=var_rng, mc=mc)
         var_f = MCValue(vr.variance, vr.stderr)
     if var_f.value <= 0.0:
         raise ValueError("Var F estimate must be positive")
@@ -321,36 +314,26 @@ def estimate_stein_terms(
     mass = intensity.total_mass
     grid = np.linspace(-4.0, 4.0, 41)
 
-    ip1 = np.empty(reps)
-    q2 = np.empty(reps)
-    dg4 = np.empty(reps)
-    ipdg = np.empty(reps)
-    g4 = np.empty(reps)
+    ip1, q2, dg4, ipdg, g4 = np.empty((5, reps))
     sup_mat = np.empty((reps, len(grid)))
 
-    def draw(rep):
-        eta = sample_point_process(intensity, rng)
-        z = sample_points(intensity, z_samples, rng)
-        return len(eta) + z_samples, (eta, z)
-
-    for rows, block in replication_blocks(reps, draw):
-        etas = [eta for eta, _ in block]
-        zs = np.stack([z for _, z in block])
-        d = add_one_costs_many(kernel, etas, zs)
+    for rows, points, sizes in replication_blocks(intensity, reps, rng, z_samples):
+        b = len(sizes)
+        zs = sample_points(intensity, b * z_samples, z_rng).reshape(b, z_samples, intensity.dim)
+        d = add_one_costs_many(kernel, points, sizes, zs)
         dg = d / sigma
-        mdl = (d / kernel.order + _inverse_ou_lower_costs(kernel, etas, intensity, zs, mc)) / sigma
-        gv = (evaluate_many(kernel, etas) - ef) / sigma
+        lower = _inverse_ou_lower_costs(kernel, points, sizes, intensity, zs, mc)
+        mdl = (d / kernel.order + lower) / sigma
+        gv = (evaluate_many(kernel, points, sizes) - ef) / sigma
         ip1[rows] = mass * np.mean(dg * mdl, axis=1)
         q2[rows] = mass * np.mean(dg * dg * mdl * mdl, axis=1)
         dg4[rows] = mass * np.mean(dg**4, axis=1)
-        # libm's pow, through Python floats: numpy's vectorised power rounds
-        # some values differently, which would change the output bytes
-        ipdg[rows] = [v**2 for v in (mass * np.mean(dg * dg, axis=1)).tolist()]
-        g4[rows] = [v**4 for v in gv.tolist()]
-        for rep, g, dg_r, mdl_r in zip(range(rows.start, rows.stop), gv.tolist(), dg, mdl):
-            jump = ((g + dg_r)[:, None] > grid[None, :]).astype(float) - (g > grid)[None, :]
-            w = dg_r * np.abs(mdl_r)
-            sup_mat[rep] = mass * (jump * w[:, None]).mean(axis=0)
+        ipdg[rows] = np.square(mass * np.mean(dg * dg, axis=1))
+        g4[rows] = np.square(gv * gv)
+        # jump[b, z, s] = 1(G + D_z G > s) - 1(G > s) on the grid of s
+        jump = ((gv[:, None] + dg)[:, :, None] > grid).astype(float)
+        jump -= (gv[:, None] > grid)[:, None, :]
+        sup_mat[rows] = mass * (jump * (dg * np.abs(mdl))[:, :, None]).mean(axis=1)
 
     t1 = _mean_with_stderr(np.abs(1.0 - ip1))
     t2 = _mean_with_stderr(q2)

@@ -89,25 +89,19 @@ def _intensity(box, t) -> IntensitySpec:
 
 
 def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
-    """Replications of (F - EF)/sqrt(Var F), each on stream (0xA0, rep), and
-    the Var F that scaled them (a tuple, samples first).
-
-    Stream keys are length-2 tuples so they can never collide with the
-    length-1/length-3 keys used inside bound_report under the same seed.
+    """Replications of (F - EF)/sqrt(Var F), drawn in blocks from stream
+    (0xA0,) of ``seed``, and the Var F that scaled them (a tuple, samples
+    first).  The key collides with none of bound_report's ((0,), (1, i, j),
+    (2,), (3,)), ustat's Var F key (0xFE, 0) or the bootstrap's (0xB007,).
     """
     if var_f.value <= 0:
         raise ConfigError("variance: estimated Var F is not positive")
     ef = kernel.full_integral(intensity)
     sigma = math.sqrt(var_f.value)
-
-    def draw(rep):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
-        cfg = sample_point_process(intensity, rng)
-        return len(cfg), cfg
-
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0,)))
     vals = np.empty(reps)
-    for rows, configs in replication_blocks(reps, draw):
-        vals[rows] = (evaluate_many(kernel, configs) - ef) / sigma
+    for rows, points, sizes in replication_blocks(intensity, reps, rng):
+        vals[rows] = (evaluate_many(kernel, points, sizes) - ef) / sigma
     return vals, var_f
 
 
@@ -128,6 +122,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_ustat(args) -> int:
+    if args.reps < 1:
+        raise ConfigError("reps: must be >= 1")
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
     intensity = _intensity(box, args.t)
@@ -218,6 +214,7 @@ _EXPERIMENT_FIELDS = {
     "term_reps": int,
     "stein_terms": bool,
 }
+_EXPERIMENT_MINIMA = {"reps": 2, "term_reps": 2, "mc_samples": 2, "z_samples": 1}
 
 
 def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
@@ -238,7 +235,8 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
         if key not in cfg:
             raise ConfigError(f"{key}: missing required config field")
     for key, typ in _EXPERIMENT_FIELDS.items():
-        if key in cfg and not isinstance(cfg[key], typ):
+        # exact types: a bool is an int to isinstance
+        if key in cfg and type(cfg[key]) is not typ:
             raise ConfigError(f"{key}: expected {typ.__name__}")
     if not cfg["t_values"]:
         raise ConfigError("t_values: must be a nonempty list")
@@ -248,6 +246,9 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
     cfg.setdefault("z_samples", 128)
     cfg.setdefault("term_reps", 1000)
     cfg.setdefault("stein_terms", True)
+    for key, least in _EXPERIMENT_MINIMA.items():
+        if cfg[key] < least:
+            raise ConfigError(f"{key}: must be >= {least}")
     return cfg
 
 

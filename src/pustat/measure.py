@@ -3,8 +3,9 @@
 The state space is an axis-aligned box in R^d carrying the measure
 mu_t = t * (density . Lebesgue).  Sampling uses rejection against a declared
 sup of the density, so draws are exact.  All randomness flows through
-explicit numpy Generators; replication-level parallelism stays deterministic
-because each replication derives its own stream from (seed, index).
+explicit numpy Generators.  A replication loop draws all of its
+configurations from one stream: every Poisson count with one call, then the
+points block by block (``ustat.replication_blocks``).
 """
 
 from __future__ import annotations
@@ -213,10 +214,11 @@ def mc_integral(
 
     ``g`` maps an (m, n, d) array of stacked n-tuples to an (m,) array.
     Points are drawn i.i.d. from mu_t/mass per coordinate block and the
-    sample mean is scaled by mass^n.  Returns (estimate, stderr).
+    sample mean is scaled by mass^n.  Returns (estimate, stderr); a
+    standard error needs at least two samples.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
     x = sample_points(intensity, samples * n, rng).reshape(samples, n, intensity.dim)
@@ -225,7 +227,7 @@ def mc_integral(
         raise NumericalError("integrand returned non-finite values")
     scale = intensity.total_mass**n
     est = float(vals.mean()) * scale
-    stderr = float(vals.std(ddof=1)) / math.sqrt(samples) * scale if samples > 1 else math.inf
+    stderr = float(vals.std(ddof=1)) / math.sqrt(samples) * scale
     return est, stderr
 
 

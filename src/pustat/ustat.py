@@ -18,10 +18,10 @@ where U_m is the order-m U-statistic whose kernel is the m-th marginal
 integral of f (binomial factor excluded).  The order-k marginal is f
 itself, so U_k = F and the top term of -D_z L^{-1}F is exactly D_z F / k.
 
-Replication loops draw their configurations one at a time, in stream order,
-and hand them over in blocks (``replication_blocks``); ``evaluate_many`` and
-``add_one_costs_many`` then count a whole block of distance-indicator
-configurations with one call of the grouped neighbour counter.
+Replication loops draw their configurations in blocks (``replication_blocks``):
+the stacked points of a block and each configuration's size.
+``evaluate_many`` and ``add_one_costs_many`` count a whole block of
+distance-indicator configurations with one call of the grouped counter.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import _accel
 from .kernels import MarginalIntegration, SymmetricKernel
-from .measure import IntensitySpec, PointConfiguration
+from .measure import IntensitySpec, PointConfiguration, sample_points
 
 __all__ = [
     "UStatValue",
@@ -141,63 +141,70 @@ def _counted(kernel: SymmetricKernel) -> bool:
     return kernel.pair_radius is not None and kernel.order == 2
 
 
-def _evaluate(kernel: SymmetricKernel, config: PointConfiguration, values_fn) -> UStatValue:
-    n, k = len(config), kernel.order
+def _evaluate(kernel: SymmetricKernel, points: np.ndarray, values_fn) -> UStatValue:
+    n, k = len(points), kernel.order
     tc = _falling_factorial(n, k)
     if n < k:
         return UStatValue(0.0, tc)
     if _counted(kernel):
-        pairs = _accel.count_pairs_within(config.points, kernel.pair_radius)
+        pairs = _accel.count_pairs_within(points, kernel.pair_radius)
         return UStatValue(2.0 * pairs, tc)
-    return UStatValue(_sum_over_tuples(values_fn, config.points, k), tc)
+    return UStatValue(_sum_over_tuples(values_fn, points, k), tc)
 
 
 def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
     """Sum of f over all ordered k-tuples of distinct configuration points."""
-    return _evaluate(kernel, config, kernel)
+    return _evaluate(kernel, config.points, kernel)
 
 
 def evaluate_abs(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
     """As evaluate, with |f| in place of f."""
-    return _evaluate(kernel, config, kernel.abs_values)
+    return _evaluate(kernel, config.points, kernel.abs_values)
 
 
 def replication_blocks(
-    reps: int, draw: Callable[[int], Tuple[int, object]]
-) -> Iterator[Tuple[slice, list]]:
-    """Draw replications 0..reps-1 in order and yield them in blocks.
+    intensity: IntensitySpec, reps: int, rng: np.random.Generator, queries: int = 0
+) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+    """Draw ``reps`` Poisson configurations from ``rng``, in blocks.
 
-    ``draw(rep)`` returns (size, item): the number of points and queries
-    the replication holds, and what the caller keeps of it.  Yields
-    (rows, items), where ``rows`` is the slice of replication indices; a
-    block closes once it holds _BLOCK_POINTS points.
+    All counts come from one ``rng.poisson`` call, then each block's points
+    from one ``sample_points`` call.  Yields (rows, points, sizes): the
+    slice of replications, their points stacked in order, and their counts.
+    A block holds at most _BLOCK_POINTS points plus ``queries`` per
+    replication, or a single replication.  On a constant density the points
+    do not depend on the cap (consecutive ``rng.random`` calls give the
+    doubles of one call); with rejection sampling they depend on where the
+    blocks end, and the fixed private cap keeps them reproducible.
     """
-    items: list = []
-    held = start = 0
-    for rep in range(reps):
-        size, item = draw(rep)
-        items.append(item)
-        held += size
-        if held >= _BLOCK_POINTS or rep == reps - 1:
-            yield slice(start, rep + 1), items
-            items, held, start = [], 0, rep + 1
+    sizes = rng.poisson(intensity.total_mass, reps)
+    ends = np.cumsum(sizes + queries)
+    start = 0
+    while start < reps:
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _BLOCK_POINTS, side="right")), start + 1)
+        block = sizes[start:stop]
+        yield slice(start, stop), sample_points(intensity, int(block.sum()), rng), block
+        start = stop
 
 
-def _stacked(configs: Sequence[PointConfiguration]) -> Tuple[np.ndarray, np.ndarray]:
-    """Every configuration's points in one array, and each point's block index."""
-    sizes = [len(c) for c in configs]
-    points = np.concatenate([c.points for c in configs])
-    return points, np.repeat(np.arange(len(configs)), sizes)
+def _labels(sizes: np.ndarray) -> np.ndarray:
+    """Each stacked point's configuration index."""
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def evaluate_many(kernel: SymmetricKernel, configs: List[PointConfiguration]) -> np.ndarray:
-    """evaluate(kernel, c).value for each configuration c; the distance
+def _split(points: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
+    """The stacked points cut into their configurations."""
+    return np.split(points, np.cumsum(sizes)[:-1])
+
+
+def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """evaluate(kernel, c).value for each configuration c of a block, where
+    configuration b is the next sizes[b] rows of ``points``; the distance
     indicator counts them all in one call."""
     if _counted(kernel):
-        points, labels = _stacked(configs)
-        pairs = _accel.count_group_pairs(points, labels, kernel.pair_radius, len(configs))
+        pairs = _accel.count_group_pairs(points, _labels(sizes), kernel.pair_radius, len(sizes))
         return 2.0 * pairs.astype(float)
-    return np.array([evaluate(kernel, c).value for c in configs])
+    return np.array([_evaluate(kernel, p, kernel).value for p in _split(points, sizes)])
 
 
 def add_one_costs(
@@ -223,20 +230,22 @@ def add_one_costs(
 
 
 def add_one_costs_many(
-    kernel: SymmetricKernel, configs: List[PointConfiguration], zs: np.ndarray
+    kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray, zs: np.ndarray
 ) -> np.ndarray:
-    """add_one_costs(kernel, configs[b], zs[b]) for each b, as a (b, q)
-    array for (b, q, d) query points zs; the distance indicator counts them
-    all in one call."""
+    """add_one_costs of configuration b of a block (stacked as in
+    evaluate_many) at its query rows zs[b], as a (b, q) array for (b, q, d)
+    query points zs; the distance indicator counts them all in one call."""
     zs = np.asarray(zs, dtype=float)
     if _counted(kernel):
-        points, labels = _stacked(configs)
         b, q, d = zs.shape
+        query_labels = np.repeat(np.arange(b), q)
         counts = _accel.count_neighbors(
-            points, zs.reshape(b * q, d), kernel.pair_radius, labels, np.repeat(np.arange(b), q)
+            points, zs.reshape(b * q, d), kernel.pair_radius, _labels(sizes), query_labels
         )
         return 2.0 * counts.astype(float).reshape(b, q)
-    return np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)])
+    k = kernel.order
+    sums = [_sum_with_point(kernel, p, z, k - 1) for p, z in zip(_split(points, sizes), zs)]
+    return math.factorial(k) * np.stack(sums)
 
 
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
@@ -314,33 +323,33 @@ def inverse_ou_add_one_costs(
     term is D_z F / k.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    return add_one_costs(kernel, config, zs) / kernel.order + _inverse_ou_lower_costs(
-        kernel, [config], intensity, zs[None], mc
-    )[0]
+    lower = _inverse_ou_lower_costs(
+        kernel, config.points, np.array([len(config)]), intensity, zs[None], mc
+    )
+    return add_one_costs(kernel, config, zs) / kernel.order + lower[0]
 
 
 def _inverse_ou_lower_costs(
     kernel: SymmetricKernel,
-    configs: List[PointConfiguration],
+    points: np.ndarray,
+    sizes: np.ndarray,
     intensity: IntensitySpec,
     zs: np.ndarray,
     mc: Optional[MarginalIntegration],
 ) -> np.ndarray:
     """The m < k terms of inverse_ou_add_one_costs for each configuration b
-    and its query rows zs[b], as a (b, q) array.  The order-1 term does not
-    depend on the configuration: one marginal call gives it for all rows."""
+    of a block (stacked as in evaluate_many) and its query rows zs[b], as a
+    (b, q) array.  The order-1 term does not depend on the configuration:
+    one marginal call gives it for all rows."""
     b, q, d = zs.shape
     out = np.zeros((b, q))
     for m in range(1, kernel.order):
         if m == 1:
             out += kernel.marginal(intensity, zs.reshape(b * q, 1, d), 1, mc=mc).reshape(b, q)
             continue
-        for row, config in enumerate(configs):
+        for row, p in enumerate(_split(points, sizes)):
             acc = _sum_with_point(
-                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc),
-                config.points,
-                zs[row],
-                m - 1,
+                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc), p, zs[row], m - 1
             )
             out[row] += math.factorial(m - 1) * acc
     return out

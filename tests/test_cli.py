@@ -11,7 +11,7 @@ import pytest
 from pustat.cli import main
 from pustat.distance import empirical_dK
 from pustat.kernels import make_geometric_indicator
-from pustat.measure import IntensitySpec, sample_point_process
+from pustat.measure import IntensitySpec, PointConfiguration
 from pustat.ustat import evaluate
 
 from oracles import brute_force_partitions
@@ -237,17 +237,49 @@ def test_stein_check_json(capsys):
     assert data["passed"] is True
 
 
-def test_experiment_config_errors(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kernel": {"name": "count"}}))
-    code, _, err = _run(capsys, "experiment", str(cfg))
-    assert code == 2
-    assert "t_values" in err
+_GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps": 50,
+                "mc_samples": 100, "z_samples": 8, "term_reps": 20}
 
-    cfg.write_text(json.dumps({"kernel": {"name": "nope"}, "t_values": [1], "seed": 1}))
-    code, _, err = _run(capsys, "experiment", str(cfg))
+
+@pytest.mark.parametrize("change, field", [
+    ({"t_values": None}, "t_values"),
+    ({"kernel": {"name": "nope"}}, "kernel"),
+    ({"reps": True}, "reps"),
+    ({"seed": False}, "seed"),
+    ({"reps": -1}, "reps"),
+    ({"reps": 0}, "reps"),
+    ({"reps": 1}, "reps"),
+    ({"term_reps": 1}, "term_reps"),
+    ({"mc_samples": 1}, "mc_samples"),
+    ({"z_samples": 0}, "z_samples"),
+], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
+        "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples"])
+def test_experiment_config_errors(tmp_path, capsys, change, field):
+    # refused before the first row, with a message that names the field
+    cfg = {**_GOOD_CONFIG, **change}
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "experiment", str(path))
     assert code == 2
-    assert "kernel" in err
+    assert out == ""
+    assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("bound", "--kernel", "geometric_indicator", "--r", "0.1", "--t", "10",
+      "--mc-samples", "1", "--seed", "1"), "samples"),
+    (("ustat", "--kernel", "geometric_indicator", "--r", "0.1", "--t", "10",
+      "--mc-samples", "1", "--seed", "1"), "samples"),
+    (("ustat", "--kernel", "geometric_indicator", "--r", "0.1", "--t", "10",
+      "--reps", "0", "--seed", "1"), "reps"),
+], ids=["bound_one_mc_sample", "ustat_one_mc_sample", "ustat_zero_reps"])
+def test_unusable_sample_counts_exit_2(capsys, argv, field):
+    # one Monte Carlo sample has no standard error: no Infinity or NaN output
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_experiment_sweep(tmp_path, capsys):
@@ -299,10 +331,14 @@ def test_experiment_standardizes_by_printed_var_f(tmp_path, capsys):
     spec = IntensitySpec([(0.0, 1.0)], t=t)
     ef = kernel.full_integral(spec)
     sigma = math.sqrt(float(row["var_f"]))
-    vals = np.empty(reps)
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0, rep)))
-        vals[rep] = (evaluate(kernel, sample_point_process(spec, rng)).value - ef) / sigma
+    # one stream (0xA0,): every replication's count, then all the points;
+    # on the unit box a point is the uniform double itself
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xA0,)))
+    sizes = rng.poisson(t, reps)
+    points = rng.random((int(sizes.sum()), 1))
+    configs = np.split(points, np.cumsum(sizes)[:-1])
+    vals = np.array([evaluate(kernel, PointConfiguration(p)).value for p in configs])
+    vals = (vals - ef) / sigma
     assert empirical_dK(vals) == float(row["dk_emp"])
 
 
@@ -331,12 +367,19 @@ def test_experiment_seed_flag_replaces_config_seed(tmp_path, capsys):
     assert outputs["config_1"] != outputs["config_7"]
 
 
-def test_traced_bound_prints_the_untraced_bytes(tmp_path):
-    # the benchmark's tracer wraps the counters and reads int() of a pair
-    # count and len() of a neighbour count; its run must print the same bytes
+@pytest.mark.parametrize("argv, span, calls", [
+    (["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "20", "--rij",
+      "--stein-terms", "--reps", "50", "--mc-samples", "2000", "--seed", "1"],
+     "accel.count_neighbors", None),
+    (["ustat", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "20", "--reps", "50",
+      "--mc-samples", "2000", "--seed", "1"],
+     "cli.replicate", 1),
+], ids=["bound", "ustat"])
+def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
+    # the benchmark's tracer wraps the counters, reads int() of a pair count
+    # and len() of a neighbour count, and reads the intensity and the values
+    # of _replicate_standardized; its run must print the same bytes
     root = Path(__file__).resolve().parents[1]
-    argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "20", "--rij",
-            "--stein-terms", "--reps", "50", "--mc-samples", "2000", "--seed", "1"]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     spans = tmp_path / "spans.json"
@@ -348,4 +391,5 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path):
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
-    assert json.loads(spans.read_text())["spans"]["accel.count_neighbors"]["calls"] > 0
+    traced_calls = json.loads(spans.read_text())["spans"][span]["calls"]
+    assert traced_calls > 0 if calls is None else traced_calls == calls

@@ -126,8 +126,9 @@ def test_mc_integral_linear(rng):
 
 def test_mc_integral_rejects_bad_input(rng):
     spec = IntensitySpec(UNIT, t=1.0)
-    with pytest.raises(ValueError):
-        mc_integral(lambda x: np.ones(len(x)), spec, n=1, samples=0, rng=rng)
+    for samples in (0, 1):  # one sample has no standard error
+        with pytest.raises(ValueError, match="samples"):
+            mc_integral(lambda x: np.ones(len(x)), spec, n=1, samples=samples, rng=rng)
     with pytest.raises(ValueError, match="non-finite"):
         mc_integral(lambda x: np.full(len(x), np.nan), spec, n=1, samples=10, rng=rng)
 

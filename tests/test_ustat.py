@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pustat.kernels import make_constant, make_count, make_geometric_indicator, make_product
-from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process
+from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process, sample_points
 from pustat import ustat
 from pustat.ustat import (
     add_one_cost,
@@ -228,18 +228,29 @@ def test_ties_at_r_2d():
 
 
 def test_replication_blocks_keep_order(monkeypatch):
-    monkeypatch.setattr(ustat, "_BLOCK_POINTS", 5)
-    drawn = []
-
-    def draw(rep):
-        drawn.append(rep)
-        return rep % 4, rep
-
-    blocks = list(replication_blocks(11, draw))
-    assert drawn == list(range(11))
-    assert [items for _, items in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
-    assert [list(range(11))[rows] for rows, _ in blocks] == [items for _, items in blocks]
-    assert list(replication_blocks(0, draw)) == []
+    # counts first, then the points: on a constant density the blocks are
+    # one draw of every point cut at the block boundaries, whatever the cap
+    spec = IntensitySpec(UNIT * 2, t=3.0)
+    reps, queries = 40, 2
+    rng = np.random.default_rng(9)
+    sizes = rng.poisson(spec.total_mass, reps)
+    assert 0 in sizes  # an empty replication keeps its row
+    expected = np.split(sample_points(spec, int(sizes.sum()), rng), np.cumsum(sizes)[:-1])
+    for cap in (1, 5, 1 << 40):
+        monkeypatch.setattr(ustat, "_BLOCK_POINTS", cap)
+        blocks = list(replication_blocks(spec, reps, np.random.default_rng(9), queries))
+        assert [rows.start for rows, _, _ in blocks] == [0] + [r.stop for r, _, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == reps
+        for rows, points, block_sizes in blocks:
+            assert block_sizes.tolist() == sizes[rows].tolist()
+            held = int(block_sizes.sum()) + queries * len(block_sizes)
+            assert held <= cap or len(block_sizes) == 1
+            assert np.array_equal(points, np.concatenate(expected[rows]))
+        if cap == 1:
+            assert len(blocks) == reps
+        if cap == 1 << 40:
+            assert len(blocks) == 1
+    assert list(replication_blocks(spec, 0, np.random.default_rng(9))) == []
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -247,9 +258,11 @@ def test_many_configurations_match_one_at_a_time(rng, dim):
     spec = IntensitySpec(UNIT * dim, t=25.0)
     configs = [sample_point_process(spec, rng) for _ in range(6)]
     configs += [PointConfiguration.empty(dim), _config([0.5] * dim)]
+    points = np.concatenate([c.points for c in configs])
+    sizes = np.array([len(c) for c in configs])
     zs = rng.random((len(configs), 9, dim))
     for kernel in (make_geometric_indicator(0.2), make_constant(2.0, 2), make_count()):
         expected = [evaluate(kernel, c).value for c in configs]
-        assert evaluate_many(kernel, configs).tolist() == expected
-        costs = add_one_costs_many(kernel, configs, zs)
+        assert evaluate_many(kernel, points, sizes).tolist() == expected
+        costs = add_one_costs_many(kernel, points, sizes, zs)
         assert np.array_equal(costs, np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)]))
