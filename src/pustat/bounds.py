@@ -10,7 +10,8 @@ contraction replaces all variables sharing a block of p by one integration
 variable.  The integral of p depends only on the multiset of its blocks'
 group masks, so ``compute_Mij`` runs one integral per contraction class
 (``partitions.contraction_classes``) and weights it by the number of
-partitions in the class.  M_ij = M_ji; ``bound_report`` integrates i <= j
+partitions in the class.  A class is a monomial in t, so it is integrated
+at t = 1 and scaled.  M_ij = M_ji; ``bound_report`` integrates i <= j
 only and mirrors the result.  From these and Var F:
 
     dK <= 19 k^5     * sum_{i,j}    sqrt(M_ij) / Var F,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def compute_Mij(
     j: int,
     *,
     samples: int = 200_000,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
     mc: Optional[MarginalIntegration] = None,
 ) -> MCValue:
     """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
@@ -84,25 +85,87 @@ def compute_Mij(
     stream.  Each class integrates over box^{number of blocks} with
     ``samples`` draws; group a of the integrand evaluates its absolute chaos
     kernel at the blocks whose mask holds bit a, and the four factors
-    multiply.  Class estimates add with their weights, and their standard
+    multiply.  Since mu_t = t mu_1, a class with B blocks is t^p times its
+    integral against mu_1, with p = B + 2(k - i) + 2(k - j); so each class
+    is integrated once at unit scale, on the same box and density, and
+    scaled.  Class estimates add with their weights, and their standard
     errors combine in quadrature.
+
+    ``rng`` is a Generator, consumed as given, or a SeedSequence (the
+    default is (0xB0D5, spawn key (i, j))).  A SeedSequence is a value, so
+    the unit-scale class integrals it gives are kept in the kernel's cache,
+    and a call at another t on the same stream only rescales them.
     """
     k = kernel.order
     check_order(k)
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
     i, j = min(i, j), max(i, j)
-    rng = (
-        rng
-        if rng is not None
-        else np.random.default_rng(np.random.SeedSequence(_M_SEED, spawn_key=(i, j)))
-    )
+    if rng is None:
+        rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
     mc = mc or MarginalIntegration()
+    if isinstance(rng, np.random.SeedSequence):
+        entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
+        key = (
+            "M_ij",
+            intensity.box,
+            intensity.density,
+            intensity.density_sup,
+            intensity.base_integral,
+            i,
+            j,
+            samples,
+            mc,
+            entropy,
+            rng.spawn_key,
+            rng.pool_size,
+        )
+        cache = kernel._integral_cache
+        if key not in cache:
+            cache[key] = _unit_class_integrals(
+                kernel, intensity, i, j, samples, np.random.default_rng(rng), mc
+            )
+        classes = cache[key]
+    else:
+        classes = _unit_class_integrals(kernel, intensity, i, j, samples, rng, mc)
+    t = intensity.t
+    total = 0.0
+    var_acc = 0.0
+    for weight, power, est, se in classes:
+        try:
+            scale = weight * t**power
+        except OverflowError:
+            scale = math.inf
+        total += scale * est
+        var_acc += (scale * se) * (scale * se)
+    if not (math.isfinite(total) and math.isfinite(var_acc)):
+        raise NumericalError(f"non-finite M_{i}{j} at t={t:g}")
+    return MCValue(total, math.sqrt(var_acc))
+
+
+def _unit_class_integrals(
+    kernel: SymmetricKernel,
+    intensity: IntensitySpec,
+    i: int,
+    j: int,
+    samples: int,
+    rng: np.random.Generator,
+    mc: MarginalIntegration,
+) -> Tuple[Tuple[float, int, float, float], ...]:
+    """(weight, power of t, estimate, stderr) of each contraction class of
+    M_ij, integrated against mu_1 on the box and density of ``intensity``."""
+    unit = IntensitySpec(
+        intensity.box,
+        t=1.0,
+        density=intensity.density,
+        density_sup=intensity.density_sup,
+        base_integral=intensity.base_integral,
+    )
+    k = kernel.order
     sizes = (i, i, j, j)
     # independent fallback draws per factor keep the product unbiased
     factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
-    total = 0.0
-    var_acc = 0.0
+    out = []
     for masks, weight in contraction_classes(i, j):
         columns = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(4)]
 
@@ -110,17 +173,16 @@ def compute_Mij(
             vals = np.ones(len(w))
             for size, idx, mc_a in zip(sizes, columns, factor_mc):
                 fv, _ = chaos_kernel_values(
-                    kernel, intensity, size, w[:, idx, :], absolute=True, mc=mc_a
+                    kernel, unit, size, w[:, idx, :], absolute=True, mc=mc_a
                 )
                 vals = vals * fv
             return vals
 
-        est, se = mc_integral(integrand, intensity, len(masks), samples, rng)
+        est, se = mc_integral(integrand, unit, len(masks), samples, rng)
         if not math.isfinite(est):
             raise NumericalError(f"non-finite contraction-class integral for M_{i}{j}")
-        total += weight * est
-        var_acc += (weight * se) ** 2
-    return MCValue(total, math.sqrt(var_acc))
+        out.append((weight, len(masks) + 2 * (k - i) + 2 * (k - j), est, se))
+    return tuple(out)
 
 
 class BoundValue(NamedTuple):
@@ -444,6 +506,9 @@ def bound_report(
     from (2,) and the Stein terms from (3,).  So the report is reproducible
     and individual stages are independent.
     ``m_samples`` is the number of draws per contraction-class integral.
+    Each M_ij stream is passed to ``compute_Mij`` as a SeedSequence, so
+    reports at several t for one kernel, box and seed integrate each class
+    once and rescale it by its power of t.
     The replication settings of the requested stages are checked before
     the first integral.
     """
@@ -464,8 +529,9 @@ def bound_report(
     m: List[List[MCValue]] = [[None] * k for _ in range(k)]
     for i in range(1, k + 1):
         for j in range(i, k + 1):
+            stream = np.random.SeedSequence(int(seed), spawn_key=(1, i, j))
             m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
-                kernel, intensity, i, j, samples=m_samples, rng=_stream(1, i, j), mc=mc
+                kernel, intensity, i, j, samples=m_samples, rng=stream, mc=mc
             )
     unreliable = tuple(
         (i + 1, j + 1)

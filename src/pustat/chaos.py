@@ -95,9 +95,9 @@ def kernel_empirical(
     rng: np.random.Generator,
 ) -> MCValue:
     """Empirical chaos kernel: mean iterated difference over fresh
-    configurations, divided by n!."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    configurations, divided by n!; a standard error needs ``reps`` >= 2."""
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     zs = np.asarray(points, dtype=float).reshape(n, intensity.dim)
     vals = np.empty(reps)
     for r in range(reps):
@@ -105,7 +105,7 @@ def kernel_empirical(
         vals[r] = iterated_difference(kernel, cfg, zs)
     nfact = math.factorial(n)
     est = float(vals.mean()) / nfact
-    se = float(vals.std(ddof=1)) / math.sqrt(reps) / nfact if reps > 1 else math.inf
+    se = float(vals.std(ddof=1)) / math.sqrt(reps) / nfact
     return MCValue(est, se)
 
 

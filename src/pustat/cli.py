@@ -240,6 +240,11 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
             raise ConfigError(f"{key}: expected {typ.__name__}")
     if not cfg["t_values"]:
         raise ConfigError("t_values: must be a nonempty list")
+    for t in cfg["t_values"]:
+        if type(t) not in (int, float):
+            raise ConfigError(f"t_values: expected numbers, got {t!r}")
+        if not 0.0 < t <= sys.float_info.max:
+            raise ConfigError(f"t_values: each t must be finite and > 0, got {t!r}")
     cfg.setdefault("box", [[0.0, 1.0]])
     cfg.setdefault("reps", 1000)
     cfg.setdefault("mc_samples", 200_000)

@@ -8,6 +8,9 @@ distance of an empirical measure to the normal as the exact integral of
 splitting segments where Phi crosses the empirical level), and the
 Kolmogorov distance of a standardized Poisson(t) variable evaluated over
 all of its jump points with a certified negligible tail.
+
+scipy is imported inside the functions that use it, so importing pustat
+(and running ``pustat bound``) does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .stein import SQRT_2PI, normal_cdf
 
@@ -54,6 +56,8 @@ def empirical_dW(samples) -> float:
     point where Phi crosses that level, clipped into [a, b], so ties and
     gaps without a crossing give zero-width pieces.
     """
+    from scipy.special import ndtri
+
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = len(x)
     if n == 0:
@@ -82,6 +86,8 @@ def poisson_exact_dK(t: float) -> float:
     are certified negligible (< 1e-12) via a Chernoff bound and the normal
     tail, extending the range if the certificate fails.
     """
+    from scipy.special import gammaln
+
     if t <= 0:
         raise ValueError("t must be positive")
     sd = math.sqrt(t)

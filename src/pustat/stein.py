@@ -17,6 +17,9 @@ and stays finite for every w.  Known properties, checked on a dense grid:
 
 and the derivative jumps by -1 across w = s.  The convention at the kink
 is the left limit, g_s'(s) := g_s'(s-).
+
+scipy is imported inside the functions that use it, so importing pustat
+(and running ``pustat bound``) does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 __all__ = [
     "normal_cdf",
@@ -46,6 +48,8 @@ _FP_SLACK = 1e-12
 
 def normal_cdf(x):
     """Standard normal distribution function, full double precision."""
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
@@ -57,6 +61,8 @@ def g(s, w):
         g = sqrt(2 pi) * Phi(s) * erfcx(w/sqrt 2)/2,
     and symmetrically below s, so exp(w^2/2) never materializes.
     """
+    from scipy.special import erfcx, ndtr
+
     s_arr, w_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(w, dtype=float))
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
@@ -75,6 +81,8 @@ def g_prime(s, w):
     At w = s the indicator includes the point, which realizes the left-limit
     convention g_s'(s) = g_s'(s-).
     """
+    from scipy.special import ndtr
+
     s_arr = np.asarray(s, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     out = w_arr * g(s, w) + (w_arr <= s_arr) - ndtr(s_arr)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: neighbour
 counts come from the full matrix of squared distances, partitions from
 filtering a plain restricted-growth enumeration of ALL set partitions, the
 Stein solution from direct numerical quadrature of its defining integral,
-the Wasserstein distance from a Riemann sum, and the Poisson Kolmogorov
-distance from high-precision arithmetic.
+the Wasserstein distance from a Riemann sum, the Poisson Kolmogorov
+distance from high-precision arithmetic, and M_ij from its class integrals
+run at the actual t instead of at unit scale.
 """
 
 import math
@@ -189,6 +190,47 @@ def poisson_dk_mpmath(t, m_max=None):
             ph = mp.ncdf((m - t_mp) / sd)
             best = max(best, abs(cdf - ph), abs(left - ph))
         return float(best)
+
+
+# ---------------------------------------------------------------------------
+# M_ij with every contraction class integrated against mu_t itself
+# ---------------------------------------------------------------------------
+
+
+def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
+    """M_ij as the weighted sum of its class integrals against mu_t.
+
+    Draws from ``rng`` class by class in the order of
+    ``contraction_classes(min(i, j), max(i, j))``, with the per-factor
+    marginal seeds of ``compute_Mij``; no rescaling in t and no cache.
+    """
+    from dataclasses import replace
+
+    from pustat.chaos import chaos_kernel_values
+    from pustat.measure import mc_integral
+    from pustat.partitions import contraction_classes
+
+    i, j = min(i, j), max(i, j)
+    sizes = (i, i, j, j)
+    factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
+    total = 0.0
+    var_acc = 0.0
+    for masks, weight in contraction_classes(i, j):
+        columns = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(4)]
+
+        def integrand(w, columns=columns):
+            vals = np.ones(len(w))
+            for size, idx, mc_a in zip(sizes, columns, factor_mc):
+                fv, _ = chaos_kernel_values(
+                    kernel, intensity, size, w[:, idx, :], absolute=True, mc=mc_a
+                )
+                vals = vals * fv
+            return vals
+
+        est, se = mc_integral(integrand, intensity, len(masks), samples, rng)
+        total += weight * est
+        var_acc += (weight * se) ** 2
+    return total, math.sqrt(var_acc)
 
 
 # ---------------------------------------------------------------------------

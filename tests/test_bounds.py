@@ -14,7 +14,7 @@ from pustat.bounds import (
     fourth_moment_bound,
 )
 from pustat.chaos import MCValue, variance_from_kernels
-from pustat import bounds, ustat
+from pustat import bounds, cli, ustat
 from pustat.cli import _replicate_standardized
 from pustat.kernels import (
     MarginalIntegration,
@@ -23,9 +23,11 @@ from pustat.kernels import (
     make_geometric_indicator,
     scale_kernel,
 )
-from pustat.measure import IntensitySpec, sample_point_process
+from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
+from pustat.partitions import contraction_classes
 from pustat.ustat import evaluate
 
+import oracles
 from oracles import poisson_central_moment4
 
 UNIT = [(0.0, 1.0)]
@@ -103,6 +105,132 @@ def test_m_constant_kernel_exact_high_order(order):
             assert got.value == pytest.approx(target, rel=1e-12)
             assert got.stderr == 0.0
     assert rep.unreliable == ()
+
+
+def test_m_scales_as_t_to_the_fifth():
+    # M_11 of the distance indicator has one class with one block, and its
+    # factors are t * (marginal at t = 1): M_11(t) = t^5 M_11(1) on one stream
+    k = make_geometric_indicator(0.1)
+    for stream in (lambda: np.random.SeedSequence(3, spawn_key=(9,)),
+                   lambda: np.random.default_rng(3)):
+        a = compute_Mij(k, IntensitySpec(UNIT, t=100.0), 1, 1, samples=5000, rng=stream())
+        b = compute_Mij(k, IntensitySpec(UNIT, t=200.0), 1, 1, samples=5000, rng=stream())
+        assert b.value / a.value == pytest.approx(2.0**5, rel=1e-14)
+        assert b.stderr / a.stderr == pytest.approx(2.0**5, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_m_matches_class_integrals_at_t(dim):
+    # the unit-scale integrals, rescaled (and, after the first t, read from
+    # the cache), agree with every class integrated at the actual t; in 2-D
+    # the first marginal takes the Monte Carlo fallback
+    k = make_geometric_indicator(0.15)
+    mc = MarginalIntegration(samples=300)
+    box = [(0.0, 1.0)] * dim
+    for t in (50.0, 100.0, 200.0):
+        spec = IntensitySpec(box, t=t)
+        for i, j in ((1, 1), (1, 2), (2, 2)):
+            got = compute_Mij(k, spec, i, j, samples=2000, mc=mc,
+                              rng=np.random.SeedSequence(8, spawn_key=(i, j)))
+            want = oracles.mij_at_t(k, spec, i, j, 2000, np.random.default_rng(
+                np.random.SeedSequence(8, spawn_key=(i, j))), mc)
+            assert got.value == pytest.approx(want[0], rel=1e-12)
+            assert got.stderr == pytest.approx(want[1], rel=1e-12)
+            assert got.stderr > 0.0
+
+
+def _count_class_integrals(monkeypatch):
+    """Record each class integral that compute_Mij runs; returns the record."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mc_integral(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "mc_integral", counting)
+    return calls
+
+
+def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
+    calls = _count_class_integrals(monkeypatch)
+    k = make_geometric_indicator(0.1)
+    spec = IntensitySpec(UNIT, t=20.0)
+    n_classes = len(contraction_classes(1, 2))
+
+    def run(kern=k, intensity=spec, seed=4, samples=2000, mc=None):
+        before = len(calls)
+        out = compute_Mij(kern, intensity, 1, 2, samples=samples, mc=mc,
+                          rng=np.random.SeedSequence(seed, spawn_key=(1, 1, 2)))
+        return out, len(calls) - before
+
+    assert run()[1] == n_classes
+    assert run()[1] == 0
+    assert run(seed=np.int64(4))[1] == 0
+    # another t on the same stream rescales, and gives what a fresh kernel
+    # integrates at that t
+    t40 = IntensitySpec(UNIT, t=40.0)
+    hit, ran = run(intensity=t40)
+    assert ran == 0
+    assert hit == run(kern=make_geometric_indicator(0.1), intensity=t40)[0]
+    density = IntensitySpec(UNIT, t=20.0, density=lambda x: np.ones(len(x)), density_sup=2.0,
+                            base_integral=1.0)
+    for change in (
+        {"intensity": IntensitySpec([(0.0, 2.0)], t=20.0)},
+        {"intensity": density},
+        {"seed": 5},
+        {"samples": 3000},
+        {"mc": MarginalIntegration(samples=500)},
+        {"kern": make_geometric_indicator(0.1)},
+        {"kern": make_geometric_indicator(0.2)},
+    ):
+        assert run(**change)[1] == n_classes, change
+    # the default stream is a value too, the same for (1, 2) and (2, 1)
+    before = len(calls)
+    compute_Mij(k, spec, 2, 1, samples=2000)
+    default_t40 = compute_Mij(k, t40, 1, 2, samples=2000)
+    assert len(calls) - before == n_classes
+    assert default_t40 == compute_Mij(make_geometric_indicator(0.1), t40, 1, 2, samples=2000)
+
+
+def test_m_overflowing_scale_is_a_numerical_error():
+    # t^p beyond the float range (t^5 for M_11 at t=1e80) exits 3, not with
+    # a Python OverflowError, also when the unit-scale integrals are cached
+    k = make_geometric_indicator(0.1)
+    compute_Mij(k, IntensitySpec(UNIT, t=20.0), 1, 1, samples=200)
+    for t in (1e80, 1e200):
+        with pytest.raises(NumericalError, match="non-finite M_11"):
+            compute_Mij(k, IntensitySpec(UNIT, t=t), 1, 1, samples=200)
+
+
+def test_m_generators_are_not_cached(monkeypatch):
+    # a Generator's state is not a value: each call draws afresh from it
+    calls = _count_class_integrals(monkeypatch)
+    k = make_geometric_indicator(0.1)
+    spec = IntensitySpec(UNIT, t=20.0)
+    a = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
+    b = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
+    c = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(2))
+    assert len(calls) == 3 * len(contraction_classes(1, 2))
+    assert a == b
+    assert a != c
+
+
+def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
+    # an experiment over three t runs the class integrals of one
+    calls = _count_class_integrals(monkeypatch)
+    counts = []
+    for t_values in ([50, 100, 200], [100]):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kernel": {"name": "geometric_indicator", "r": 0.05}, "t_values": t_values,
+            "seed": 3, "reps": 50, "mc_samples": 2000, "stein_terms": False,
+        }))
+        before = len(calls)
+        assert cli.main(["experiment", str(path)]) == 0
+        counts.append(len(calls) - before)
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(t_values)
+    n_classes = sum(len(contraction_classes(i, j)) for i, j in ((1, 1), (1, 2), (2, 2)))
+    assert counts == [n_classes, n_classes]
 
 
 def test_m_order_cap():

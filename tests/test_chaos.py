@@ -63,6 +63,16 @@ def test_kernel_empirical_matches_analytic(rng):
         assert abs(emp.value - ana.value) <= 4.0 * max(combined, 1e-12)
 
 
+def test_kernel_empirical_needs_two_reps(rng):
+    # one replication has no standard error; refuse it instead of printing inf
+    spec = IntensitySpec(UNIT, t=3.0)
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            kernel_empirical(make_count(), spec, 1, [[0.5]], reps=reps, rng=rng)
+    out = kernel_empirical(make_count(), spec, 1, [[0.5]], reps=2, rng=rng)
+    assert out == (1.0, 0.0)
+
+
 def test_kernel_empirical_vanishes_above_order(rng):
     spec = IntensitySpec(UNIT, t=2.0)
     k = make_geometric_indicator(0.2)

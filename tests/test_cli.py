@@ -252,8 +252,16 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"term_reps": 1}, "term_reps"),
     ({"mc_samples": 1}, "mc_samples"),
     ({"z_samples": 0}, "z_samples"),
+    ({"t_values": [True]}, "t_values"),
+    ({"t_values": [10, 0]}, "t_values"),
+    ({"t_values": [10, -5]}, "t_values"),
+    ({"t_values": ["a"]}, "t_values"),
+    ({"t_values": [10, math.inf]}, "t_values"),
+    ({"t_values": [10, math.nan]}, "t_values"),
+    ({"t_values": [10**400]}, "t_values"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
-        "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples"])
+        "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
+        "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -393,3 +401,26 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
     assert traced.stdout == plain.stdout
     traced_calls = json.loads(spans.read_text())["spans"][span]["calls"]
     assert traced_calls > 0 if calls is None else traced_calls == calls
+
+
+def test_bound_does_not_import_scipy(tmp_path):
+    # scipy serves only the distance and Stein-check code; starting pustat
+    # and running a certificate must not pay for its import
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = "\n".join([
+        "import sys",
+        "import pustat.cli",
+        "pustat.cli.build_parser()",
+        "code = pustat.cli.main(['bound', '--kernel', 'geometric_indicator', '--r', '0.05',",
+        "    '--t', '20', '--rij', '--stein-terms', '--reps', '50', '--mc-samples', '2000',",
+        "    '--seed', '1', '--out', 'bound.json'])",
+        "assert code == 0, code",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                         cwd=tmp_path, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+    assert json.loads((tmp_path / "bound.json").read_text())["dk_bound"] > 0.0
