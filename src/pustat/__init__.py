@@ -51,7 +51,6 @@ from .ustat import (
     UStatValue,
     add_one_cost,
     evaluate,
-    evaluate_abs,
     inverse_ou_pathwise,
     iterated_difference,
 )

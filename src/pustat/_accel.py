@@ -5,16 +5,19 @@ Points are sorted on a band key, their first coordinate, and
 lies in a band of half-width about r around its own.  Each candidate then
 takes the exact test ``sum((x_i - x_j)**2) <= r*r`` on the original
 coordinates, so counts do not depend on the band, ties at distance exactly r
-included.
+included.  The half-width is capped at the width of the first coordinates
+(plus a rounding allowance), which holds every candidate anyway, so the
+band stays finite when r*r overflows.
 
-Groups.  Many small configurations, one per replication, are counted in one
-call by giving each point a group label; only points of the same group are
-neighbours.  The label moves the key alone, to ``x0 + label * span``, where
-``span`` exceeds the width of the first coordinates plus twice the band.  So
-no band reaches into another group, and no label test is needed.  The exact
-test still reads the original coordinates, so a group counts exactly as it
-would on its own.  Rounding moves a key by at most half an ulp of the
-largest key, and the band is widened by a few such ulps.
+Groups.  Every count is a count of groups: only points of the same group
+label are neighbours, so many configurations are counted in one call, and
+an unlabelled count is one of group 0.  The label moves the key alone, to
+``x0 + label * span``, where ``span`` exceeds the width of the first
+coordinates plus twice the band.  So no band reaches into another group,
+and no label test is needed.  The exact test still reads the original
+coordinates, so a group counts exactly as it would on its own.  Rounding
+moves a key by at most half an ulp of the largest key, and the band is
+widened by a few such ulps.
 
 Sure-inside band (1-D).  In one dimension the exact test is
 ``(x_i - x_j)**2 <= r*r``, and rounding is monotone, so it passes for every
@@ -23,9 +26,9 @@ most ``r (1 - 1e-9) - 4 ulp`` of the largest key is such a pair, because the
 ulps cover the rounding of the keys.  These candidates are counted as a
 difference of ``searchsorted`` positions, without the test, and only the
 thin shell between that inner band and the outer one takes the exact test.
-The factor 1 - 1e-9 mirrors the outer band's margin.  When the inner
-half-width is not positive, or r*r is below the normal range, every
-candidate takes the test.
+The factor 1 - 1e-9 mirrors the outer band's margin.  The inner half-width
+is capped at the outer one.  When it is not positive, or r*r is below the
+normal range, every candidate takes the test.
 """
 
 import math
@@ -53,25 +56,23 @@ def _layout(first, top_label, r, dim):
     ``top_label``.  An inner half-width <= 0 means no sure-inside band."""
     r = float(r)
     r2 = r * r
-    half = math.sqrt(r2) * (1.0 + _MARGIN) + _FLOOR
     lo, hi = float(first.min()), float(first.max())
     scale = max(abs(lo), abs(hi))
+    slack = 16.0 * float(np.spacing(scale))
+    # a band wider than the keys of a group holds no more candidates
+    half = min(math.sqrt(r2) * (1.0 + _MARGIN) + _FLOOR, hi - lo + slack)
     # more than width + 2 * band between groups, with room for key rounding
-    span = 2.0 * (hi - lo + 2.0 * half + 16.0 * float(np.spacing(scale)))
+    span = 2.0 * (hi - lo + 2.0 * half + slack)
     ulp = _KEY_ULPS * float(np.spacing(scale + (top_label + 1) * span + half))
-    inner = r * (1.0 - _MARGIN) - ulp if dim == 1 and r2 >= _TINY else 0.0
+    inner = min(r * (1.0 - _MARGIN) - ulp, half + ulp) if dim == 1 and r2 >= _TINY else 0.0
     return span, half + ulp, inner, r2
 
 
-def _keys(first, labels, span):
-    return first if labels is None else first + labels * span
-
-
-def _blocks(lo, hi):
+def _blocks(lo, hi, size=_BLOCK):
     """Candidate pairs (row, lo[row] <= col < hi[row]) in blocks of rows.
 
     Yields (a, b, row, col) for rows a..b-1, with row counted from a.  A
-    block holds about _BLOCK candidates, or one row if that row has more.
+    block holds about ``size`` candidates, or one row if that row has more.
     """
     width = hi - lo
     ends = np.cumsum(width)
@@ -79,7 +80,7 @@ def _blocks(lo, hi):
     a = 0
     while a < len(lo):
         start = ends[a] - width[a]
-        b = max(int(np.searchsorted(ends, start + _BLOCK, side="right")), a + 1)
+        b = max(int(np.searchsorted(ends, start + size, side="right")), a + 1)
         row = np.repeat(np.arange(b - a), width[a:b])
         yield a, b, row, np.arange(start, ends[b - 1]) + shift[a:b][row]
         a = b
@@ -110,9 +111,8 @@ def _later_neighbours(pts, labels, r):
     """(counts, order): pts[order] sorted on the band key, and for each of
     them the number of later sorted points of its group within distance r."""
     cols = _columns(pts)
-    top = 0 if labels is None else int(labels.max())
-    span, half, inner, r2 = _layout(cols[0], top, r, len(cols))
-    key = _keys(cols[0], labels, span)
+    span, half, inner, r2 = _layout(cols[0], int(labels.max()), r, len(cols))
+    key = cols[0] + labels * span
     order = np.argsort(key)
     p, key = [c[order] for c in cols], key[order]
     after = np.arange(1, len(key) + 1)
@@ -125,11 +125,7 @@ def _later_neighbours(pts, labels, r):
 
 def count_pairs_within(points, r):
     """Number of unordered point pairs at Euclidean distance <= r."""
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) < 2:
-        return 0
-    counts, _ = _later_neighbours(pts, None, r)
-    return int(counts.sum())
+    return int(count_group_pairs(points, np.zeros(len(points), dtype=np.int64), r, 1)[0])
 
 
 def count_group_pairs(points, labels, r, groups):
@@ -147,7 +143,7 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     """For each query point, the number of points within distance r.
 
     With labels (both or neither), a query counts only the points that
-    carry its own label.
+    carry its own label; without them every point and query is in group 0.
     """
     if (point_labels is None) != (query_labels is None):
         raise ValueError("give both point and query labels, or neither")
@@ -155,17 +151,17 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     qs = np.asarray(queries, dtype=np.float64)
     if len(pts) == 0 or len(qs) == 0:
         return np.zeros(len(qs), dtype=np.int64)
-    top = 0
-    if point_labels is not None:
-        point_labels = np.asarray(point_labels, dtype=np.int64)
-        query_labels = np.asarray(query_labels, dtype=np.int64)
-        top = int(max(point_labels.max(), query_labels.max()))
+    if point_labels is None:
+        point_labels, query_labels = np.zeros(len(pts), np.int64), np.zeros(len(qs), np.int64)
+    point_labels = np.asarray(point_labels, dtype=np.int64)
+    query_labels = np.asarray(query_labels, dtype=np.int64)
+    top = int(max(point_labels.max(), query_labels.max()))
     cols, qs = _columns(pts), _columns(qs)
     span, half, inner, r2 = _layout(np.concatenate([cols[0], qs[0]]), top, r, len(cols))
-    key = _keys(cols[0], point_labels, span)
+    key = cols[0] + point_labels * span
     order = np.argsort(key)
     p, key = [c[order] for c in cols], key[order]
-    qkey = _keys(qs[0], query_labels, span)
+    qkey = qs[0] + query_labels * span
     # queries in key order make the binary searches walk the keys in order
     qorder = np.argsort(qkey)
     qkey, qs = qkey[qorder], [c[qorder] for c in qs]

@@ -13,7 +13,8 @@ and the first-order stochastic integral has the pathwise form
     I_1(g) = sum_{x in eta} g(x) - integral of g dmu_t.
 
 Expansion kernels can also be estimated empirically as the mean iterated
-difference divided by n!, which must agree with the analytic formula.
+difference over blocks of replications divided by n!, which must agree
+with the analytic formula.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kernels import MarginalIntegration, SymmetricKernel
-from .measure import IntensitySpec, mc_integral, sample_point_process
+from .measure import IntensitySpec, NumericalError, mc_integral
 from .partitions import check_order
-from .ustat import iterated_difference
+from .ustat import _iterated_differences, replication_blocks
 
 __all__ = [
     "MCValue",
@@ -95,14 +96,14 @@ def kernel_empirical(
     rng: np.random.Generator,
 ) -> MCValue:
     """Empirical chaos kernel: mean iterated difference over fresh
-    configurations, divided by n!; a standard error needs ``reps`` >= 2."""
+    configurations drawn in blocks, divided by n!; a standard error needs
+    ``reps`` >= 2."""
     if reps < 2:
         raise ValueError("reps must be >= 2")
     zs = np.asarray(points, dtype=float).reshape(n, intensity.dim)
     vals = np.empty(reps)
-    for r in range(reps):
-        cfg = sample_point_process(intensity, rng)
-        vals[r] = iterated_difference(kernel, cfg, zs)
+    for rows, block, sizes in replication_blocks(intensity, reps, rng, queries=n):
+        vals[rows] = _iterated_differences(kernel, block, sizes, zs)
     nfact = math.factorial(n)
     est = float(vals.mean()) / nfact
     se = float(vals.std(ddof=1)) / math.sqrt(reps) / nfact
@@ -152,7 +153,9 @@ def variance_from_kernels(
         fact = math.factorial(i)
         terms.append(MCValue(fact * est, fact * se))
         total += fact * est
-        var_total += (fact * se) ** 2
+        var_total += (fact * se) * (fact * se)
+    if not (math.isfinite(total) and math.isfinite(var_total)):
+        raise NumericalError(f"non-finite Var F at t={intensity.t:g}")
     return VarianceResult(total, math.sqrt(var_total), terms)
 
 

@@ -217,6 +217,12 @@ _EXPERIMENT_FIELDS = {
 _EXPERIMENT_MINIMA = {"reps": 2, "term_reps": 2, "mc_samples": 2, "z_samples": 1}
 
 
+def _is_interval(iv) -> bool:
+    """Whether ``iv`` is a [lo, hi] list of finite numbers (not bools)."""
+    numbers = type(iv) is list and all(type(x) in (int, float) for x in iv)
+    return numbers and len(iv) == 2 and all(abs(x) <= sys.float_info.max for x in iv)
+
+
 def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
     """The config at ``path`` with its defaults; ``seed``, when given,
     replaces the config's own seed."""
@@ -246,6 +252,8 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
         if not 0.0 < t <= sys.float_info.max:
             raise ConfigError(f"t_values: each t must be finite and > 0, got {t!r}")
     cfg.setdefault("box", [[0.0, 1.0]])
+    if not cfg["box"] or not all(_is_interval(iv) for iv in cfg["box"]):
+        raise ConfigError(f"box: expected a nonempty list of [lo, hi] number pairs: {cfg['box']!r}")
     cfg.setdefault("reps", 1000)
     cfg.setdefault("mc_samples", 200_000)
     cfg.setdefault("z_samples", 128)

@@ -26,6 +26,7 @@ Built-ins:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -147,6 +148,23 @@ class SymmetricKernel:
         return cache[key]
 
 
+_EVAL_CHUNK = 1 << 19  # kernel evaluations per batched call
+
+
+def _cross_values(fn, heads, tails):
+    """fn at each (m, a, d) head joined with each (c, b, d) tail, in blocks
+    of heads: yields (rows, values), a slice of heads and their (len, c)
+    values.  A block makes about _EVAL_CHUNK evaluations, or one head's c;
+    a row does not depend on where the blocks end."""
+    c = len(tails)
+    step = max(1, _EVAL_CHUNK // max(c, 1))
+    for s in range(0, len(heads), step):
+        block = heads[s : s + step]
+        m = len(block)
+        joined = np.concatenate([np.repeat(block, c, axis=0), np.tile(tails, (m, 1, 1))], axis=1)
+        yield slice(s, s + m), fn(joined).reshape(m, c)
+
+
 def _marginal_mc(kernel, intensity, x, i, absolute, mc):
     """Monte Carlo marginal: average f(x, Y) over shared draws Y ~ mu_t/mass.
 
@@ -156,7 +174,7 @@ def _marginal_mc(kernel, intensity, x, i, absolute, mc):
     probe's c; the value is c / n and the stderr comes from the 0/1 sample
     variance c (n - c) / (n (n - 1)).  A sum of 0/1 values is exact, so the
     values equal the dense average bit for bit.  Every other case evaluates
-    f on the probes x draws matrix.
+    f on the probes x draws matrix, block by block (``_cross_values``).
     """
     extra = kernel.order - i
     rng = np.random.default_rng(np.random.SeedSequence(mc.seed, spawn_key=(i,)))
@@ -166,19 +184,11 @@ def _marginal_mc(kernel, intensity, x, i, absolute, mc):
         n = mc.samples
         c = _accel.count_neighbors(y[:, 0, :], x[:, 0, :], kernel.pair_radius).astype(float)
         return c / n * scale, np.sqrt(c * (n - c) / (n * (n - 1))) / math.sqrt(n) * scale
-    m = len(x)
-    vals = np.empty(m)
-    ses = np.empty(m)
+    vals, ses = np.empty(len(x)), np.empty(len(x))
     fn = kernel.abs_values if absolute else kernel
-    chunk = max(1, 2_000_000 // (mc.samples * kernel.order))
-    for s in range(0, m, chunk):
-        xs = x[s : s + chunk]  # (c, i, d)
-        c = len(xs)
-        left = np.repeat(xs, mc.samples, axis=0)  # (c*samples, i, d)
-        right = np.tile(y, (c, 1, 1))  # (c*samples, extra, d)
-        fv = fn(np.concatenate([left, right], axis=1)).reshape(c, mc.samples)
-        vals[s : s + c] = fv.mean(axis=1) * scale
-        ses[s : s + c] = fv.std(axis=1, ddof=1) / math.sqrt(mc.samples) * scale
+    for rows, fv in _cross_values(fn, x, y):
+        vals[rows] = fv.mean(axis=1) * scale
+        ses[rows] = fv.std(axis=1, ddof=1) / math.sqrt(mc.samples) * scale
     return vals, ses
 
 
@@ -246,8 +256,8 @@ def make_constant(c: float, k: int) -> SymmetricKernel:
 
 def make_geometric_indicator(r: float) -> SymmetricKernel:
     """Order-2 kernel f(x, y) = 1(|x - y| <= r): pair counts within radius r."""
-    if r <= 0:
-        raise ValueError("radius r must be positive")
+    if not 0 < r <= sys.float_info.max:
+        raise ValueError("radius r must be positive and finite")
     r = float(r)
     r2 = r * r
 
@@ -363,6 +373,10 @@ def make_kernel(spec) -> SymmetricKernel:
         raise ValueError("kernel descriptor must be a name or a dict with a 'name'")
     name = spec["name"]
     params = {key: val for key, val in spec.items() if key != "name"}
+    # exact types: a bool is an int to isinstance
+    for key, types in (("r", (int, float)), ("c", (int, float)), ("k", (int,))):
+        if key in params and type(params[key]) not in types:
+            raise ValueError(f"'{key}' must be {' or '.join(t.__name__ for t in types)}")
     if name == "count":
         return make_count()
     if name == "constant":

@@ -215,7 +215,8 @@ def mc_integral(
     ``g`` maps an (m, n, d) array of stacked n-tuples to an (m,) array.
     Points are drawn i.i.d. from mu_t/mass per coordinate block and the
     sample mean is scaled by mass^n.  Returns (estimate, stderr); a
-    standard error needs at least two samples.
+    standard error needs at least two samples.  Raises NumericalError when
+    either is not finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -225,9 +226,14 @@ def mc_integral(
     vals = np.asarray(g(x), dtype=float).reshape(samples)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("integrand returned non-finite values")
-    scale = intensity.total_mass**n
+    try:
+        scale = intensity.total_mass**n
+    except OverflowError:  # a float ** raises where a float * gives inf
+        scale = math.inf
     est = float(vals.mean()) * scale
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples) * scale
+    if not (math.isfinite(est) and math.isfinite(stderr)):
+        raise NumericalError(f"non-finite integral against mu_t^{n}")
     return est, stderr
 
 

@@ -18,15 +18,14 @@ where U_m is the order-m U-statistic whose kernel is the m-th marginal
 integral of f (binomial factor excluded).  The order-k marginal is f
 itself, so U_k = F and the top term of -D_z L^{-1}F is exactly D_z F / k.
 
-Replication loops draw their configurations in blocks (``replication_blocks``):
-the stacked points of a block and each configuration's size.
-``evaluate_many`` and ``add_one_costs_many`` count a whole block of
-distance-indicator configurations with one call of the grouped counter.
+Each operation has one implementation, on a block: configurations stacked
+in order with their sizes, as ``replication_blocks`` draws them.  A single
+configuration is a block of one.  The distance indicator counts a block in
+one call of the grouped counter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -34,14 +33,13 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import _accel
-from .kernels import MarginalIntegration, SymmetricKernel
+from .kernels import _EVAL_CHUNK, MarginalIntegration, SymmetricKernel, _cross_values
 from .measure import IntensitySpec, PointConfiguration, sample_points
 
 __all__ = [
     "UStatValue",
     "evaluate",
     "evaluate_many",
-    "evaluate_abs",
     "add_one_cost",
     "add_one_costs",
     "add_one_costs_many",
@@ -51,7 +49,6 @@ __all__ = [
     "inverse_ou_add_one_costs",
 ]
 
-_EVAL_CHUNK = 1 << 19  # tuples per batched kernel call
 _MAX_ITERATED = 20  # inclusion-exclusion guard: 2^n terms
 _BLOCK_POINTS = 1 << 14  # points (and queries) per block of replications
 
@@ -64,30 +61,10 @@ class UStatValue:
     tuple_count: int
 
 
-def _falling_factorial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= max(n - i, 0)
-    return out
-
-
-def _pair_chunks(n: int, chunk: int) -> Iterator[np.ndarray]:
-    """Unordered index pairs (i < j) from range(n), in blocks of rows."""
-    i = 0
-    while i < n - 1:
-        rows = []
-        total = 0
-        while i < n - 1 and total < chunk:
-            rows.append(i)
-            total += n - 1 - i
-            i += 1
-        ii = np.repeat(np.array(rows, dtype=np.intp), [n - 1 - r for r in rows])
-        jj = np.concatenate([np.arange(r + 1, n, dtype=np.intp) for r in rows])
-        yield np.column_stack([ii, jj])
-
-
 def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarray]:
-    """Unordered index k-combinations from range(n) as (m, k) arrays."""
+    """Unordered index k-combinations from range(n) as (m, k) arrays, in
+    lexicographic order: each chunk of (k-1)-combinations extended by every
+    larger index, in blocks of about ``chunk`` rows."""
     if k == 0:
         yield np.empty((1, 0), dtype=np.intp)
         return
@@ -98,17 +75,10 @@ def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarr
         for s in range(0, n, chunk):
             yield idx[s : s + chunk]
         return
-    if k == 2:
-        yield from _pair_chunks(n, chunk)
-        return
-    buf = []
-    for combo in itertools.combinations(range(n), k):
-        buf.append(combo)
-        if len(buf) == chunk:
-            yield np.array(buf, dtype=np.intp)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.intp)
+    for head in _combo_chunks(n, k - 1, chunk):
+        for a, b, row, col in _accel._blocks(head[:, -1] + 1, n, chunk):
+            if len(col):
+                yield np.concatenate([head[a:b][row], col[:, None]], axis=1)
 
 
 def _sum_over_tuples(values_fn, points: np.ndarray, k: int) -> float:
@@ -118,21 +88,13 @@ def _sum_over_tuples(values_fn, points: np.ndarray, k: int) -> float:
     return math.factorial(k) * total
 
 
-def _sum_with_point(values_fn, points: np.ndarray, zs: np.ndarray, size: int) -> np.ndarray:
-    """For each row z of zs, the sum of values_fn(z, subset) over unordered
-    ``size``-subsets of points."""
-    out = np.zeros(len(zs))
+def _sum_with_point(values_fn, heads: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
+    """For each (a, d) head of the (m, a, d) array ``heads``, the sum of
+    values_fn(head, subset) over unordered ``size``-subsets of points."""
+    out = np.zeros(len(heads))
     for idx in _combo_chunks(len(points), size):
-        sub = points[idx]  # (c, size, d)
-        c = len(sub)
-        zchunk = max(1, _EVAL_CHUNK // max(c, 1))
-        for s in range(0, len(zs), zchunk):
-            zblock = zs[s : s + zchunk]
-            m = len(zblock)
-            left = np.repeat(zblock[:, None, :], c, axis=0).reshape(m * c, 1, -1)
-            right = np.tile(sub, (m, 1, 1))
-            vals = values_fn(np.concatenate([left, right], axis=1)).reshape(m, c)
-            out[s : s + m] += vals.sum(axis=1)
+        for rows, vals in _cross_values(values_fn, heads, points[idx]):
+            out[rows] += vals.sum(axis=1)
     return out
 
 
@@ -141,25 +103,12 @@ def _counted(kernel: SymmetricKernel) -> bool:
     return kernel.pair_radius is not None and kernel.order == 2
 
 
-def _evaluate(kernel: SymmetricKernel, points: np.ndarray, values_fn) -> UStatValue:
-    n, k = len(points), kernel.order
-    tc = _falling_factorial(n, k)
-    if n < k:
-        return UStatValue(0.0, tc)
-    if _counted(kernel):
-        pairs = _accel.count_pairs_within(points, kernel.pair_radius)
-        return UStatValue(2.0 * pairs, tc)
-    return UStatValue(_sum_over_tuples(values_fn, points, k), tc)
-
-
 def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
-    """Sum of f over all ordered k-tuples of distinct configuration points."""
-    return _evaluate(kernel, config.points, kernel)
-
-
-def evaluate_abs(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
-    """As evaluate, with |f| in place of f."""
-    return _evaluate(kernel, config.points, kernel.abs_values)
+    """Sum of f over all ordered k-tuples of distinct configuration points:
+    the block of one configuration (see evaluate_many)."""
+    n = len(config)
+    value = evaluate_many(kernel, config.points, np.array([n]))[0]
+    return UStatValue(float(value), math.perm(n, kernel.order))
 
 
 def replication_blocks(
@@ -194,39 +143,36 @@ def _labels(sizes: np.ndarray) -> np.ndarray:
 
 def _split(points: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
     """The stacked points cut into their configurations."""
-    return np.split(points, np.cumsum(sizes)[:-1])
+    out, start = [], 0
+    for size in sizes.tolist():
+        out.append(points[start : start + size])
+        start += size
+    return out
 
 
 def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """evaluate(kernel, c).value for each configuration c of a block, where
-    configuration b is the next sizes[b] rows of ``points``; the distance
-    indicator counts them all in one call."""
+    """F of each configuration of a block, where configuration b is the next
+    sizes[b] rows of ``points``; the distance indicator counts them all in
+    one call."""
     if _counted(kernel):
         pairs = _accel.count_group_pairs(points, _labels(sizes), kernel.pair_radius, len(sizes))
         return 2.0 * pairs.astype(float)
-    return np.array([_evaluate(kernel, p, kernel).value for p in _split(points, sizes)])
+    k = kernel.order
+    return np.array([_sum_over_tuples(kernel, p, k) for p in _split(points, sizes)])
 
 
 def add_one_costs(
-    kernel: SymmetricKernel,
-    config: PointConfiguration,
-    zs: np.ndarray,
-    *,
-    absolute: bool = False,
+    kernel: SymmetricKernel, config: PointConfiguration, zs: np.ndarray
 ) -> np.ndarray:
-    """D_z F = F(eta + delta_z) - F(eta) for each row z of zs.
+    """D_z F = F(eta + delta_z) - F(eta) for each row z of zs: the block of
+    one configuration (see add_one_costs_many).
 
     Incremental form: only tuples containing z are new, so the cost is
     k! * sum over unordered (k-1)-subsets of f(z, subset), an O(n^{k-1})
     computation instead of the O(n^k) difference of two full evaluations.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    k = kernel.order
-    if _counted(kernel):
-        counts = _accel.count_neighbors(config.points, zs, kernel.pair_radius)
-        return 2.0 * counts.astype(float)
-    fn = kernel.abs_values if absolute else kernel
-    return math.factorial(k) * _sum_with_point(fn, config.points, zs, k - 1)
+    return add_one_costs_many(kernel, config.points, np.array([len(config)]), zs[None])[0]
 
 
 def add_one_costs_many(
@@ -244,8 +190,10 @@ def add_one_costs_many(
         )
         return 2.0 * counts.astype(float).reshape(b, q)
     k = kernel.order
-    sums = [_sum_with_point(kernel, p, z, k - 1) for p, z in zip(_split(points, sizes), zs)]
-    return math.factorial(k) * np.stack(sums)
+    out = np.empty(zs.shape[:2])
+    for row, p in enumerate(_split(points, sizes)):
+        out[row] = _sum_with_point(kernel, zs[row][:, None, :], p, k - 1)
+    return math.factorial(k) * out
 
 
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
@@ -257,20 +205,35 @@ def iterated_difference(kernel: SymmetricKernel, config: PointConfiguration, zs)
     """The n-fold difference D^n F at points zs, by inclusion-exclusion.
 
     Exact sum of (-1)^(n-|I|) F(eta + sum_{i in I} delta_{z_i}) over all
-    2^n subsets I; refuses n > 20.
+    2^n subsets I; refuses n > 20.  The block of one configuration (see
+    _iterated_differences).
     """
+    sizes = np.array([len(config)])
+    return float(_iterated_differences(kernel, config.points, sizes, zs)[0])
+
+
+def _iterated_differences(
+    kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray, zs
+) -> np.ndarray:
+    """iterated_difference of each configuration of a block (stacked as in
+    evaluate_many) at the same points zs: for each subset of zs, one
+    evaluate_many call on the block with the subset after every
+    configuration."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     n = len(zs)
     if n < 1:
         raise ValueError("need at least one difference point")
     if n > _MAX_ITERATED:
         raise ValueError(f"iterated difference limited to {_MAX_ITERATED} points")
-    total = 0.0
+    b = len(sizes)
+    ends = np.cumsum(sizes)
+    total = np.zeros(b)
     for mask in range(1 << n):
-        chosen = [i for i in range(n) if (mask >> i) & 1]
-        aug = config.with_points(zs[chosen]) if chosen else config
-        sign = -1.0 if (n - len(chosen)) % 2 else 1.0
-        total += sign * evaluate(kernel, aug).value
+        chosen = zs[[i for i in range(n) if (mask >> i) & 1]]
+        c = len(chosen)
+        aug = np.insert(points, np.repeat(ends, c), np.tile(chosen, (b, 1)), axis=0)
+        sign = -1.0 if (n - c) % 2 else 1.0
+        total += sign * evaluate_many(kernel, aug, sizes + c)
     return total
 
 
@@ -349,7 +312,10 @@ def _inverse_ou_lower_costs(
             continue
         for row, p in enumerate(_split(points, sizes)):
             acc = _sum_with_point(
-                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc), p, zs[row], m - 1
+                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc),
+                zs[row][:, None, :],
+                p,
+                m - 1,
             )
             out[row] += math.factorial(m - 1) * acc
     return out

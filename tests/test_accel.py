@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,19 @@ def test_group_counts_small_blocks(rng, monkeypatch):
 def test_neighbour_labels_come_in_pairs():
     with pytest.raises(ValueError):
         _accel.count_neighbors(np.zeros((2, 1)), np.zeros((1, 1)), 0.1, [0, 0], None)
+
+
+@pytest.mark.parametrize("r", [1e10, 1e160, 1e300, sys.float_info.max, math.inf])
+def test_huge_radius_counts_every_pair(rng, r):
+    # r*r overflows from about 1.3e154; the band stays finite and every
+    # group keeps to itself
+    x = np.linspace(0.0, 1.0, 10)[:, None]
+    assert _accel.count_group_pairs(x, np.repeat([0, 1], 5), r, 2).tolist() == [10, 10]
+    assert _accel.count_neighbors(x, x[:3], r).tolist() == [10, 10, 10]
+    assert _accel.count_pairs_within(x, r) == 45
+    for d in (1, 2, 3):
+        groups = _random_groups(rng, d, [7, 0, 12, 1], scale=1e3, offset=-5e2)
+        _check_groups(groups, _random_groups(rng, d, [3, 2, 0, 4]), r)
+        _check(groups[0], groups[2], r)
+        span = _accel._layout(np.concatenate(groups)[:, 0], 3, r, d)[0]
+        assert math.isfinite(span)

@@ -10,7 +10,7 @@ from pustat.chaos import (
     wiener_ito_I1,
 )
 from pustat.kernels import make_constant, make_count, make_geometric_indicator
-from pustat.measure import IntensitySpec, sample_point_process
+from pustat.measure import IntensitySpec, NumericalError, sample_point_process
 from pustat.ustat import evaluate
 
 UNIT = [(0.0, 1.0)]
@@ -166,3 +166,10 @@ def test_wiener_ito_orthogonality(rng):
         )
     se = prods.std(ddof=1) / math.sqrt(reps)
     assert abs(prods.mean() - target) <= 4.0 * se
+
+
+def test_variance_overflow_is_a_numerical_error():
+    # at t = 1e60 the squared stderr of the order-1 term overflows
+    spec = IntensitySpec(UNIT, t=1e60)
+    with pytest.raises(NumericalError, match="non-finite"):
+        variance_from_kernels(make_geometric_indicator(0.05), spec, mc_samples=100)

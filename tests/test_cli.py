@@ -259,9 +259,23 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"t_values": [10, math.inf]}, "t_values"),
     ({"t_values": [10, math.nan]}, "t_values"),
     ({"t_values": [10**400]}, "t_values"),
+    ({"box": [1]}, "box"),
+    ({"box": [[0, "a"]]}, "box"),
+    ({"box": []}, "box"),
+    ({"box": [[0, 1, 2]]}, "box"),
+    ({"box": [[0, True]]}, "box"),
+    ({"box": [[0, 10**400]]}, "box"),
+    ({"kernel": {"name": "geometric_indicator", "r": "x"}}, "kernel"),
+    ({"kernel": {"name": "geometric_indicator", "r": True}}, "kernel"),
+    ({"kernel": {"name": "geometric_indicator", "r": 10**400}}, "kernel"),
+    ({"kernel": {"name": "constant", "k": 2.5}}, "kernel"),
+    ({"kernel": {"name": "constant", "k": True}}, "kernel"),
+    ({"kernel": {"name": "constant", "c": "1"}}, "kernel"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
-        "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t"])
+        "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
+        "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
+        "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -424,3 +438,29 @@ def test_bound_does_not_import_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
     assert json.loads((tmp_path / "bound.json").read_text())["dk_bound"] > 0.0
+
+
+@pytest.mark.parametrize("t", ["1e80", "1e200"])
+def test_overflow_exits_3_without_traceback(tmp_path, t):
+    # a mass or a squared stderr beyond the float range is a numerical failure
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", t,
+            "--mc-samples", "100", "--seed", "1"]
+    run = subprocess.run([sys.executable, "-m", "pustat.cli", *argv], capture_output=True,
+                         env=env, cwd=tmp_path, text=True)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "error: " in run.stderr and "non-finite" in run.stderr
+
+
+@pytest.mark.parametrize("command", ["bound", "ustat"])
+@pytest.mark.parametrize("r", ["inf", "nan", "0"])
+def test_radius_must_be_finite_and_positive(capsys, command, r):
+    code, out, err = _run(capsys, command, "--kernel", "geometric_indicator", "--r", r,
+                          "--t", "10", "--reps", "5", "--mc-samples", "100", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "radius r" in err

@@ -283,3 +283,25 @@ def test_full_integral_cache_survives_reused_ids():
     del small
     large = [make_geometric_indicator(0.5) for _ in range(500)]
     assert [k.full_integral(spec) for k in large] == [pytest.approx(7500.0)] * 500
+
+
+def test_cross_values_do_not_depend_on_the_chunk(rng, monkeypatch):
+    # the dense Monte Carlo marginal and the sums with a point evaluate the
+    # same tuples whatever the block size, so they agree bit for bit
+    from pustat import kernels, ustat
+
+    spec = IntensitySpec(UNIT * 2, t=3.0)
+    kernel = make_product(lambda p: 1.0 + p[:, 0] * p[:, 1], 3)  # no base integral: MC
+    mc = MarginalIntegration(samples=300)
+    probes = {i: rng.random((25, i, 2)) for i in (0, 1, 2)}
+    points, heads = rng.random((9, 2)), {a: rng.random((13, a, 2)) for a in (1, 2, 3)}
+    runs = []
+    for chunk in (1, 1 << 40, kernels._EVAL_CHUNK):
+        monkeypatch.setattr(kernels, "_EVAL_CHUNK", chunk)
+        marginals = [kernel.marginal_with_stderr(spec, x, i, mc=mc) for i, x in probes.items()]
+        sums = [ustat._sum_with_point(kernel, h, points, 3 - a) for a, h in heads.items()]
+        runs.append((marginals, sums))
+    for marginals, sums in runs[1:]:
+        for (vals, ses), (vals0, ses0) in zip(marginals, runs[0][0]):
+            assert np.array_equal(vals, vals0) and np.array_equal(ses, ses0)
+        assert all(np.array_equal(s, s0) for s, s0 in zip(sums, runs[0][1]))

@@ -6,6 +6,7 @@ from scipy.stats import chi2, poisson
 
 from pustat.measure import (
     IntensitySpec,
+    NumericalError,
     PointConfiguration,
     mc_integral,
     replication_rng,
@@ -139,3 +140,10 @@ def test_configuration_shape_guard():
     cfg = PointConfiguration.empty(2)
     assert len(cfg) == 0 and cfg.dim == 2
     assert len(cfg.with_point([0.1, 0.2])) == 1
+
+
+def test_mc_integral_overflow_is_a_numerical_error(rng):
+    # mass**n overflows a float: refused as non-finite, not an OverflowError
+    spec = IntensitySpec(UNIT, t=1e200)
+    with pytest.raises(NumericalError, match="non-finite"):
+        mc_integral(lambda x: np.zeros(len(x)), spec, 2, 10, rng)

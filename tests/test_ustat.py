@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from pustat.ustat import (
     add_one_costs_many,
     evaluate,
     evaluate_many,
-    evaluate_abs,
     inverse_ou_add_one_costs,
     inverse_ou_pathwise,
     iterated_difference,
@@ -68,15 +68,6 @@ def test_geometric_fast_path_matches_generic(rng):
         assert evaluate(k, cfg).value == evaluate(generic, cfg).value
         zs = rng.random((7, 1))
         assert np.array_equal(add_one_costs(k, cfg, zs), add_one_costs(generic, cfg, zs))
-
-
-def test_evaluate_abs(rng):
-    cfg = PointConfiguration(rng.random((8, 1)))
-    pos = make_geometric_indicator(0.3)
-    assert evaluate_abs(pos, cfg).value == evaluate(pos, cfg).value
-    neg = make_constant(-2.0, 2)
-    assert evaluate_abs(neg, cfg).value == -evaluate(neg, cfg).value
-    assert evaluate_abs(neg, PointConfiguration.empty(1)).value == 0.0
 
 
 def test_add_one_cost_count_kernel(rng):
@@ -261,8 +252,48 @@ def test_many_configurations_match_one_at_a_time(rng, dim):
     points = np.concatenate([c.points for c in configs])
     sizes = np.array([len(c) for c in configs])
     zs = rng.random((len(configs), 9, dim))
-    for kernel in (make_geometric_indicator(0.2), make_constant(2.0, 2), make_count()):
+    product = make_product(lambda p: 2.0 * p[:, 0], 3, base_integral=1.0)
+    for kernel in (make_geometric_indicator(0.2), make_constant(2.0, 2), make_count(), product):
         expected = [evaluate(kernel, c).value for c in configs]
         assert evaluate_many(kernel, points, sizes).tolist() == expected
         costs = add_one_costs_many(kernel, points, sizes, zs)
         assert np.array_equal(costs, np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)]))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, ustat._EVAL_CHUNK])
+def test_combo_chunks_match_itertools(chunk):
+    # lexicographic order, every chunk nonempty and about ``chunk`` rows
+    for n in range(10):
+        for k in range(5):
+            chunks = list(ustat._combo_chunks(n, k, chunk))
+            rows = [tuple(row) for c in chunks for row in c.tolist()]
+            assert rows == list(itertools.combinations(range(n), k))
+            assert all(0 < len(c) <= max(chunk, n) and c.shape[1] == k for c in chunks)
+
+
+def _direct_iterated_difference(kernel, cfg, zs):
+    # the inclusion-exclusion sum over augmented configurations, one by one
+    total = 0.0
+    for mask in range(1 << len(zs)):
+        chosen = [i for i in range(len(zs)) if (mask >> i) & 1]
+        sign = -1.0 if (len(zs) - len(chosen)) % 2 else 1.0
+        total += sign * evaluate(kernel, cfg.with_points(zs[chosen])).value
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_iterated_differences_of_a_block_match_one_at_a_time(rng, dim):
+    spec = IntensitySpec(UNIT * dim, t=8.0)
+    configs = [PointConfiguration.empty(dim)] + [sample_point_process(spec, rng) for _ in range(5)]
+    configs += [PointConfiguration.empty(dim), _config([0.5] * dim)]
+    points = np.concatenate([c.points for c in configs])
+    sizes = np.array([len(c) for c in configs])
+    kernels = (make_geometric_indicator(0.3), make_constant(2.0, 2), make_count(),
+               make_product(lambda p: 2.0 * p[:, 0], 3, base_integral=1.0))
+    for kernel in kernels:
+        for n in (1, 2, 3):
+            zs = rng.random((n, dim))
+            block = ustat._iterated_differences(kernel, points, sizes, zs)
+            single = [iterated_difference(kernel, c, zs) for c in configs]
+            direct = [_direct_iterated_difference(kernel, c, zs) for c in configs]
+            assert block.tolist() == single == direct
