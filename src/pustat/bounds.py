@@ -5,7 +5,7 @@ The computable core is the family of partition-indexed integrals
     M_ij = sum over valid partitions p of the contracted product
            integral of (fbar_i x fbar_i x fbar_j x fbar_j)_p dmu_t^{|p|},
 
-where fbar_i are the chaos kernels of the absolute-kernel statistic and the
+where fbar_i are the chaos kernels of |f| (``kernel.absolute``) and the
 contraction replaces all variables sharing a block of p by one integration
 variable.  The integral of p depends only on the multiset of its blocks'
 group masks, so ``compute_Mij`` runs one integral per contraction class
@@ -83,8 +83,8 @@ def compute_Mij(
 
     M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
     stream.  Each class integrates over box^{number of blocks} with
-    ``samples`` draws; group a of the integrand evaluates its absolute chaos
-    kernel at the blocks whose mask holds bit a, and the four factors
+    ``samples`` draws; group a of the integrand evaluates its chaos kernel
+    of |f| at the blocks whose mask holds bit a, and the four factors
     multiply.  Since mu_t = t mu_1, a class with B blocks is t^p times its
     integral against mu_1, with p = B + 2(k - i) + 2(k - j); so each class
     is integrated once at unit scale, on the same box and density, and
@@ -162,6 +162,7 @@ def _unit_class_integrals(
         base_integral=intensity.base_integral,
     )
     k = kernel.order
+    absolute = kernel.absolute
     sizes = (i, i, j, j)
     # independent fallback draws per factor keep the product unbiased
     factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
@@ -172,9 +173,7 @@ def _unit_class_integrals(
         def integrand(w, columns=columns):
             vals = np.ones(len(w))
             for size, idx, mc_a in zip(sizes, columns, factor_mc):
-                fv, _ = chaos_kernel_values(
-                    kernel, unit, size, w[:, idx, :], absolute=True, mc=mc_a
-                )
+                fv, _ = chaos_kernel_values(absolute, unit, size, w[:, idx, :], mc=mc_a)
                 vals = vals * fv
             return vals
 

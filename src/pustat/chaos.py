@@ -56,10 +56,10 @@ def chaos_kernel_values(
     i: int,
     x: np.ndarray,
     *,
-    absolute: bool = False,
     mc: Optional[MarginalIntegration] = None,
 ):
-    """Batched values of f_i (or of the absolute kernel's f_i) at (m, i, d) probes.
+    """Batched values of f_i at (m, i, d) probes; pass ``kernel.absolute``
+    for the chaos kernels of |f|.
 
     Returns (values, stderrs); stderrs vanish when the marginal is analytic.
     """
@@ -67,7 +67,7 @@ def chaos_kernel_values(
     check_order(k)
     if not 1 <= i <= k:
         raise ValueError(f"chaos kernel index {i} outside 1..{k}")
-    vals, ses = kernel.marginal_with_stderr(intensity, x, i, absolute=absolute, mc=mc)
+    vals, ses = kernel.marginal_with_stderr(intensity, x, i, mc=mc)
     binom = math.comb(k, i)
     return binom * vals, binom * ses
 
@@ -78,12 +78,11 @@ def kernel_f_i(
     i: int,
     points,
     *,
-    absolute: bool = False,
     mc: Optional[MarginalIntegration] = None,
 ) -> MCValue:
     """f_i at a single i-tuple of points."""
     x = np.asarray(points, dtype=float).reshape(1, i, intensity.dim)
-    vals, ses = chaos_kernel_values(kernel, intensity, i, x, absolute=absolute, mc=mc)
+    vals, ses = chaos_kernel_values(kernel, intensity, i, x, mc=mc)
     return MCValue(float(vals[0]), float(ses[0]))
 
 

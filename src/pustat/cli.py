@@ -35,6 +35,8 @@ from .ustat import evaluate_many, replication_blocks
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+# poisson_exact_dK(t) holds a few arrays of t + 12 sqrt(t) entries
+_TMAX_CAP = 2.0**20
 
 
 class ConfigError(ValueError):
@@ -191,8 +193,8 @@ def _cmd_stein_check(args) -> int:
 
 
 def _cmd_berry_esseen(args) -> int:
-    if args.tmax < 1:
-        raise ConfigError("tmax: must be >= 1")
+    if not 1 <= args.tmax <= _TMAX_CAP:
+        raise ConfigError(f"tmax: must be between 1 and 2**20 = {_TMAX_CAP:.0f}, got {args.tmax!r}")
     lines = ["t,dk_exact,bound"]
     t = 1.0
     while t <= args.tmax:

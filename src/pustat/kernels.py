@@ -2,7 +2,8 @@
 
 A kernel of order k is a symmetric function f on box^k, evaluated in
 batches: an (m, k, d) array of argument tuples maps to an (m,) array.
-Alongside f we carry |f| and, where available, the partial integrals
+|f| is a kernel too (``SymmetricKernel.absolute``), and every kernel has,
+where available, the partial integrals
 
     marginal_i(x_1..x_i) = integral of f(x_1..x_i, y_1..y_{k-i}) dmu_t^{k-i}
 
@@ -77,27 +78,38 @@ class SymmetricKernel:
     ``pair_radius`` is set for the distance indicator and routes the order-2
     hot paths, and its Monte Carlo first marginal, through the neighbour
     counter in ``pustat._accel``.
+
+    The ``M_ij`` integrals need |f|, so a kernel declares exactly one of
+    ``nonnegative=True`` (it is its own |f|) and ``abs_kernel``, a
+    nonnegative kernel of the same order that is |f|.
     """
 
     name: str
     order: int
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    abs_eval_fn: Callable[[np.ndarray], np.ndarray]
     marginal_fn: Optional[Callable] = None
-    abs_marginal_fn: Optional[Callable] = None
     pair_radius: Optional[float] = None
+    nonnegative: bool = False
+    abs_kernel: Optional[SymmetricKernel] = None
     params: dict = field(default_factory=dict)
     _integral_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("kernel order k must be >= 1")
+        if self.nonnegative == (self.abs_kernel is not None):
+            raise ValueError("a kernel declares either nonnegative=True or abs_kernel=|f|")
+        absk = self.abs_kernel
+        if absk is not None and not (absk.nonnegative and absk.order == self.order):
+            raise ValueError("abs_kernel must be a nonnegative kernel of the same order")
+
+    @property
+    def absolute(self) -> SymmetricKernel:
+        """The kernel |f|: this kernel itself when f >= 0."""
+        return self if self.nonnegative else self.abs_kernel
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval_fn(x), dtype=float).reshape(len(x))
-
-    def abs_values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.abs_eval_fn(x), dtype=float).reshape(len(x))
 
     def marginal_with_stderr(
         self,
@@ -105,7 +117,6 @@ class SymmetricKernel:
         x: np.ndarray,
         i: int,
         *,
-        absolute: bool = False,
         mc: Optional[MarginalIntegration] = None,
     ):
         """Values (and standard errors) of the i-th marginal at (m, i, d) probes.
@@ -120,31 +131,27 @@ class SymmetricKernel:
         if x.ndim != 3 or x.shape[1] != i:
             raise ValueError(f"probe array must have shape (m, {i}, d)")
         if i == self.order:
-            vals = self.abs_values(x) if absolute else self(x)
-            return vals, np.zeros(len(x))
-        fn = self.abs_marginal_fn if absolute else self.marginal_fn
-        if fn is not None:
+            return self(x), np.zeros(len(x))
+        if self.marginal_fn is not None:
             try:
-                vals = np.asarray(fn(intensity, x, i), dtype=float).reshape(len(x))
+                vals = np.asarray(self.marginal_fn(intensity, x, i), dtype=float).reshape(len(x))
                 return vals, np.zeros(len(x))
             except MarginalUnavailable:
                 pass
-        return _marginal_mc(self, intensity, x, i, absolute, mc or MarginalIntegration())
+        return _marginal_mc(self, intensity, x, i, mc=mc or MarginalIntegration())
 
-    def marginal(self, intensity, x, i, *, absolute=False, mc=None) -> np.ndarray:
-        return self.marginal_with_stderr(intensity, x, i, absolute=absolute, mc=mc)[0]
+    def marginal(self, intensity, x, i, *, mc=None) -> np.ndarray:
+        return self.marginal_with_stderr(intensity, x, i, mc=mc)[0]
 
-    def full_integral(
-        self, intensity: IntensitySpec, *, absolute: bool = False, mc=None
-    ) -> float:
-        """Integral of f (or |f|) against mu_t^k, cached per intensity and mc."""
+    def full_integral(self, intensity: IntensitySpec, *, mc=None) -> float:
+        """Integral of f against mu_t^k, cached per intensity and mc."""
         mc = mc or MarginalIntegration()
         # the key holds the intensity itself, so no entry outlives it
-        key = (intensity, absolute, mc)
+        key = (intensity, mc)
         cache = self._integral_cache
         if key not in cache:
             x0 = np.empty((1, 0, intensity.dim))
-            cache[key] = float(self.marginal(intensity, x0, 0, absolute=absolute, mc=mc)[0])
+            cache[key] = float(self.marginal(intensity, x0, 0, mc=mc)[0])
         return cache[key]
 
 
@@ -165,11 +172,12 @@ def _cross_values(fn, heads, tails):
         yield slice(s, s + m), fn(joined).reshape(m, c)
 
 
-def _marginal_mc(kernel, intensity, x, i, absolute, mc):
+def _marginal_mc(kernel, intensity, x, i, *, mc):
     """Monte Carlo marginal: average f(x, Y) over shared draws Y ~ mu_t/mass.
 
-    When one variable is left free and f is the distance indicator (so
-    |f| = f), f(x, Y) is 0 or 1 and its sum over the n draws is the number
+    The marginals of |f| are those of ``kernel.absolute``, which takes the
+    same route.  When one variable is left free and f is the distance
+    indicator, f(x, Y) is 0 or 1 and its sum over the n draws is the number
     c of draws within r of x.  One neighbour count per call gives every
     probe's c; the value is c / n and the stderr comes from the 0/1 sample
     variance c (n - c) / (n (n - 1)).  A sum of 0/1 values is exact, so the
@@ -185,8 +193,7 @@ def _marginal_mc(kernel, intensity, x, i, absolute, mc):
         c = _accel.count_neighbors(y[:, 0, :], x[:, 0, :], kernel.pair_radius).astype(float)
         return c / n * scale, np.sqrt(c * (n - c) / (n * (n - 1))) / math.sqrt(n) * scale
     vals, ses = np.empty(len(x)), np.empty(len(x))
-    fn = kernel.abs_values if absolute else kernel
-    for rows, fv in _cross_values(fn, x, y):
+    for rows, fv in _cross_values(kernel, x, y):
         vals[rows] = fv.mean(axis=1) * scale
         ses[rows] = fv.std(axis=1, ddof=1) / math.sqrt(mc.samples) * scale
     return vals, ses
@@ -206,50 +213,31 @@ def _require_unit_density_1d(intensity: IntensitySpec):
 
 def make_count() -> SymmetricKernel:
     """Order-1 kernel f == 1; the U-statistic is the point count."""
-
-    def _eval(x):
-        return np.ones(len(x))
-
-    def _marg(intensity, x, i):
-        # i == 0: integral of 1 against mu_t
-        return np.full(len(x), intensity.total_mass)
-
-    return SymmetricKernel(
-        name="count",
-        order=1,
-        eval_fn=_eval,
-        abs_eval_fn=_eval,
-        marginal_fn=_marg,
-        abs_marginal_fn=_marg,
-        params={},
-    )
+    return replace(make_constant(1.0, 1), name="count", params={})
 
 
 def make_constant(c: float, k: int) -> SymmetricKernel:
-    """Order-k constant kernel f == c."""
+    """Order-k constant kernel f == c; its |f| is the constant |c|."""
     if k < 1:
         raise ValueError("kernel order k must be >= 1")
+    # before float(c): an int beyond the float range raises OverflowError there
+    if not abs(c) <= sys.float_info.max:
+        raise ValueError("c must be finite")
     c = float(c)
 
     def _eval(x):
         return np.full(len(x), c)
 
-    def _abs_eval(x):
-        return np.full(len(x), abs(c))
-
     def _marg(intensity, x, i):
         return np.full(len(x), c * intensity.total_mass ** (k - i))
-
-    def _abs_marg(intensity, x, i):
-        return np.full(len(x), abs(c) * intensity.total_mass ** (k - i))
 
     return SymmetricKernel(
         name="constant",
         order=k,
         eval_fn=_eval,
-        abs_eval_fn=_abs_eval,
         marginal_fn=_marg,
-        abs_marginal_fn=_abs_marg,
+        nonnegative=c >= 0,
+        abs_kernel=None if c >= 0 else make_constant(-c, k),
         params={"c": c, "k": k},
     )
 
@@ -293,10 +281,9 @@ def make_geometric_indicator(r: float) -> SymmetricKernel:
         name="geometric_indicator",
         order=2,
         eval_fn=_eval,
-        abs_eval_fn=_eval,
         marginal_fn=_marg,
-        abs_marginal_fn=_marg,
         pair_radius=r,
+        nonnegative=True,
         params={"r": r},
     )
 
@@ -315,7 +302,9 @@ def make_product(
     ``g`` maps (m, d) points to (m,) values.  Supplying base_integral (the
     Lebesgue integral of g over the box) enables analytic marginals on
     constant-density intensities; otherwise all marginals fall back to
-    Monte Carlo.
+    Monte Carlo.  |f| is the product kernel of ``g_abs`` (by default |g|),
+    whose integral is ``abs_base_integral``; passing ``g_abs=g`` declares
+    g >= 0, and the kernel is then its own |f|.
     """
     if k < 1:
         raise ValueError("kernel order k must be >= 1")
@@ -327,31 +316,25 @@ def make_product(
             vals = vals * np.asarray(g(x[:, col, :]), dtype=float)
         return vals
 
-    def _abs_eval(x):
-        vals = np.ones(len(x))
-        for col in range(k):
-            vals = vals * np.asarray(g_abs(x[:, col, :]), dtype=float)
+    def _marg(intensity, x, i):
+        if base_integral is None or intensity.density is not None:
+            raise MarginalUnavailable("product marginals need a base integral")
+        factor = (intensity.t * base_integral) ** (k - i)
+        vals = np.full(len(x), factor)
+        for col in range(i):
+            vals = vals * np.asarray(g(x[:, col, :]), dtype=float)
         return vals
 
-    def _make_marg(point_fn, base):
-        def _marg(intensity, x, i):
-            if base is None or intensity.density is not None:
-                raise MarginalUnavailable("product marginals need a base integral")
-            factor = (intensity.t * base) ** (k - i)
-            vals = np.full(len(x), factor)
-            for col in range(i):
-                vals = vals * np.asarray(point_fn(x[:, col, :]), dtype=float)
-            return vals
-
-        return _marg
-
+    nonnegative = g_abs is g
     return SymmetricKernel(
         name=name,
         order=k,
         eval_fn=_eval,
-        abs_eval_fn=_abs_eval,
-        marginal_fn=_make_marg(g, base_integral),
-        abs_marginal_fn=_make_marg(g_abs, abs_base_integral),
+        marginal_fn=_marg,
+        nonnegative=nonnegative,
+        abs_kernel=None if nonnegative else make_product(
+            g_abs, k, g_abs=g_abs, base_integral=abs_base_integral, name=f"|{name}|"
+        ),
         params={"k": k},
     )
 
@@ -394,23 +377,26 @@ def kernel_descriptor(kernel: SymmetricKernel) -> dict:
 
 
 def scale_kernel(kernel: SymmetricKernel, c: float) -> SymmetricKernel:
-    """The kernel c*f, with marginals scaled accordingly."""
+    """The kernel c*f, with marginals scaled accordingly; its |f| is
+    |c| times the |f| of ``kernel``."""
+    if not abs(c) <= sys.float_info.max:
+        raise ValueError("c must be finite")
     c = float(c)
-    ac = abs(c)
 
-    def _wrap(fn, factor):
+    def _wrap(fn):
         if fn is None:
             return None
-        return lambda *args: factor * fn(*args)
+        return lambda *args: c * fn(*args)
 
+    nonnegative = kernel.nonnegative and c >= 0
     return replace(
         kernel,
         name=f"{kernel.name}*{c:g}",
-        eval_fn=_wrap(kernel.eval_fn, c),
-        abs_eval_fn=_wrap(kernel.abs_eval_fn, ac),
-        marginal_fn=_wrap(kernel.marginal_fn, c),
-        abs_marginal_fn=_wrap(kernel.abs_marginal_fn, ac),
+        eval_fn=_wrap(kernel.eval_fn),
+        marginal_fn=_wrap(kernel.marginal_fn),
         pair_radius=None,
+        nonnegative=nonnegative,
+        abs_kernel=None if nonnegative else scale_kernel(kernel.absolute, abs(c)),
         params={**kernel.params, "scale": c},
     )
 

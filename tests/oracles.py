@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: neighbour
 counts come from the full matrix of squared distances, partitions from
-filtering a plain restricted-growth enumeration of ALL set partitions, the
+filtering a plain restricted-growth enumeration of ALL set partitions (an
+int8 array filtered column by column, checked against a string-by-string
+Python walk for small n), the
 Stein solution from direct numerical quadrature of its defining integral,
 the Wasserstein distance from a Riemann sum, the Poisson Kolmogorov
 distance from high-precision arithmetic, and M_ij from its class integrals
@@ -39,7 +41,7 @@ def brute_force_neighbors(points, queries, r):
 
 
 # ---------------------------------------------------------------------------
-# set partitions: plain enumeration + direct filtering of the three rules
+# set partitions: every restricted-growth string, filtered by the three rules
 # ---------------------------------------------------------------------------
 
 
@@ -61,6 +63,25 @@ def all_rgs(n):
             b[w] = nb
 
 
+def all_rgs_array(n):
+    """Every restricted-growth string of length n as the rows of an int8
+    array, built level by level: a row whose largest label is b extends
+    by each of 0..b+1."""
+    rows = np.zeros((1, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)
+    for _ in range(1, n):
+        width = top.astype(np.int32) + 2  # Bell(n) rows index in int32 for n <= 15
+        parent = np.repeat(np.arange(len(rows), dtype=np.int32), width)
+        first = np.repeat(np.cumsum(width, dtype=np.int32) - width, width)
+        label = (np.arange(len(parent), dtype=np.int32) - first).astype(np.int8)
+        rows = np.concatenate([rows[parent], label[:, None]], axis=1)
+        top = np.maximum(top[parent], label)
+    return rows
+
+
+_SEPARATORS = (1, 3, 5, 7, 9, 11, 13)  # subsets of {0..3} containing group 0
+
+
 def _admissible(rgs, groups):
     """Direct check of the three rules on one assignment string."""
     nb = max(rgs) + 1
@@ -75,10 +96,65 @@ def _admissible(rgs, groups):
     if min(sizes) < 2:
         return False
     # disconnected iff some proper group bipartition contains every block
-    for side in (1, 3, 5, 7, 9, 11, 13):  # subsets of {0..3} containing group 0
+    for side in _SEPARATORS:
         if all((m & side) == m or (m & side) == 0 for m in masks):
             return False
     return True
+
+
+def _admissible_members(rows, groups):
+    """The three rules applied to whole columns.  Returns, for each row
+    that obeys them, the bit mask of the variables under each label (0 for
+    an unused label), an (m, n) uint16 array."""
+    n = len(groups)
+    keep = np.ones(len(rows), dtype=bool)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if groups[u] == groups[v]:
+                keep &= rows[:, u] != rows[:, v]  # repeated group inside a block
+    rows = rows[keep]
+    m = len(rows)
+    at = np.arange(m)
+    sizes = np.zeros((m, n), dtype=np.int8)
+    masks = np.zeros((m, n), dtype=np.uint8)  # group mask of each label
+    members = np.zeros((m, n), dtype=np.uint16)
+    for v in range(n):
+        sizes[at, rows[:, v]] += 1
+        masks[at, rows[:, v]] |= 1 << groups[v]
+        members[at, rows[:, v]] |= 1 << v
+    keep = (sizes != 1).all(axis=1)  # a used label has at least 2 members
+    # disconnected iff some proper group bipartition contains every block;
+    # an unused label has mask 0, which every side contains
+    for side in _SEPARATORS:
+        cut = masks & side
+        keep &= ((cut != 0) & (cut != masks)).any(axis=1)
+    return members[keep]
+
+
+def _case_labels(i, j):
+    """Group (0..3) and (group, slot) label of each variable of case (i, j)."""
+    groups = [0] * i + [1] * i + [2] * j + [3] * j
+    labels = (
+        [(1, s) for s in range(1, i + 1)]
+        + [(2, s) for s in range(1, i + 1)]
+        + [(3, s) for s in range(1, j + 1)]
+        + [(4, s) for s in range(1, j + 1)]
+    )
+    return groups, labels
+
+
+def _blocks_by_mask(labels):
+    """The block of each bit mask of variables, as a frozenset of labels."""
+    n = len(labels)
+    return [frozenset(labels[v] for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+
+
+def _as_partition(rgs, labels):
+    """The partition of the labels that one assignment string makes."""
+    blocks = {}
+    for v, blk in enumerate(rgs):
+        blocks.setdefault(blk, []).append(labels[v])
+    return frozenset(frozenset(b) for b in blocks.values())
 
 
 def brute_force_partitions(i, j):
@@ -91,33 +167,32 @@ def brute_force_partitions(i, j):
 
 
 def brute_force_partitions_multi(cases):
-    """One enumeration sweep per distinct variable count, filtered per case."""
+    """One enumeration array per distinct variable count, filtered per case."""
     by_n = {}
     for i, j in cases:
         by_n.setdefault(2 * i + 2 * j, []).append((i, j))
     out = {}
     for n, case_list in by_n.items():
-        prepped = []
+        rows = all_rgs_array(n)
         for i, j in case_list:
-            groups = [0] * i + [1] * i + [2] * j + [3] * j
-            labels = (
-                [(1, s) for s in range(1, i + 1)]
-                + [(2, s) for s in range(1, i + 1)]
-                + [(3, s) for s in range(1, j + 1)]
-                + [(4, s) for s in range(1, j + 1)]
-            )
-            prepped.append(((i, j), groups, labels, set()))
-        for rgs in all_rgs(n):
-            for case, groups, labels, found in prepped:
-                if _admissible(rgs, groups):
-                    nb = max(rgs) + 1
-                    blocks = [[] for _ in range(nb)]
-                    for v, blk in enumerate(rgs):
-                        blocks[blk].append(labels[v])
-                    found.add(frozenset(frozenset(b) for b in blocks))
-        for case, _, _, found in prepped:
-            out[case] = found
+            groups, labels = _case_labels(i, j)
+            blocks = _blocks_by_mask(labels)
+            out[(i, j)] = {
+                frozenset(blocks[mask] for mask in row if mask)
+                for row in _admissible_members(rows, groups).tolist()
+            }
     return out
+
+
+def walk_partitions(i, j):
+    """The admissible partitions by a plain Python walk over ``all_rgs``,
+    string by string: the check of the array oracle for small n."""
+    groups, labels = _case_labels(i, j)
+    return {
+        _as_partition(rgs, labels)
+        for rgs in all_rgs(2 * i + 2 * j)
+        if _admissible(rgs, groups)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +286,7 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
     from pustat.partitions import contraction_classes
 
     i, j = min(i, j), max(i, j)
+    absolute = kernel.absolute
     sizes = (i, i, j, j)
     factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
     total = 0.0
@@ -221,9 +297,7 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
         def integrand(w, columns=columns):
             vals = np.ones(len(w))
             for size, idx, mc_a in zip(sizes, columns, factor_mc):
-                fv, _ = chaos_kernel_values(
-                    kernel, intensity, size, w[:, idx, :], absolute=True, mc=mc_a
-                )
+                fv, _ = chaos_kernel_values(absolute, intensity, size, w[:, idx, :], mc=mc_a)
                 vals = vals * fv
             return vals
 

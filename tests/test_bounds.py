@@ -49,6 +49,20 @@ def test_m11_count_kernel_exact():
     assert out == (7.0, 0.0)
 
 
+def test_m_of_f_is_m_of_its_abs():
+    # M_ij integrates the chaos kernels of |f|: -f gives the same bits as f
+    spec = IntensitySpec(UNIT, t=5.0)
+    indicator = make_geometric_indicator(0.2)
+    for neg, pos in ((make_constant(-2.0, 2), make_constant(2.0, 2)),
+                     (scale_kernel(indicator, -1.0), scale_kernel(indicator, 1.0))):
+        for i, j in ((1, 1), (1, 2), (2, 2)):
+            got, want = (compute_Mij(kern, spec, i, j, samples=500,
+                                     rng=np.random.SeedSequence(3, spawn_key=(i, j)))
+                         for kern in (neg, pos))
+            assert got == want
+            assert got.value > 0.0
+
+
 def test_m11_geometric_analytic_oracle(rng):
     # single partition: M_11 = t * integral of (2 t seg(x))^4 dx with
     # seg(x) = |[x-r, x+r] cap [0,1]|; for r <= 1/2 the x-integral is
@@ -310,9 +324,9 @@ def test_bound_invariant_under_kernel_scaling():
     # identical streams make the comparison exact up to float rounding
     spec = IntensitySpec(UNIT, t=6.0)
     base = make_geometric_indicator(0.15)
-    scaled = scale_kernel(base, 3.0)
     vals = {}
-    for name, kern in (("base", base), ("scaled", scaled)):
+    for name, kern in (("base", base), (3.0, scale_kernel(base, 3.0)),
+                       (-3.0, scale_kernel(base, -3.0))):
         m = [
             [
                 compute_Mij(kern, spec, i, j, samples=20_000,
@@ -324,7 +338,8 @@ def test_bound_invariant_under_kernel_scaling():
         var = variance_from_kernels(kern, spec, mc_samples=20_000,
                                     rng=np.random.default_rng(77))
         vals[name] = dk_bound(m, _mc(var.variance, var.stderr), 2).value
-    assert vals["scaled"] == pytest.approx(vals["base"], rel=1e-9)
+    assert vals[3.0] == pytest.approx(vals["base"], rel=1e-9)
+    assert vals[-3.0] == pytest.approx(vals["base"], rel=1e-9)
 
 
 def test_bound_rate_exact_for_count():

@@ -92,11 +92,14 @@ def test_bound_strict_flags_unreliable_integrals(capsys):
     assert json.loads(out)["unreliable"]
 
 
-def test_nan_kernel_exits_3(capsys):
-    code, _, err = _run(capsys, "bound", "--kernel", "constant", "--c", "nan", "--k", "2",
-                        "--t", "10", "--seed", "1", "--mc-samples", "100")
-    assert code == 3
-    assert "non-finite" in err
+def test_non_finite_c_exits_2(capsys):
+    # refused when the kernel is built, before any integral
+    for c in ("nan", "inf", "-inf"):
+        code, out, err = _run(capsys, "bound", "--kernel", "constant", f"--c={c}", "--k", "2",
+                              "--t", "10", "--seed", "1", "--mc-samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "c must be finite" in err
 
 
 def test_z_samples_below_1_exits_2(tmp_path, capsys):
@@ -169,6 +172,23 @@ def test_berry_esseen_table(capsys):
         t, dk, bound = (float(v) for v in line.split(","))
         assert dk <= bound
         assert bound == pytest.approx(8.0 / math.sqrt(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "1e9"])
+def test_berry_esseen_tmax_beyond_the_cap_exits_2(capsys, tmax):
+    # refused before the first row: each row holds arrays of about t entries
+    code, out, err = _run(capsys, "berry-esseen", "--tmax", tmax)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tmax:")
+
+
+def test_berry_esseen_tmax_at_the_cap(capsys):
+    code, out, _ = _run(capsys, "berry-esseen", "--tmax", "1048576")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 21  # t = 2^0 .. 2^20
+    assert float(lines[-1].split(",")[0]) == 2.0**20
 
 
 def test_sample_reproducible(tmp_path, capsys):
@@ -271,11 +291,14 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"kernel": {"name": "constant", "k": 2.5}}, "kernel"),
     ({"kernel": {"name": "constant", "k": True}}, "kernel"),
     ({"kernel": {"name": "constant", "c": "1"}}, "kernel"),
+    ({"kernel": {"name": "constant", "c": 10**400}}, "kernel"),
+    ({"kernel": {"name": "constant", "c": math.inf}}, "kernel"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
-        "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c"])
+        "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
+        "huge_int_c", "infinite_c"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}

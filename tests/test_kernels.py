@@ -12,8 +12,10 @@ from pustat.kernels import (
     make_geometric_indicator,
     make_kernel,
     make_product,
+    scale_kernel,
     symmetry_check,
     kernel_descriptor,
+    SymmetricKernel,
 )
 from pustat.bounds import compute_Mij
 from pustat.chaos import variance_from_kernels
@@ -42,10 +44,19 @@ def test_constant_kernel():
     k = make_constant(2.0, 2)
     x = _tuples([[0.1], [0.4]])
     assert k(x).tolist() == [2.0]
-    assert k.abs_values(x).tolist() == [2.0]
+    assert k.absolute is k
     neg = make_constant(-3.0, 2)
     assert neg(x).tolist() == [-3.0]
-    assert neg.abs_values(x).tolist() == [3.0]
+    assert neg.absolute(x).tolist() == [3.0]
+
+
+def test_non_finite_c_is_refused():
+    # an int beyond the float range included; |f| of a NaN kernel is undefined
+    for c in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="c must be finite"):
+            make_constant(c, 2)
+        with pytest.raises(ValueError, match="c must be finite"):
+            scale_kernel(make_geometric_indicator(0.1), c)
 
 
 def test_make_kernel_descriptor_round_trip():
@@ -70,13 +81,14 @@ def test_symmetry_check(rng):
     assert symmetry_check(make_geometric_indicator(0.2), trials=64, rng=rng)
     assert symmetry_check(make_count(), trials=8, rng=rng)
 
-    from pustat.kernels import SymmetricKernel
-
     antisym = SymmetricKernel(
         name="diff",
         order=2,
         eval_fn=lambda x: x[:, 0, 0] - x[:, 1, 0],
-        abs_eval_fn=lambda x: np.abs(x[:, 0, 0] - x[:, 1, 0]),
+        abs_kernel=SymmetricKernel(
+            name="|diff|", order=2, eval_fn=lambda x: np.abs(x[:, 0, 0] - x[:, 1, 0]),
+            nonnegative=True,
+        ),
     )
     assert not symmetry_check(antisym, trials=64, rng=rng)
 
@@ -128,14 +140,13 @@ def test_geometric_full_integral_2d():
         assert k.full_integral(spec) == pytest.approx(
             _pair_integral_2d(t, r, a1 - a0, b1 - b0), rel=1e-14
         )
-        assert k.full_integral(spec, absolute=True) == k.full_integral(spec)
 
 
 def test_geometric_full_integral_2d_matches_mc_fallback():
     for box, r in (([(0.0, 1.0), (0.0, 1.0)], 0.1), ([(0.0, 2.0), (0.0, 0.5)], 0.2)):
         spec = IntensitySpec(box, t=4.0)
         k = make_geometric_indicator(r)
-        bare = replace(k, marginal_fn=None, abs_marginal_fn=None)
+        bare = replace(k, marginal_fn=None)
         x0 = np.empty((1, 0, 2))
         est, se = bare.marginal_with_stderr(spec, x0, 0, mc=MarginalIntegration(samples=400_000))
         assert abs(est[0] - k.full_integral(spec)) <= 4.0 * se[0]
@@ -161,15 +172,52 @@ def test_geometric_2d_analytic_cases_are_narrow():
 
 def test_abs_values_match_abs_of_eval(rng):
     x = rng.random((50, 2, 1))
-    for k in (make_geometric_indicator(0.3), make_constant(-2.0, 2)):
-        assert np.allclose(k.abs_values(x), np.abs(k(x)), rtol=1e-15)
+    indicator = make_geometric_indicator(0.3)
+    assert indicator.absolute is indicator
+    sign_changing = make_product(lambda p: 2.0 * p[:, 0] - 1.0, 2, base_integral=0.0)
+    for k in (indicator, make_constant(-2.0, 2), sign_changing, scale_kernel(indicator, -2.0)):
+        assert k.absolute.nonnegative and k.absolute.absolute is k.absolute
+        assert np.allclose(k.absolute(x), np.abs(k(x)), rtol=1e-15)
+    assert np.any(sign_changing(x) < 0.0)
+
+
+def test_product_abs_marginal_matches_mc_fallback():
+    # g = 2x - 1 changes sign on [0, 1]; |g| integrates to 1/2
+    spec = IntensitySpec(UNIT, t=4.0)
+    k = make_product(lambda p: 2.0 * p[:, 0] - 1.0, 2, base_integral=0.0, abs_base_integral=0.5)
+    absolute = k.absolute
+    bare = replace(absolute, marginal_fn=None)
+    mc = MarginalIntegration(samples=40_000)
+    for x in (np.array([[[0.1]], [[0.45]], [[0.8]]]), np.empty((1, 0, 1))):
+        i = x.shape[1]
+        analytic = absolute.marginal(spec, x, i)
+        est, se = bare.marginal_with_stderr(spec, x, i, mc=mc)
+        assert np.all(se > 0.0)
+        assert np.all(np.abs(est - analytic) <= 4.0 * se)
+    assert absolute.full_integral(spec) == pytest.approx(4.0, rel=1e-14)  # (t / 2)^2
+    assert k.full_integral(spec) == 0.0
+
+
+def test_kernel_must_say_what_its_abs_is():
+    def ev(x):
+        return x[:, 0, 0]
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        SymmetricKernel(name="f", order=1, eval_fn=ev)
+    nonneg = SymmetricKernel(name="|f|", order=1, eval_fn=ev, nonnegative=True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SymmetricKernel(name="f", order=1, eval_fn=ev, nonnegative=True, abs_kernel=nonneg)
+    signed = SymmetricKernel(name="f", order=1, eval_fn=ev, abs_kernel=nonneg)
+    assert signed.absolute is nonneg
+    with pytest.raises(ValueError, match="abs_kernel"):
+        SymmetricKernel(name="g", order=1, eval_fn=ev, abs_kernel=signed)
 
 
 def test_marginal_mc_fallback_agrees_with_analytic():
     # strip the analytic marginal and compare the Monte Carlo fallback
     spec = IntensitySpec(UNIT, t=5.0)
     k = make_geometric_indicator(0.1)
-    bare = replace(k, marginal_fn=None, abs_marginal_fn=None)
+    bare = replace(k, marginal_fn=None)
     x = np.array([[[0.2]], [[0.55]], [[0.9]]])
     analytic = k.marginal(spec, x, 1)
     mc = MarginalIntegration(samples=40_000)
@@ -201,13 +249,13 @@ _PAIR_CASES = {
 def _counted_and_dense(r):
     """The distance indicator without analytic marginals, with and without
     its pair radius: the first counts neighbours, the second evaluates f."""
-    counted = replace(make_geometric_indicator(r), marginal_fn=None, abs_marginal_fn=None)
+    counted = replace(make_geometric_indicator(r), marginal_fn=None)
     return counted, replace(counted, pair_radius=None)
 
 
-@pytest.mark.parametrize("absolute", [False, True], ids=["f", "abs"])
-@pytest.mark.parametrize("case", list(_PAIR_CASES))
-def test_pair_marginal_counts_match_dense(case, absolute):
+# "-f": the marginal of f, which for the indicator is also that of |f|
+@pytest.mark.parametrize("case", list(_PAIR_CASES), ids=lambda case: f"{case}-f")
+def test_pair_marginal_counts_match_dense(case):
     spec, r = _PAIR_CASES[case]
     counted, dense = _counted_and_dense(r)
     mc = MarginalIntegration(samples=3000, seed=11)
@@ -220,8 +268,8 @@ def test_pair_marginal_counts_match_dense(case, absolute):
     lo, hi = np.array(spec.box).T
     probes = np.concatenate([y[:40] + step, y[:40] - step, lo + (hi - lo) * rng.random((200, spec.dim))])
     x = probes[:, None, :]
-    vals, ses = counted.marginal_with_stderr(spec, x, 1, absolute=absolute, mc=mc)
-    dense_vals, dense_ses = dense.marginal_with_stderr(spec, x, 1, absolute=absolute, mc=mc)
+    vals, ses = counted.marginal_with_stderr(spec, x, 1, mc=mc)
+    dense_vals, dense_ses = dense.marginal_with_stderr(spec, x, 1, mc=mc)
     assert np.array_equal(vals, dense_vals)
     assert np.allclose(ses, dense_ses, rtol=1e-12, atol=0.0)
     assert np.count_nonzero(vals) > 0
@@ -254,7 +302,7 @@ def test_variance_2d_evaluates_only_the_top_order():
         rows[0] += len(x)
         return k.eval_fn(x)
 
-    counted = replace(k, eval_fn=_counting_eval, abs_eval_fn=_counting_eval)
+    counted = replace(k, eval_fn=_counting_eval)
     spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0)
     m = 500
     res = variance_from_kernels(counted, spec, mc_samples=m, rng=np.random.default_rng(3),

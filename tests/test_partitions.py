@@ -14,7 +14,13 @@ from pustat.partitions import (
     variables,
 )
 
-from oracles import brute_force_partitions
+from oracles import (
+    all_rgs,
+    all_rgs_array,
+    brute_force_partitions,
+    brute_force_partitions_multi,
+    walk_partitions,
+)
 
 
 def _canonical(parts):
@@ -34,6 +40,17 @@ def test_small_cases_match_brute_force():
         got = enumerate_partitions(i, j)
         assert len(got) == len(expected)
         assert _canonical(got) == expected
+
+
+def test_array_oracle_matches_python_walk():
+    # the column-wise oracle against the string-by-string walk, for n <= 10
+    for n in range(1, 11):
+        assert all_rgs_array(n).tolist() == [list(a) for a in all_rgs(n)]
+    cases = [(i, j) for i in range(1, 5) for j in range(1, 5) if 2 * i + 2 * j <= 10]
+    fast = brute_force_partitions_multi(cases)
+    for i, j in cases:
+        assert fast[(i, j)] == walk_partitions(i, j)
+        assert len(fast[(i, j)]) > 0
 
 
 def test_every_output_is_valid():
