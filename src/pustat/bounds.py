@@ -67,6 +67,7 @@ __all__ = [
 _M_SEED = 0xB0D5
 UNRELIABLE_RATIO = 0.5  # stderr/estimate above this flags a divergent integral
 _SUP_NOTE = "grid maximum over s; a lower estimate of the supremum"
+SUP_GRID_POINTS = 41  # the sup term's grid of s on [-4, 4]
 
 
 def compute_Mij(
@@ -373,7 +374,7 @@ def estimate_stein_terms(
     sigma = math.sqrt(var_f.value)
     ef = kernel.full_integral(intensity, mc=mc)
     mass = intensity.total_mass
-    grid = np.linspace(-4.0, 4.0, 41)
+    grid = np.linspace(-4.0, 4.0, SUP_GRID_POINTS)
 
     ip1, q2, dg4, ipdg, g4 = np.empty((5, reps))
     sup_mat = np.empty((reps, len(grid)))

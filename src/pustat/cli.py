@@ -24,12 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import bound_report
+from .bounds import SUP_GRID_POINTS, bound_report
 from .chaos import MCValue, variance_from_kernels
-from .distance import empirical_dK, empirical_dW, poisson_exact_dK
+from .distance import SortedSample, empirical_dK, empirical_dW, poisson_exact_dK
 from .kernels import make_kernel
 from .measure import IntensitySpec, NumericalError, sample_point_process
-from .partitions import count_partitions, enumerate_partitions
+from .partitions import MAX_GROUP_SIZE, count_partitions, enumerate_partitions
 from .stein import check_stein_properties
 from .ustat import evaluate_many, replication_blocks
 
@@ -37,10 +37,42 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 # poisson_exact_dK(t) holds a few arrays of t + 12 sqrt(t) entries
 _TMAX_CAP = 2.0**20
+# The sample counts are capped so that no array of a run reaches 1 GiB
+# (2**27 doubles).  Per unit the largest arrays hold SUP_GRID_POINTS doubles
+# per replication (the Stein terms' sup grid), max(SUP_GRID_POINTS, dim)
+# per z sample (one replication's jumps or its query points) and 2k * dim
+# per Monte Carlo draw (an M_ij class of order k has up to 2k blocks).
+_ARRAY_DOUBLES = 2**27
 
 
 class ConfigError(ValueError):
     """Invalid CLI/config input; the message names the offending field."""
+
+
+def _sample_caps(k: int, dim: int) -> dict:
+    """The cap of each sample count for kernel order ``k`` in ``dim``
+    dimensions: the largest power of two whose arrays stay below
+    _ARRAY_DOUBLES."""
+    per_unit = {
+        "reps": SUP_GRID_POINTS,
+        "term_reps": SUP_GRID_POINTS,
+        "z_samples": max(SUP_GRID_POINTS, dim),
+        "mc_samples": 2 * min(k, MAX_GROUP_SIZE) * dim,
+    }
+    return {
+        name: 1 << (max((_ARRAY_DOUBLES - 1) // size, 1).bit_length() - 1)
+        for name, size in per_unit.items()
+    }
+
+
+def _check_caps(kernel, dim: int, **counts):
+    """Refuse a sample count above its cap before any work starts."""
+    caps = _sample_caps(kernel.order, dim)
+    for name, value in counts.items():
+        if value > caps[name]:
+            raise ConfigError(
+                f"{name}: must be <= {caps[name]} (keeps arrays under 1 GiB), got {value}"
+            )
 
 
 def _fmt(x) -> str:
@@ -128,6 +160,7 @@ def _cmd_ustat(args) -> int:
         raise ConfigError("reps: must be >= 1")
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
+    _check_caps(kernel, len(box), reps=args.reps, mc_samples=args.mc_samples)
     intensity = _intensity(box, args.t)
     vr = variance_from_kernels(
         kernel,
@@ -155,6 +188,12 @@ def _cmd_ustat(args) -> int:
 def _cmd_bound(args) -> int:
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
+    counts = {"mc_samples": args.mc_samples}
+    if args.rij or args.stein_terms:
+        counts["reps"] = args.reps
+    if args.stein_terms:
+        counts["z_samples"] = args.z_samples
+    _check_caps(kernel, len(box), **counts)
     intensity = _intensity(box, args.t)
     report = bound_report(
         kernel,
@@ -273,13 +312,19 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _bootstrap_se(vals: np.ndarray, stat, seed: int, draws: int = 100) -> float:
+def _bootstrap_se(vals: np.ndarray, seed: int, draws: int = 100):
+    """Bootstrap stderrs of dK and dW (a tuple, dK first).  Both statistics
+    read each of the ``draws`` resamples, drawn from stream (0xB007,) of
+    ``seed`` as positions into one sorted table of ``vals``."""
+    table = SortedSample(vals)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB007,)))
     n = len(vals)
-    out = np.empty(draws)
+    dk, dw = np.empty(draws), np.empty(draws)
     for b in range(draws):
-        out[b] = stat(vals[rng.integers(0, n, n)])
-    return float(out.std(ddof=1))
+        pos = table.positions(rng.integers(0, n, n))
+        dk[b] = table.dk(pos)
+        dw[b] = table.dw(pos)
+    return float(dk.std(ddof=1)), float(dw.std(ddof=1))
 
 
 def _cmd_experiment(args) -> int:
@@ -288,6 +333,7 @@ def _cmd_experiment(args) -> int:
         kernel = make_kernel(cfg["kernel"])
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
+    _check_caps(kernel, len(cfg["box"]), **{key: cfg[key] for key in _EXPERIMENT_MINIMA})
     rows = [_SWEEP_COLUMNS]
     for t in cfg["t_values"]:
         intensity = _intensity(cfg["box"], float(t))
@@ -305,8 +351,7 @@ def _cmd_experiment(args) -> int:
         vals, _ = _replicate_standardized(kernel, intensity, cfg["reps"], cfg["seed"], report.var_f)
         dk_emp = empirical_dK(vals)
         dw_emp = empirical_dW(vals)
-        dk_se = _bootstrap_se(vals, empirical_dK, cfg["seed"])
-        dw_se = _bootstrap_se(vals, empirical_dW, cfg["seed"])
+        dk_se, dw_se = _bootstrap_se(vals, cfg["seed"])
         th = report.stein_terms
         cells = [
             _fmt(float(t)),

@@ -9,33 +9,28 @@ splitting segments where Phi crosses the empirical level), and the
 Kolmogorov distance of a standardized Poisson(t) variable evaluated over
 all of its jump points with a certified negligible tail.
 
-scipy is imported inside the functions that use it, so importing pustat
-(and running ``pustat bound``) does not load it.
+The empirical distances read a ``SortedSample``: the sample sorted once,
+with Phi and its antiderivative at the sorted values.  A bootstrap
+resample holds only values of the sample, so its distances gather from the
+same table; the sample itself is the identity resample.
+
+Nothing here imports scipy: Phi comes from math.erf/erfc, its inverse from
+statistics.NormalDist (imported by the first dW) and log m! from
+math.lgamma.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .stein import SQRT_2PI, normal_cdf
 
-__all__ = ["empirical_dK", "empirical_dW", "poisson_exact_dK"]
+__all__ = ["SortedSample", "empirical_dK", "empirical_dW", "poisson_exact_dK"]
 
 _TAIL_EPS = 1e-12
-
-
-def empirical_dK(samples) -> float:
-    """sup_s |Fhat(s) - Phi(s)| for the empirical law of the samples."""
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    c = normal_cdf(x)
-    upper = np.arange(1, n + 1) / n - c
-    lower = c - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
 
 
 def _phi(s):
@@ -47,30 +42,94 @@ def _cdf_antideriv(s):
     return s * normal_cdf(s) + _phi(s)
 
 
-def empirical_dW(samples) -> float:
-    """Wasserstein-1 distance of the empirical law to the standard normal.
+def _normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """Phi^{-1} at each level (Wichura's AS 241, in statistics.NormalDist)."""
+    from statistics import NormalDist  # a few ms; only dW needs it
 
-    Exact: integral of |Fhat - Phi| over the real line, with analytic tails
-    beyond the extreme order statistics.  Between consecutive order
-    statistics a <= b the level Fhat is constant; each gap splits at the
-    point where Phi crosses that level, clipped into [a, b], so ties and
-    gaps without a crossing give zero-width pieces.
+    return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), dtype=float, count=len(p))
+
+
+@lru_cache(maxsize=2)
+def _crossings(n: int):
+    """Where Phi crosses each level k/n, 0 < k < n, and s Phi(s) + phi(s)
+    there: the same for every sample of size n (read-only, cached)."""
+    q = _normal_quantiles(np.arange(1, n) / n)
+    anti = _cdf_antideriv(q)
+    q.flags.writeable = anti.flags.writeable = False
+    return q, anti
+
+
+class SortedSample:
+    """A sample sorted once: the table its empirical distances read.
+
+    ``x`` is the sorted sample, ``cdf`` and ``anti`` are Phi and
+    s Phi(s) + phi(s) at x, and ``rank[i]`` is the position of
+    ``samples[i]`` in x.  A resample ``samples[draws]`` is the sorted
+    positions ``positions(draws)``; ``identity`` is the sample itself.
     """
-    from scipy.special import ndtri
 
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    anti = _cdf_antideriv(x)
-    a, b = x[:-1], x[1:]
-    level = np.arange(1, n) / n
-    q = np.clip(ndtri(level), a, b)
-    anti_q = _cdf_antideriv(q)
-    left = level * (q - a) - (anti_q - anti[:-1])
-    right = level * (b - q) - (anti[1:] - anti_q)
-    tails = anti[0] + anti[-1] - x[-1]  # integral of Phi below x[0], of 1 - Phi above x[-1]
-    return float(tails + np.sum(np.abs(left) + np.abs(right)))
+    def __init__(self, samples):
+        x = np.asarray(samples, dtype=float).ravel()
+        n = len(x)
+        if n == 0:
+            raise ValueError("empty sample")
+        order = np.argsort(x, kind="stable")
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.arange(n)
+        self.x = x[order]
+        self.cdf = normal_cdf(self.x)
+        self.anti = self.x * self.cdf + _phi(self.x)  # _cdf_antideriv(x), Phi reused
+        self.identity = np.arange(n)
+        self._levels = np.arange(n + 1) / n  # Fhat takes the level k/n after k points
+
+    def positions(self, draws: np.ndarray) -> np.ndarray:
+        """Sorted table positions of the resample ``samples[draws]``."""
+        return np.sort(self.rank[draws])
+
+    def dk(self, pos: np.ndarray) -> float:
+        """sup_s |Fhat(s) - Phi(s)| for the resample at sorted positions ``pos``."""
+        c = self.cdf[pos]
+        upper = self._levels[1:] - c
+        lower = c - self._levels[:-1]
+        return float(max(upper.max(), lower.max()))
+
+    def dw(self, pos: np.ndarray) -> float:
+        """Wasserstein-1 distance to N(0, 1) of the resample at sorted
+        positions ``pos``.
+
+        Exact: integral of |Fhat - Phi| over the real line, with analytic
+        tails beyond the extreme order statistics.  Between consecutive
+        order statistics a <= b the level Fhat is constant.  A gap that
+        Phi does not cross contributes the absolute integral of
+        level - Phi; a gap it crosses splits at the crossing.  Ties give
+        zero-width gaps.
+        """
+        x = self.x[pos]
+        anti = self.anti[pos]
+        a, b = x[:-1], x[1:]
+        level = self._levels[1:-1]
+        piece = np.abs(level * (b - a) - (anti[1:] - anti[:-1]))
+        crossing, anti_crossing = _crossings(len(self.x))
+        split = np.flatnonzero((crossing > a) & (crossing < b))
+        q, anti_q, lv = crossing[split], anti_crossing[split], level[split]
+        left = lv * (q - a[split]) - (anti_q - anti[split])
+        right = lv * (b[split] - q) - (anti[split + 1] - anti_q)
+        piece[split] = np.abs(left) + np.abs(right)
+        tails = anti[0] + anti[-1] - x[-1]  # integral of Phi below x[0], of 1 - Phi above x[-1]
+        return float(tails + np.sum(piece))
+
+
+def empirical_dK(samples) -> float:
+    """sup_s |Fhat(s) - Phi(s)| for the empirical law of the samples."""
+    table = SortedSample(samples)
+    return table.dk(table.identity)
+
+
+def empirical_dW(samples) -> float:
+    """Wasserstein-1 distance of the empirical law to the standard normal
+    (see ``SortedSample.dw``)."""
+    table = SortedSample(samples)
+    return table.dw(table.identity)
 
 
 def _poisson_tail_log(t: float, a: int) -> float:
@@ -86,8 +145,6 @@ def poisson_exact_dK(t: float) -> float:
     are certified negligible (< 1e-12) via a Chernoff bound and the normal
     tail, extending the range if the certificate fails.
     """
-    from scipy.special import gammaln
-
     if t <= 0:
         raise ValueError("t must be positive")
     sd = math.sqrt(t)
@@ -98,7 +155,8 @@ def poisson_exact_dK(t: float) -> float:
     ):
         m_hi += int(10 * sd) + 10
     m = np.arange(0, m_hi + 1)
-    logpmf = -t + m * math.log(t) - gammaln(m + 1)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, m_hi + 2)), dtype=float, count=m_hi + 1)
+    logpmf = -t + m * math.log(t) - log_factorial
     cdf = np.cumsum(np.exp(logpmf))
     phi_at = normal_cdf((m - t) / sd)
     cdf_left = np.concatenate([[0.0], cdf[:-1]])

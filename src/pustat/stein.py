@@ -18,8 +18,8 @@ and stays finite for every w.  Known properties, checked on a dense grid:
 and the derivative jumps by -1 across w = s.  The convention at the kink
 is the left limit, g_s'(s) := g_s'(s-).
 
-scipy is imported inside the functions that use it, so importing pustat
-(and running ``pustat bound``) does not load it.
+normal_cdf is built on math.erf/erfc; scipy (erfcx) is imported inside the
+functions of the solution g, so only ``pustat stein-check`` loads it.
 """
 
 from __future__ import annotations
@@ -43,15 +43,26 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 G_MAX = SQRT_2PI / 4.0
 _SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = math.sqrt(0.5)
 _FP_SLACK = 1e-12
 
 
 def normal_cdf(x):
-    """Standard normal distribution function, full double precision."""
-    from scipy.special import ndtr
+    """Standard normal distribution function, full double precision.
 
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
+    scipy's ndtr split: 0.5 + 0.5 erf(x/sqrt 2) for |x| < 1, and the tail
+    0.5 erfc(|x|/sqrt 2), reflected for x > 0, beyond.  math.erf/erfc take
+    one value at a time, so each branch maps them over its values.
+    """
+    arr = np.asarray(x, dtype=float)
+    u = arr * _SQRT1_2
+    near = np.abs(u) < _SQRT1_2
+    far = ~near
+    out = np.empty(arr.shape)
+    out[near] = 0.5 + 0.5 * np.fromiter(map(math.erf, u[near].tolist()), dtype=float)
+    tail = 0.5 * np.fromiter(map(math.erfc, np.abs(u[far]).tolist()), dtype=float)
+    out[far] = np.where(u[far] > 0, 1.0 - tail, tail)
+    return float(out) if out.ndim == 0 else out
 
 
 def g(s, w):

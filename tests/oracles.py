@@ -6,9 +6,10 @@ filtering a plain restricted-growth enumeration of ALL set partitions (an
 int8 array filtered column by column, checked against a string-by-string
 Python walk for small n), the
 Stein solution from direct numerical quadrature of its defining integral,
-the Wasserstein distance from a Riemann sum, the Poisson Kolmogorov
-distance from high-precision arithmetic, and M_ij from its class integrals
-run at the actual t instead of at unit scale.
+the Wasserstein distance from a Riemann sum, the empirical distances by
+sorting and evaluating each sample anew, the Poisson Kolmogorov distance
+from high-precision arithmetic and from scipy's gammaln and ndtr, and M_ij
+from its class integrals run at the actual t instead of at unit scale.
 """
 
 import math
@@ -245,6 +246,65 @@ def wasserstein_riemann(samples, step=1e-4, span=10.0):
 # ---------------------------------------------------------------------------
 # Poisson Kolmogorov distance in high-precision arithmetic
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# empirical distances: every sample sorted and evaluated anew
+# ---------------------------------------------------------------------------
+
+
+def distance_sample_kinds():
+    """Random, tied (rounded to 1/8), one-point and two-point samples."""
+    rng = np.random.default_rng(12)
+    return {
+        "random": rng.normal(size=500) * 1.2 + 0.1,
+        "tied_eighths": np.round(rng.normal(size=500) * 8.0) / 8.0,
+        "one_point": np.array([0.3]),
+        "two_points": np.array([1.5, -0.25]),
+    }
+
+
+def empirical_dk_direct(samples, cdf):
+    """sup |Fhat - Phi| of the sorted sample, with Phi = ``cdf``."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = len(x)
+    c = cdf(x)
+    return float(max((np.arange(1, n + 1) / n - c).max(), (c - np.arange(0, n) / n).max()))
+
+
+def empirical_dw_direct(samples, cdf, quantile):
+    """Integral of |Fhat - Phi|: each gap split where Phi (``cdf``) crosses
+    its level (at ``quantile`` of the level, clipped into the gap)."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = len(x)
+
+    def antideriv(s):
+        return s * cdf(s) + np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+
+    anti = antideriv(x)
+    a, b = x[:-1], x[1:]
+    level = np.arange(1, n) / n
+    q = np.clip(quantile(level), a, b)
+    anti_q = antideriv(q)
+    left = level * (q - a) - (anti_q - anti[:-1])
+    right = level * (b - q) - (anti[1:] - anti_q)
+    return float(anti[0] + anti[-1] - x[-1] + np.sum(np.abs(left) + np.abs(right)))
+
+
+def poisson_dk_scipy(t):
+    """The Poisson sup gap over m <= m_hi with scipy's gammaln and ndtr."""
+    from scipy.special import gammaln, ndtr
+
+    sd = math.sqrt(t)
+    m_hi = int(math.ceil(t + 12.0 * sd)) + 1
+    while (-t + (m_hi + 1) + (m_hi + 1) * math.log(t / (m_hi + 1)) > math.log(1e-12)
+           or ndtr(-(m_hi - t) / sd) > 1e-12):
+        m_hi += int(10 * sd) + 10
+    m = np.arange(0, m_hi + 1)
+    cdf = np.cumsum(np.exp(-t + m * math.log(t) - gammaln(m + 1)))
+    phi_at = ndtr((m - t) / sd)
+    cdf_left = np.concatenate([[0.0], cdf[:-1]])
+    return float(np.maximum(np.abs(cdf - phi_at), np.abs(cdf_left - phi_at)).max())
 
 
 def poisson_dk_mpmath(t, m_max=None):

@@ -8,13 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pustat.cli import main
-from pustat.distance import empirical_dK
+from pustat.cli import _bootstrap_se, _sample_caps, main
+from pustat.distance import _normal_quantiles, empirical_dK, empirical_dW
 from pustat.kernels import make_geometric_indicator
 from pustat.measure import IntensitySpec, PointConfiguration
+from pustat.stein import normal_cdf
 from pustat.ustat import evaluate
 
-from oracles import brute_force_partitions
+from oracles import (
+    brute_force_partitions,
+    distance_sample_kinds,
+    empirical_dk_direct,
+    empirical_dw_direct,
+)
 
 
 def _run(capsys, *argv):
@@ -293,12 +299,17 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"kernel": {"name": "constant", "c": "1"}}, "kernel"),
     ({"kernel": {"name": "constant", "c": 10**400}}, "kernel"),
     ({"kernel": {"name": "constant", "c": math.inf}}, "kernel"),
+    ({"reps": 10**15}, "reps"),
+    ({"term_reps": 10**15}, "term_reps"),
+    ({"mc_samples": 10**15}, "mc_samples"),
+    ({"z_samples": 10**15}, "z_samples"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
         "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
-        "huge_int_c", "infinite_c"])
+        "huge_int_c", "infinite_c", "huge_reps", "huge_term_reps", "huge_mc_samples",
+        "huge_z_samples"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -441,19 +452,28 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
 
 
 def test_bound_does_not_import_scipy(tmp_path):
-    # scipy serves only the distance and Stein-check code; starting pustat
-    # and running a certificate must not pay for its import
+    # scipy serves only the Stein-check code; starting pustat, running a
+    # certificate, replications with their distances, a sweep and the exact
+    # Poisson table must not pay for its import
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    (tmp_path / "cfg.json").write_text(json.dumps(_GOOD_CONFIG))
     script = "\n".join([
         "import sys",
         "import pustat.cli",
         "pustat.cli.build_parser()",
-        "code = pustat.cli.main(['bound', '--kernel', 'geometric_indicator', '--r', '0.05',",
-        "    '--t', '20', '--rij', '--stein-terms', '--reps', '50', '--mc-samples', '2000',",
-        "    '--seed', '1', '--out', 'bound.json'])",
-        "assert code == 0, code",
+        "for argv in (",
+        "    ['bound', '--kernel', 'geometric_indicator', '--r', '0.05', '--t', '20', '--rij',",
+        "     '--stein-terms', '--reps', '50', '--mc-samples', '2000', '--seed', '1',",
+        "     '--out', 'bound.json'],",
+        "    ['ustat', '--kernel', 'geometric_indicator', '--r', '0.05', '--t', '20',",
+        "     '--reps', '50', '--mc-samples', '2000', '--seed', '1', '--out', 'ustat.txt'],",
+        "    ['experiment', 'cfg.json', '--out', 'sweep.csv'],",
+        "    ['berry-esseen', '--tmax', '64', '--out', 'be.csv'],",
+        "):",
+        "    code = pustat.cli.main(argv)",
+        "    assert code == 0, (argv, code)",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
@@ -461,6 +481,70 @@ def test_bound_does_not_import_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
     assert json.loads((tmp_path / "bound.json").read_text())["dk_bound"] > 0.0
+    assert "# dk_emp=" in (tmp_path / "ustat.txt").read_text()
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+    assert len((tmp_path / "be.csv").read_text().splitlines()) == 8
+
+
+def test_import_cli_loads_neither_scipy_nor_statistics():
+    # statistics (the normal quantiles of dW) is imported by the first dW
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    script = ("import sys, pustat.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'statistics')))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("kind", list(distance_sample_kinds()))
+def test_bootstrap_table_equals_resample_loop(kind):
+    # one draw of each resample serves both statistics, read from one table;
+    # a loop that hands each resample to empirical_dK/dW gives the same bits
+    vals = distance_sample_kinds()[kind]
+    draws = 30
+    dk_se, dw_se = _bootstrap_se(vals, 9, draws=draws)
+    rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0xB007,)))
+    n = len(vals)
+    dk, dw = np.empty(draws), np.empty(draws)
+    for b in range(draws):
+        resample = vals[rng.integers(0, n, n)]
+        dk[b] = empirical_dK(resample)
+        dw[b] = empirical_dW(resample)
+        assert dk[b] == empirical_dk_direct(resample, normal_cdf)
+        assert dw[b] == empirical_dw_direct(resample, normal_cdf, _normal_quantiles)
+    assert (dk_se, dw_se) == (float(dk.std(ddof=1)), float(dw.std(ddof=1)))
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["ustat", "--kernel", "count", "--reps", "10**15"], "reps"),
+    (["ustat", "--kernel", "count", "--mc-samples", "10**15"], "mc_samples"),
+    (["bound", "--kernel", "count", "--mc-samples", "10**15"], "mc_samples"),
+    (["bound", "--kernel", "count", "--rij", "--reps", "10**15"], "reps"),
+    (["bound", "--kernel", "count", "--stein-terms", "--z-samples", "10**15"], "z_samples"),
+], ids=["ustat_reps", "ustat_mc_samples", "bound_mc_samples", "bound_rij_reps",
+        "bound_z_samples"])
+def test_oversized_sample_counts_exit_2(capsys, argv, field):
+    # refused by the cap before the first allocation, so this starts no work
+    argv = [str(10**15) if a == "10**15" else a for a in argv]
+    code, out, err = _run(capsys, *argv, "--t", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: must be <= ")
+
+
+@pytest.mark.parametrize("k, dim", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (2, 100)])
+def test_sample_caps_keep_arrays_under_1_gib(k, dim):
+    caps = _sample_caps(k, dim)
+    per_unit = {"reps": 41, "term_reps": 41, "z_samples": max(41, dim), "mc_samples": 2 * k * dim}
+    for name, cap in caps.items():
+        assert cap * per_unit[name] * 8 < 2**30, name
+        assert 2 * cap * per_unit[name] * 8 >= 2**30, name  # the largest such power of two
+        assert cap & (cap - 1) == 0
+    # the documented defaults and the sweep's counts stay well inside
+    assert min(caps["reps"], caps["term_reps"]) >= 10_000 and caps["z_samples"] >= 128
+    assert caps["mc_samples"] >= 200_000
 
 
 @pytest.mark.parametrize("t", ["1e80", "1e200"])

@@ -5,9 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pustat.distance import empirical_dK, empirical_dW, poisson_exact_dK
+from pustat.distance import (
+    SortedSample,
+    _normal_quantiles,
+    empirical_dK,
+    empirical_dW,
+    poisson_exact_dK,
+)
+from pustat.stein import normal_cdf
 
-from oracles import poisson_dk_mpmath, wasserstein_riemann
+from oracles import (
+    distance_sample_kinds,
+    empirical_dk_direct,
+    empirical_dw_direct,
+    poisson_dk_mpmath,
+    poisson_dk_scipy,
+    wasserstein_riemann,
+)
 
 finite_floats = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 
@@ -112,3 +126,47 @@ def test_poisson_dk_rate_stabilizes():
     for a, b in zip(values, values[1:]):
         assert 0.8 <= b / a <= 1.25
     assert all(0.0 < v <= 8.0 for v in values)
+
+
+@pytest.mark.parametrize("kind", list(distance_sample_kinds()))
+def test_table_equals_direct_formulas(kind):
+    # the sample and its resamples read the table; sorting and evaluating
+    # each one anew gives the same bits
+    x = distance_sample_kinds()[kind]
+    table = SortedSample(x)
+    assert table.dk(table.identity) == empirical_dk_direct(x, normal_cdf)
+    assert table.dw(table.identity) == empirical_dw_direct(x, normal_cdf, _normal_quantiles)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        draws = rng.integers(0, len(x), len(x))
+        pos = table.positions(draws)
+        assert table.dk(pos) == empirical_dk_direct(x[draws], normal_cdf)
+        assert table.dw(pos) == empirical_dw_direct(x[draws], normal_cdf, _normal_quantiles)
+
+
+@pytest.mark.parametrize("kind", list(distance_sample_kinds()))
+def test_table_against_scipy_formulas(kind):
+    from scipy.special import ndtr, ndtri
+
+    x = distance_sample_kinds()[kind]
+    assert empirical_dK(x) == pytest.approx(empirical_dk_direct(x, ndtr), rel=1e-13, abs=1e-16)
+    assert empirical_dW(x) == pytest.approx(empirical_dw_direct(x, ndtr, ndtri), rel=1e-13)
+
+
+def test_normal_quantiles_match_ndtri():
+    from scipy.special import ndtri
+
+    p = np.arange(1, 10_000) / 10_000
+    q, ref = _normal_quantiles(p), ndtri(p)
+    assert q[4999] == ref[4999] == 0.0
+    nonzero = ref != 0.0
+    assert np.all(np.abs(q - ref)[nonzero] <= 2e-15 * np.abs(ref[nonzero]))
+
+
+def test_poisson_dk_rows_against_scipy():
+    # log pmf = -t + m log t - log m! cancels terms of size t log t, so a
+    # last-bit change in log m! moves a row by about t log t ulps
+    t = 1.0
+    while t <= 1024.0:
+        assert poisson_exact_dK(t) == pytest.approx(poisson_dk_scipy(t), rel=1e-11)
+        t *= 2.0

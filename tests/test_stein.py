@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,18 @@ def test_normal_cdf_values():
     assert normal_cdf(0.0) == 0.5
     # high-precision quadrature oracle: 0.97500210485177956586
     assert abs(normal_cdf(1.96) - 0.9750021048517796) < 1e-13
+
+
+def test_normal_cdf_matches_ndtr():
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(8)
+    for x in (rng.normal(size=100_000), rng.uniform(-37.5, 8.5, size=100_000)):
+        phi, ref = normal_cdf(x), ndtr(x)
+        assert np.all(np.abs(phi - ref) <= 2.3e-16)
+        assert np.all(np.abs(phi - ref) <= 1e-13 * ref)
+    assert normal_cdf(np.array([[-1.0, 0.5]])).shape == (1, 2)
+    assert np.isnan(normal_cdf(math.nan))
 
 
 def test_normal_cdf_symmetry():
