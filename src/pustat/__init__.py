@@ -43,9 +43,8 @@ from .measure import (
     mc_integral,
     replication_rng,
     sample_point_process,
-    total_mass,
 )
-from .partitions import Partition, count_partitions, enumerate_partitions, is_valid
+from .partitions import count_partitions, enumerate_partitions
 from .stein import check_stein_properties, g, g_prime, normal_cdf
 from .ustat import (
     UStatValue,

@@ -334,13 +334,11 @@ class SteinTerms:
     dgdg_sq: MCValue  # E<DG, DG>^2
     g4: MCValue  # E G^4
     c_f: MCValue
-    sup_term: MCValue
-    sup_argmax: float
+    sup_term: MCValue  # a grid maximum over s: a lower estimate of the sup
     var_f: MCValue
     # integration by parts gives E<DG, -DL^{-1}G> = E G^2 = 1; a drift away
     # from 1 signals bias in the operator estimates
     inner_mean: MCValue = MCValue(math.nan, math.nan)
-    note: str = _SUP_NOTE
 
 
 def estimate_stein_terms(
@@ -403,9 +401,7 @@ def estimate_stein_terms(
     b = _mean_with_stderr(ipdg)
     c = _mean_with_stderr(g4)
     c_f = _cf_value(a, b, c)
-    col_means = sup_mat.mean(axis=0)
-    best = int(np.argmax(col_means))
-    sup = _mean_with_stderr(sup_mat[:, best])
+    sup = _mean_with_stderr(sup_mat[:, int(np.argmax(sup_mat.mean(axis=0)))])
     return SteinTerms(
         t1=t1,
         t2=t2,
@@ -414,7 +410,6 @@ def estimate_stein_terms(
         g4=c,
         c_f=c_f,
         sup_term=sup,
-        sup_argmax=float(grid[best]),
         var_f=var_f,
         inner_mean=_mean_with_stderr(ip1),
     )
@@ -479,7 +474,7 @@ class BoundReport:
             "t2": _mcv(th.t2) if th else None,
             "c_f": _mcv(th.c_f) if th else None,
             "sup_term": _mcv(th.sup_term) if th else None,
-            "sup_term_note": th.note if th else None,
+            "sup_term_note": _SUP_NOTE if th else None,
             "unreliable": [list(ij) for ij in self.unreliable],
         }
 
@@ -489,13 +484,10 @@ def bound_report(
     intensity: IntensitySpec,
     *,
     seed: int,
-    m_samples: int = 200_000,
-    var_samples: int = 200_000,
+    mc_samples: int = 200_000,
     with_rij: bool = False,
-    rij_reps: int = 2000,
-    rij_z_samples: int = 256,
     with_stein_terms: bool = False,
-    term_reps: int = 2000,
+    reps: int = 2000,
     z_samples: int = 128,
     mc: Optional[MarginalIntegration] = None,
 ) -> BoundReport:
@@ -505,7 +497,10 @@ def bound_report(
     Var F from (0,), each M_ij with i <= j from (1, i, j), the R matrix
     from (2,) and the Stein terms from (3,).  So the report is reproducible
     and individual stages are independent.
-    ``m_samples`` is the number of draws per contraction-class integral.
+    ``mc_samples`` is the number of draws of each Var F integral and of
+    each contraction-class integral.  The R matrix and the Stein terms each
+    take ``reps`` replications; the Stein terms draw ``z_samples`` z per
+    replication, and R the 256 of ``estimate_Rij``.
     Each M_ij stream is passed to ``compute_Mij`` as a SeedSequence, so
     reports at several t for one kernel, box and seed integrate each class
     once and rescale it by its power of t.
@@ -514,15 +509,16 @@ def bound_report(
     """
     k = kernel.order
     check_order(k)
-    if with_rij:
-        _check_replication_args(rij_reps, rij_z_samples, rij_order=k)
-    if with_stein_terms:
-        _check_replication_args(term_reps, z_samples)
+    if with_rij or with_stein_terms:
+        # only the Stein terms read z_samples
+        _check_replication_args(
+            reps, z_samples if with_stein_terms else 1, rij_order=k if with_rij else None
+        )
 
     def _stream(*key):
         return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
-    vr = variance_from_kernels(kernel, intensity, mc_samples=var_samples, rng=_stream(0), mc=mc)
+    vr = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_stream(0), mc=mc)
     var_f = MCValue(vr.variance, vr.stderr)
 
     # M_ji = M_ij: integrate i <= j and mirror
@@ -531,7 +527,7 @@ def bound_report(
         for j in range(i, k + 1):
             stream = np.random.SeedSequence(int(seed), spawn_key=(1, i, j))
             m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
-                kernel, intensity, i, j, samples=m_samples, rng=stream, mc=mc
+                kernel, intensity, i, j, samples=mc_samples, rng=stream, mc=mc
             )
     unreliable = tuple(
         (i + 1, j + 1)
@@ -542,16 +538,14 @@ def bound_report(
 
     r = None
     if with_rij:
-        r = estimate_Rij(
-            kernel, intensity, reps=rij_reps, z_samples=rij_z_samples, rng=_stream(2)
-        )
+        r = estimate_Rij(kernel, intensity, reps=reps, rng=_stream(2))
 
     stein_terms = None
     if with_stein_terms:
         stein_terms = estimate_stein_terms(
             kernel,
             intensity,
-            reps=term_reps,
+            reps=reps,
             z_samples=z_samples,
             rng=_stream(3),
             var_f=var_f,

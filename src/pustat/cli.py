@@ -20,7 +20,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -82,12 +83,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_text(path: Optional[str], text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_lines(path: Optional[str], lines: Iterable[str]):
+    """Write each of ``lines`` and a newline to ``path`` (default stdout),
+    as the iterable yields them."""
+    fh = sys.stdout if path is None else open(path, "w")
+    try:
+        fh.writelines(line + "\n" for line in lines)
+    finally:
+        if path is not None:
+            fh.close()
 
 
 def _parse_box(spec: Optional[str], dim: int):
@@ -151,7 +155,7 @@ def _cmd_sample(args) -> int:
     lines = [",".join(f"x{c + 1}" for c in range(cfg.dim))]
     for row in cfg.points:
         lines.append(",".join(_fmt(float(v)) for v in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -181,7 +185,7 @@ def _cmd_ustat(args) -> int:
         "standardized_value",
     ]
     lines.extend(_fmt(float(v)) for v in vals)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -199,15 +203,13 @@ def _cmd_bound(args) -> int:
         kernel,
         intensity,
         seed=args.seed,
-        m_samples=args.mc_samples,
-        var_samples=args.mc_samples,
+        mc_samples=args.mc_samples,
         with_rij=args.rij,
-        rij_reps=args.reps,
         with_stein_terms=args.stein_terms,
-        term_reps=args.reps,
+        reps=args.reps,
         z_samples=args.z_samples,
     )
-    _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2)])
     if args.strict and report.unreliable:
         print(
             f"error: unreliable M_ij estimates at {list(report.unreliable)}",
@@ -217,17 +219,21 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _partition_line(partition) -> str:
+    return " ".join("{" + ", ".join(f"{g}:{s}" for g, s in block) + "}" for block in partition)
+
+
 def _cmd_partitions(args) -> int:
+    # both calls check (i, j) before anything is written
     parts = enumerate_partitions(args.i, args.j)
-    lines = [f"count={count_partitions(args.i, args.j)}"]
-    lines.extend(str(p) for p in parts)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    head = f"count={count_partitions(args.i, args.j)}"
+    _write_lines(args.out, chain([head], map(_partition_line, parts)))
     return 0
 
 
 def _cmd_stein_check(args) -> int:
     report = check_stein_properties()
-    _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2)])
     return 0
 
 
@@ -240,7 +246,7 @@ def _cmd_berry_esseen(args) -> int:
         dk = poisson_exact_dK(t)
         lines.append(f"{_fmt(t)},{_fmt(dk)},{_fmt(8.0 / math.sqrt(t))}")
         t *= 2.0
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -341,10 +347,9 @@ def _cmd_experiment(args) -> int:
             kernel,
             intensity,
             seed=cfg["seed"],
-            m_samples=cfg["mc_samples"],
-            var_samples=cfg["mc_samples"],
+            mc_samples=cfg["mc_samples"],
             with_stein_terms=cfg["stein_terms"],
-            term_reps=cfg["term_reps"],
+            reps=cfg["term_reps"],
             z_samples=cfg["z_samples"],
         )
         # standardize by the Var F the row prints
@@ -373,7 +378,7 @@ def _cmd_experiment(args) -> int:
             _fmt(th.sup_term.stderr) if th else "",
         ]
         rows.append(",".join(cells))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    _write_lines(args.out, rows)
     return 0
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "NumericalError",
     "IntensitySpec",
     "PointConfiguration",
-    "total_mass",
     "sample_point_process",
     "sample_points",
     "mc_integral",
@@ -157,20 +156,6 @@ class IntensitySpec:
         est = float(vals.mean()) * self.volume
         se = float(vals.std(ddof=1)) / math.sqrt(samples) * self.volume
         return est, se
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
-
-
-def total_mass(intensity: IntensitySpec) -> float:
-    """t times the density integral over the box.
-
-    Exact for constant densities or a supplied analytic integral; otherwise
-    the cached Monte Carlo estimate whose standard error is available as
-    ``intensity.total_mass_stderr``.
-    """
-    return intensity.total_mass
 
 
 def sample_points(intensity: IntensitySpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,8 @@ Enumeration walks restricted-growth strings over the canonical variable
 order (groups ascending, slots ascending), pruning same-group collisions as
 labels are assigned; block sizes and connectivity are checked on completed
 strings.  The output order is the lexicographic order of the growth strings
-and is deterministic.
+and is deterministic.  The walk is a generator that holds one string at a
+time, so its memory does not grow with the count (18,365,184 for (4, 4)).
 
 A partition's contracted integral depends only on the multiset of its
 blocks' group masks (bit g-1 set when the block holds a variable of group
@@ -29,18 +30,13 @@ building any partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from typing import Tuple
+from typing import Iterator, Tuple
 
 __all__ = [
-    "PartitionVariable",
-    "Partition",
-    "variables",
     "enumerate_partitions",
     "count_partitions",
-    "is_valid",
     "contraction_classes",
     "check_order",
     "MAX_GROUP_SIZE",
@@ -54,41 +50,6 @@ MAX_GROUP_SIZE = 4
 _SEPARATORS = tuple(a for a in range(1, 15) if a & 1)
 # group masks a block can carry: at least two groups
 _BLOCK_MASKS = tuple(m for m in range(1, 16) if bin(m).count("1") >= 2)
-
-
-@dataclass(frozen=True, order=True)
-class PartitionVariable:
-    """One tensor-product variable: group in 1..4, slot within its group."""
-
-    group: int
-    slot: int
-
-    def __str__(self) -> str:
-        return f"{self.group}:{self.slot}"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks of variables covering all 2i + 2j of them."""
-
-    blocks: Tuple[Tuple[PartitionVariable, ...], ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def __str__(self) -> str:
-        return " ".join("{" + ", ".join(str(v) for v in block) + "}" for block in self.blocks)
-
-
-def variables(i: int, j: int) -> Tuple[PartitionVariable, ...]:
-    """Canonical variable order: groups ascending, slots ascending."""
-    sizes = (i, i, j, j)
-    return tuple(
-        PartitionVariable(g, s)
-        for g, size in zip((1, 2, 3, 4), sizes)
-        for s in range(1, size + 1)
-    )
 
 
 def _check_sizes(i: int, j: int):
@@ -112,28 +73,26 @@ def _connected(masks) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def enumerate_partitions(i: int, j: int) -> Tuple[Partition, ...]:
-    """All valid partitions for group sizes (i, i, j, j), in canonical order."""
+def enumerate_partitions(i: int, j: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """The valid partitions for group sizes (i, i, j, j), one at a time, in
+    canonical order.  A partition is a tuple of blocks and a block a tuple
+    of (group, slot) pairs in variable order.  The sizes are checked at the
+    call, before the first partition is asked for."""
     _check_sizes(i, j)
-    vars_ = variables(i, j)
-    group_bits = tuple(1 << (v.group - 1) for v in vars_)
+    vars_ = tuple((g, s) for g, size in zip((1, 2, 3, 4), (i, i, j, j)) for s in range(1, size + 1))
+    group_bits = tuple(1 << (g - 1) for g, _ in vars_)
     n = len(vars_)
-    out = []
     assign = [0] * n
     masks: list = []
     sizes: list = []
 
-    def _emit():
-        blocks = [[] for _ in masks]
-        for v, b in zip(vars_, assign):
-            blocks[b].append(v)
-        out.append(Partition(tuple(tuple(b) for b in blocks)))
-
     def _rec(v: int):
         if v == n:
             if min(sizes) >= 2 and _connected(masks):
-                _emit()
+                blocks = [[] for _ in masks]
+                for var, b in zip(vars_, assign):
+                    blocks[b].append(var)
+                yield tuple(map(tuple, blocks))
             return
         # every remaining variable can close at most one singleton block
         if sum(1 for s in sizes if s == 1) > n - v:
@@ -145,18 +104,17 @@ def enumerate_partitions(i: int, j: int) -> Tuple[Partition, ...]:
             masks[b] |= g
             sizes[b] += 1
             assign[v] = b
-            _rec(v + 1)
+            yield from _rec(v + 1)
             masks[b] ^= g
             sizes[b] -= 1
         masks.append(g)
         sizes.append(1)
         assign[v] = len(masks) - 1
-        _rec(v + 1)
+        yield from _rec(v + 1)
         masks.pop()
         sizes.pop()
 
-    _rec(0)
-    return tuple(out)
+    return _rec(0)
 
 
 @lru_cache(maxsize=None)
@@ -195,33 +153,5 @@ def contraction_classes(i: int, j: int) -> Tuple[Tuple[Tuple[int, ...], int], ..
 
 
 def count_partitions(i: int, j: int) -> int:
-    return len(enumerate_partitions(i, j))
-
-
-def is_valid(partition: Partition, i: int, j: int) -> bool:
-    """Check the three defining constraints; raise on a malformed partition."""
-    _check_sizes(i, j)
-    expected = set(variables(i, j))
-    seen: set = set()
-    for block in partition.blocks:
-        if not block:
-            raise ValueError("empty block")
-        for v in block:
-            if v in seen:
-                raise ValueError(f"variable {v} appears in two blocks")
-            seen.add(v)
-    if seen != expected:
-        raise ValueError("blocks do not cover the variable set exactly")
-
-    masks = []
-    for block in partition.blocks:
-        if len(block) < 2:
-            return False
-        mask = 0
-        for v in block:
-            bit = 1 << (v.group - 1)
-            if mask & bit:
-                return False
-            mask |= bit
-        masks.append(mask)
-    return _connected(masks)
+    """The number of valid partitions: the weight sum of the contraction classes."""
+    return sum(weight for _, weight in contraction_classes(i, j))

@@ -61,11 +61,8 @@ def test_02_partition_oracle():
     with criterion("2 partition enumeration matches brute force (2i+2j <= 12)"):
         expected = brute_force_partitions_multi(cases)
         for i, j in cases:
-            got = enumerate_partitions(i, j)
-            canon = {
-                frozenset(frozenset((v.group, v.slot) for v in block) for block in p.blocks)
-                for p in got
-            }
+            got = tuple(enumerate_partitions(i, j))
+            canon = {frozenset(frozenset(block) for block in p) for p in got}
             assert len(canon) == len(got)  # no duplicates
             assert canon == expected[(i, j)]
         assert count_partitions(1, 1) == 1
@@ -79,7 +76,7 @@ def test_03_counting_kernel_closed_forms():
         m11 = compute_Mij(kernel, spec, 1, 1, samples=1000)
         assert abs(m11.value - t) <= 4.0 * m11.stderr + TINY
 
-        rep = bound_report(kernel, spec, seed=101, m_samples=1000, var_samples=1000)
+        rep = bound_report(kernel, spec, seed=101, mc_samples=1000)
         assert abs(rep.dk.value - 19.0 / math.sqrt(t)) <= 1e-12 * rep.dk.value
         assert abs(rep.dw.value - 2.0 / math.sqrt(t)) <= 1e-12 * rep.dw.value
 
@@ -130,8 +127,7 @@ def test_05_bound_certification():
     with criterion("5 bound certification for the radius-0.05 indicator"):
         for t in (50.0, 100.0, 200.0):
             spec = IntensitySpec(UNIT, t=t)
-            rep = bound_report(kernel, spec, seed=31, m_samples=200_000,
-                               var_samples=200_000)
+            rep = bound_report(kernel, spec, seed=31, mc_samples=200_000)
             vals = _standardized_samples(kernel, spec, 10_000, 41, rep.var_f.value)
             dk_emp = empirical_dK(vals)
             dw_emp = empirical_dW(vals)

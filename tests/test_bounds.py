@@ -92,7 +92,7 @@ def test_m_matrix_symmetric_within_errors(rng):
     a = compute_Mij(k, spec, 1, 2, samples=20_000, rng=np.random.default_rng(5))
     b = compute_Mij(k, spec, 2, 1, samples=20_000, rng=np.random.default_rng(5))
     assert a == b
-    rep = bound_report(k, spec, seed=2, m_samples=5000, var_samples=5000)
+    rep = bound_report(k, spec, seed=2, mc_samples=5000)
     assert rep.m[0][1] == rep.m[1][0]
     assert rep.to_dict()["m"][0][1] == rep.to_dict()["m"][1][0]
 
@@ -108,7 +108,7 @@ def test_m_constant_kernel_exact_high_order(order):
     c = 1.5
     spec = IntensitySpec(UNIT, t=2.0)
     mass = spec.total_mass
-    rep = bound_report(make_constant(c, order), spec, seed=1, m_samples=1000, var_samples=1000)
+    rep = bound_report(make_constant(c, order), spec, seed=1, mc_samples=1000)
     for i in range(1, order + 1):
         for j in range(1, order + 1):
             fi = math.comb(order, i) * c * mass ** (order - i)
@@ -254,7 +254,7 @@ def test_m_order_cap():
     with pytest.raises(ValueError, match="capped"):
         compute_Mij(make_constant(1.0, 5), spec, 1, 1, samples=10)
     with pytest.raises(ValueError, match="capped"):
-        bound_report(make_constant(1.0, 5), spec, seed=1, m_samples=10, var_samples=10)
+        bound_report(make_constant(1.0, 5), spec, seed=1, mc_samples=10)
 
 
 def test_m_nonnegative(rng):
@@ -426,8 +426,8 @@ def test_r_order_guard(rng):
 
 def test_r_matrix_symmetric():
     spec = IntensitySpec(UNIT, t=20.0)
-    rep = bound_report(make_geometric_indicator(0.1), spec, seed=5, m_samples=2000,
-                       var_samples=2000, with_rij=True, rij_reps=100, rij_z_samples=32)
+    rep = bound_report(make_geometric_indicator(0.1), spec, seed=5, mc_samples=2000,
+                       with_rij=True, reps=100)
     assert rep.r[0][1] == rep.r[1][0]
     assert rep.r[0][1].stderr > 0.0
     r = rep.to_dict()["r"]
@@ -453,10 +453,10 @@ def test_bound_report_checks_replication_args_first(monkeypatch):
     k = make_geometric_indicator(0.05)
     with pytest.raises(ValueError, match="z_samples"):
         bound_report(k, spec, seed=1, with_stein_terms=True, z_samples=0)
-    with pytest.raises(ValueError, match="z_samples"):
-        bound_report(k, spec, seed=1, with_rij=True, rij_z_samples=0)
     with pytest.raises(ValueError, match="reps"):
-        bound_report(k, spec, seed=1, with_stein_terms=True, term_reps=1)
+        bound_report(k, spec, seed=1, with_stein_terms=True, reps=1)
+    with pytest.raises(ValueError, match="reps"):
+        bound_report(k, spec, seed=1, with_rij=True, reps=1)
     with pytest.raises(ValueError, match="order <= 2"):
         bound_report(make_constant(1.0, 3), spec, seed=1, with_rij=True)
 
@@ -570,13 +570,11 @@ def test_two_dimensional_mc_fallback(rng):
 def test_bound_report_schema_and_reproducibility():
     spec = IntensitySpec(UNIT, t=20.0)
     k = make_geometric_indicator(0.1)
-    a = bound_report(k, spec, seed=11, m_samples=5000, var_samples=5000,
-                     with_rij=True, rij_reps=100, rij_z_samples=32,
-                     with_stein_terms=True, term_reps=100, z_samples=16)
+    a = bound_report(k, spec, seed=11, mc_samples=5000,
+                     with_rij=True, with_stein_terms=True, reps=100, z_samples=16)
     spec_b = IntensitySpec(UNIT, t=20.0)
-    b = bound_report(k, spec_b, seed=11, m_samples=5000, var_samples=5000,
-                     with_rij=True, rij_reps=100, rij_z_samples=32,
-                     with_stein_terms=True, term_reps=100, z_samples=16)
+    b = bound_report(k, spec_b, seed=11, mc_samples=5000,
+                     with_rij=True, with_stein_terms=True, reps=100, z_samples=16)
     da, db = a.to_dict(), b.to_dict()
     assert json.dumps(da) == json.dumps(db)
     for key in ("var_f", "m", "r", "dk_bound", "dw_bound", "fourth_moment_bound",
@@ -588,7 +586,7 @@ def test_bound_report_schema_and_reproducibility():
 
 def test_bound_report_count_closed_forms():
     spec = IntensitySpec(UNIT, t=400.0)
-    rep = bound_report(make_count(), spec, seed=7, m_samples=500, var_samples=500)
+    rep = bound_report(make_count(), spec, seed=7, mc_samples=500)
     assert rep.dk.value == pytest.approx(0.95, abs=1e-13)
     assert rep.dw.value == pytest.approx(0.1, abs=1e-14)
     assert rep.fourth_moment.value == pytest.approx(400.0 + 3 * 400.0**2, rel=1e-14)
@@ -603,7 +601,7 @@ def test_certification_smoke(rng):
     t = 50.0
     spec = IntensitySpec(UNIT, t=t)
     k = make_geometric_indicator(0.05)
-    rep = bound_report(k, spec, seed=3, m_samples=50_000, var_samples=50_000)
+    rep = bound_report(k, spec, seed=3, mc_samples=50_000)
     ef = k.full_integral(spec)
     sigma = math.sqrt(rep.var_f.value)
     vals = np.empty(2000)

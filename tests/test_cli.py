@@ -56,6 +56,34 @@ def test_partitions_against_oracle(capsys):
     assert len(lines) == 1 + len(brute_force_partitions(1, 2))
 
 
+def test_partitions_stream_in_growth_order(capsys):
+    code, out, _ = _run(capsys, "partitions", "2", "3")
+    assert code == 0
+    head, *lines = out.splitlines()
+    expected = brute_force_partitions(2, 3)
+    assert head == f"count={len(expected)}"
+    order = [(g, s) for g, size in zip((1, 2, 3, 4), (2, 2, 3, 3)) for s in range(1, size + 1)]
+    strings, parts = [], set()
+    for line in lines:
+        blocks = [
+            [tuple(map(int, v.split(":"))) for v in block.split(", ")]
+            for block in line[1:-1].split("} {")
+        ]
+        label = {v: b for b, block in enumerate(blocks) for v in block}
+        strings.append([label[v] for v in order])
+        parts.add(frozenset(frozenset(block) for block in blocks))
+    assert all(a < b for a, b in zip(strings, strings[1:]))
+    assert parts == expected
+
+
+@pytest.mark.parametrize("i, j", [(5, 1), (1, 0)])
+def test_partitions_size_cap_exits_2(capsys, i, j):
+    code, out, err = _run(capsys, "partitions", str(i), str(j))
+    assert code == 2
+    assert out == ""
+    assert "group sizes" in err
+
+
 def test_bound_count_json(capsys):
     code, out, _ = _run(capsys, "bound", "--kernel", "count", "--t", "400",
                         "--seed", "7", "--mc-samples", "1000")

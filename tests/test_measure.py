@@ -11,28 +11,27 @@ from pustat.measure import (
     mc_integral,
     replication_rng,
     sample_point_process,
-    total_mass,
 )
 
 UNIT = [(0.0, 1.0)]
 
 
 def test_total_mass_constant_density():
-    assert total_mass(IntensitySpec(UNIT, t=5.0)) == 5.0
-    assert total_mass(IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0)) == 2.0
+    assert IntensitySpec(UNIT, t=5.0).total_mass == 5.0
+    assert IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0).total_mass == 2.0
 
 
 def test_total_mass_analytic_density():
     # density(x) = 2x integrates to 1 on [0,1]
     spec = IntensitySpec(UNIT, t=3.0, density=lambda p: 2.0 * p[:, 0], density_sup=2.0,
                          base_integral=1.0)
-    assert total_mass(spec) == 3.0
+    assert spec.total_mass == 3.0
     assert spec.total_mass_stderr == 0.0
 
 
 def test_total_mass_mc_density():
     spec = IntensitySpec(UNIT, t=3.0, density=lambda p: 2.0 * p[:, 0], density_sup=2.0)
-    assert abs(total_mass(spec) - 3.0) <= 4.0 * spec.total_mass_stderr
+    assert abs(spec.total_mass - 3.0) <= 4.0 * spec.total_mass_stderr
     assert spec.total_mass_stderr > 0.0
 
 

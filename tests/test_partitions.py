@@ -1,17 +1,15 @@
+import time
 from collections import Counter
 
 import pytest
 
+from pustat.cli import _partition_line
 from pustat.partitions import (
     MAX_GROUP_SIZE,
-    Partition,
-    PartitionVariable,
     check_order,
     contraction_classes,
     count_partitions,
     enumerate_partitions,
-    is_valid,
-    variables,
 )
 
 from oracles import (
@@ -24,22 +22,23 @@ from oracles import (
 
 
 def _canonical(parts):
-    return {frozenset(frozenset((v.group, v.slot) for v in block) for block in p.blocks) for p in parts}
+    return {frozenset(frozenset(block) for block in p) for p in parts}
 
 
 def test_one_one_single_partition():
-    parts = enumerate_partitions(1, 1)
+    parts = tuple(enumerate_partitions(1, 1))
     assert len(parts) == 1
-    assert parts[0].num_blocks == 1
-    assert set(parts[0].blocks[0]) == set(variables(1, 1))
+    assert len(parts[0]) == 1
+    assert set(parts[0][0]) == {(1, 1), (2, 1), (3, 1), (4, 1)}
 
 
 def test_small_cases_match_brute_force():
-    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
         expected = brute_force_partitions(i, j)
-        got = enumerate_partitions(i, j)
+        got = tuple(enumerate_partitions(i, j))
         assert len(got) == len(expected)
         assert _canonical(got) == expected
+        assert count_partitions(i, j) == len(expected)
 
 
 def test_array_oracle_matches_python_walk():
@@ -53,70 +52,53 @@ def test_array_oracle_matches_python_walk():
         assert len(fast[(i, j)]) > 0
 
 
-def test_every_output_is_valid():
-    for i, j in ((1, 2), (2, 2), (3, 1)):
-        for p in enumerate_partitions(i, j):
-            assert is_valid(p, i, j)
-
-
 def test_counts_symmetric():
-    # the group relabeling (1,2) <-> (3,4) is a bijection between the classes;
-    # sizes with 2i+2j > 12 are reachable but too slow for routine testing
-    for i in range(1, 5):
-        for j in range(1, 5):
-            if 2 * i + 2 * j <= 12:
-                assert count_partitions(i, j) == count_partitions(j, i)
+    # the group relabeling (1,2) <-> (3,4) is a bijection between the classes
+    for i in range(1, MAX_GROUP_SIZE + 1):
+        for j in range(1, MAX_GROUP_SIZE + 1):
+            assert count_partitions(i, j) == count_partitions(j, i)
 
 
 def test_block_sizes_bounded():
     # a block holds at most one variable per group
     for i, j in ((2, 2), (1, 4), (3, 2)):
         for p in enumerate_partitions(i, j):
-            for block in p.blocks:
+            for block in p:
                 assert 2 <= len(block) <= 4
 
 
 def test_deterministic_ordering():
-    a = enumerate_partitions(2, 3)
-    b = enumerate_partitions(2, 3)
-    assert [str(p) for p in a] == [str(p) for p in b]
+    a = list(enumerate_partitions(2, 3))
+    b = list(enumerate_partitions(2, 3))
+    assert a == b
 
 
 def test_size_cap():
+    # refused at the call, before the first partition is asked for
     with pytest.raises(ValueError):
         enumerate_partitions(5, 1)
     with pytest.raises(ValueError):
         enumerate_partitions(1, 0)
-
-
-def _p(*blocks):
-    return Partition(tuple(tuple(PartitionVariable(g, s) for g, s in b) for b in blocks))
-
-
-def test_is_valid_explicit_cases():
-    # all four singleton-group variables in one block: valid
-    assert is_valid(_p(((1, 1), (2, 1), (3, 1), (4, 1))), 1, 1)
-    # split into {1,2} x {3,4}: disconnected
-    assert not is_valid(_p(((1, 1), (2, 1)), ((3, 1), (4, 1))), 1, 1)
-    # same group twice in one block
-    bad = _p(((1, 1), (3, 1), (3, 2)), ((2, 1), (4, 1), (4, 2)))
-    assert not is_valid(bad, 1, 2)
-    # a singleton block
-    assert not is_valid(_p(((1, 1), (2, 1), (3, 1)), ((4, 1),)), 1, 1)
-
-
-def test_is_valid_rejects_malformed():
     with pytest.raises(ValueError):
-        is_valid(_p(((1, 1), (2, 1))), 1, 1)  # missing variables
-    with pytest.raises(ValueError):
-        is_valid(
-            _p(((1, 1), (2, 1), (3, 1), (4, 1)), ((1, 1), (2, 1))), 1, 1
-        )  # duplicated variable
+        count_partitions(5, 1)
+
+
+def test_largest_case_streams():
+    # M_44's count comes from its 130 classes; its first partition needs
+    # none of the other 18,365,183
+    assert count_partitions(4, 4) == 18_365_184
+    start = time.perf_counter()
+    parts = enumerate_partitions(4, 4)
+    first = next(parts)
+    assert time.perf_counter() - start < 1.0
+    assert iter(parts) is parts
+    assert first == tuple(tuple((g, s) for g in (1, 2, 3, 4)) for s in (1, 2, 3, 4))
 
 
 def test_partition_rendering():
     (p,) = enumerate_partitions(1, 1)
-    assert str(p) == "{1:1, 2:1, 3:1, 4:1}"
+    assert p == (((1, 1), (2, 1), (3, 1), (4, 1)),)
+    assert _partition_line(p) == "{1:1, 2:1, 3:1, 4:1}"
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +109,7 @@ SMALL_CASES = [(i, j) for i in range(1, 5) for j in range(1, 5) if 2 * i + 2 * j
 
 
 def _block_masks(p):
-    return tuple(sorted(sum(1 << (v.group - 1) for v in block) for block in p.blocks))
+    return tuple(sorted(sum(1 << (g - 1) for g, _ in block) for block in p))
 
 
 @pytest.mark.parametrize("i, j", SMALL_CASES)
