@@ -22,7 +22,6 @@ from .bounds import (
 from .chaos import (
     MCValue,
     kernel_empirical,
-    kernel_f_i,
     variance_from_kernels,
     wiener_ito_I1,
 )

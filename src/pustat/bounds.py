@@ -8,11 +8,11 @@ The computable core is the family of partition-indexed integrals
 where fbar_i are the chaos kernels of |f| (``kernel.absolute``) and the
 contraction replaces all variables sharing a block of p by one integration
 variable.  The integral of p depends only on the multiset of its blocks'
-group masks, so ``compute_Mij`` runs one integral per contraction class
-(``partitions.contraction_classes``) and weights it by the number of
-partitions in the class.  A class is a monomial in t, so it is integrated
-at t = 1 and scaled.  M_ij = M_ji; ``bound_report`` integrates i <= j
-only and mirrors the result.  From these and Var F:
+group masks, so ``compute_Mij`` passes the contraction classes
+(``partitions.contraction_classes``), weighted by their numbers of
+partitions, to ``chaos.contraction_sum``, the integrator that Var F uses
+too.  M_ij = M_ji; ``bound_report`` integrates i <= j only and mirrors
+the result.  From these and Var F:
 
     dK <= 19 k^5     * sum_{i,j}    sqrt(M_ij) / Var F,
     dW <=  2 k^{7/2} * sum_{i<=j}   sqrt(M_ij) / Var F,
@@ -34,14 +34,14 @@ of sup_s E<D 1(G > s), DG |DL^{-1}G|>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .chaos import MCValue, chaos_kernel_values, variance_from_kernels
+from .chaos import MCValue, chaos_kernel_values, contraction_sum, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
-from .measure import IntensitySpec, NumericalError, mc_integral, sample_points
+from .measure import IntensitySpec, sample_points
 from .partitions import check_order, contraction_classes
 from .ustat import (
     _inverse_ou_lower_costs,
@@ -83,19 +83,15 @@ def compute_Mij(
     """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
 
     M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
-    stream.  Each class integrates over box^{number of blocks} with
-    ``samples`` draws; group a of the integrand evaluates its chaos kernel
-    of |f| at the blocks whose mask holds bit a, and the four factors
-    multiply.  Since mu_t = t mu_1, a class with B blocks is t^p times its
-    integral against mu_1, with p = B + 2(k - i) + 2(k - j); so each class
-    is integrated once at unit scale, on the same box and density, and
-    scaled.  Class estimates add with their weights, and their standard
-    errors combine in quadrature.
+    stream.  The classes of ``contraction_classes(i, j)`` join the groups
+    (i, i, j, j) of chaos kernels of |f|, and ``contraction_sum`` integrates
+    each once at unit scale with ``samples`` draws and rescales it by its
+    power of t.
 
     ``rng`` is a Generator, consumed as given, or a SeedSequence (the
-    default is (0xB0D5, spawn key (i, j))).  A SeedSequence is a value, so
-    the unit-scale class integrals it gives are kept in the kernel's cache,
-    and a call at another t on the same stream only rescales them.
+    default is (0xB0D5, spawn key (i, j))), whose class integrals are
+    cached on the kernel of |f|: a call at another t on the same stream
+    only rescales them.
     """
     k = kernel.order
     check_order(k)
@@ -104,85 +100,9 @@ def compute_Mij(
     i, j = min(i, j), max(i, j)
     if rng is None:
         rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
-    mc = mc or MarginalIntegration()
-    if isinstance(rng, np.random.SeedSequence):
-        entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
-        key = (
-            "M_ij",
-            intensity.box,
-            intensity.density,
-            intensity.density_sup,
-            intensity.base_integral,
-            i,
-            j,
-            samples,
-            mc,
-            entropy,
-            rng.spawn_key,
-            rng.pool_size,
-        )
-        cache = kernel._integral_cache
-        if key not in cache:
-            cache[key] = _unit_class_integrals(
-                kernel, intensity, i, j, samples, np.random.default_rng(rng), mc
-            )
-        classes = cache[key]
-    else:
-        classes = _unit_class_integrals(kernel, intensity, i, j, samples, rng, mc)
-    t = intensity.t
-    total = 0.0
-    var_acc = 0.0
-    for weight, power, est, se in classes:
-        try:
-            scale = weight * t**power
-        except OverflowError:
-            scale = math.inf
-        total += scale * est
-        var_acc += (scale * se) * (scale * se)
-    if not (math.isfinite(total) and math.isfinite(var_acc)):
-        raise NumericalError(f"non-finite M_{i}{j} at t={t:g}")
-    return MCValue(total, math.sqrt(var_acc))
-
-
-def _unit_class_integrals(
-    kernel: SymmetricKernel,
-    intensity: IntensitySpec,
-    i: int,
-    j: int,
-    samples: int,
-    rng: np.random.Generator,
-    mc: MarginalIntegration,
-) -> Tuple[Tuple[float, int, float, float], ...]:
-    """(weight, power of t, estimate, stderr) of each contraction class of
-    M_ij, integrated against mu_1 on the box and density of ``intensity``."""
-    unit = IntensitySpec(
-        intensity.box,
-        t=1.0,
-        density=intensity.density,
-        density_sup=intensity.density_sup,
-        base_integral=intensity.base_integral,
-    )
-    k = kernel.order
-    absolute = kernel.absolute
-    sizes = (i, i, j, j)
-    # independent fallback draws per factor keep the product unbiased
-    factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
-    out = []
-    for masks, weight in contraction_classes(i, j):
-        columns = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(4)]
-
-        def integrand(w, columns=columns):
-            vals = np.ones(len(w))
-            for size, idx, mc_a in zip(sizes, columns, factor_mc):
-                fv, _ = chaos_kernel_values(absolute, unit, size, w[:, idx, :], mc=mc_a)
-                vals = vals * fv
-            return vals
-
-        est, se = mc_integral(integrand, unit, len(masks), samples, rng)
-        if not math.isfinite(est):
-            raise NumericalError(f"non-finite contraction-class integral for M_{i}{j}")
-        out.append((weight, len(masks) + 2 * (k - i) + 2 * (k - j), est, se))
-    return tuple(out)
+    classes = tuple(((i, i, j, j), masks, weight) for masks, weight in contraction_classes(i, j))
+    return contraction_sum(kernel.absolute, intensity, classes, samples=samples, rng=rng,
+                           mc=mc or MarginalIntegration(), name=f"M_{i}{j}")
 
 
 class BoundValue(NamedTuple):
@@ -335,10 +255,9 @@ class SteinTerms:
     g4: MCValue  # E G^4
     c_f: MCValue
     sup_term: MCValue  # a grid maximum over s: a lower estimate of the sup
-    var_f: MCValue
     # integration by parts gives E<DG, -DL^{-1}G> = E G^2 = 1; a drift away
     # from 1 signals bias in the operator estimates
-    inner_mean: MCValue = MCValue(math.nan, math.nan)
+    inner_mean: MCValue
 
 
 def estimate_stein_terms(
@@ -365,8 +284,7 @@ def estimate_stein_terms(
     _check_replication_args(reps, z_samples)
     var_rng, z_rng = rng.spawn(2)
     if var_f is None:
-        vr = variance_from_kernels(kernel, intensity, rng=var_rng, mc=mc)
-        var_f = MCValue(vr.variance, vr.stderr)
+        var_f = variance_from_kernels(kernel, intensity, rng=var_rng, mc=mc)
     if var_f.value <= 0.0:
         raise ValueError("Var F estimate must be positive")
     sigma = math.sqrt(var_f.value)
@@ -410,7 +328,6 @@ def estimate_stein_terms(
         g4=c,
         c_f=c_f,
         sup_term=sup,
-        var_f=var_f,
         inner_mean=_mean_with_stderr(ip1),
     )
 
@@ -501,9 +418,10 @@ def bound_report(
     each contraction-class integral.  The R matrix and the Stein terms each
     take ``reps`` replications; the Stein terms draw ``z_samples`` z per
     replication, and R the 256 of ``estimate_Rij``.
-    Each M_ij stream is passed to ``compute_Mij`` as a SeedSequence, so
-    reports at several t for one kernel, box and seed integrate each class
-    once and rescale it by its power of t.
+    The Var F and M_ij streams are passed as SeedSequences, so reports at
+    several t for one kernel, box and seed integrate each class once and
+    rescale it by its power of t.  ``unreliable`` lists the (i, j), i <= j,
+    whose stderr exceeds ``UNRELIABLE_RATIO`` times the estimate.
     The replication settings of the requested stages are checked before
     the first integral.
     """
@@ -515,30 +433,28 @@ def bound_report(
             reps, z_samples if with_stein_terms else 1, rij_order=k if with_rij else None
         )
 
-    def _stream(*key):
-        return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    def _seq(*key):
+        return np.random.SeedSequence(int(seed), spawn_key=key)
 
-    vr = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_stream(0), mc=mc)
-    var_f = MCValue(vr.variance, vr.stderr)
+    var_f = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_seq(0), mc=mc)
 
     # M_ji = M_ij: integrate i <= j and mirror
     m: List[List[MCValue]] = [[None] * k for _ in range(k)]
     for i in range(1, k + 1):
         for j in range(i, k + 1):
-            stream = np.random.SeedSequence(int(seed), spawn_key=(1, i, j))
             m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
-                kernel, intensity, i, j, samples=mc_samples, rng=stream, mc=mc
+                kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j), mc=mc
             )
     unreliable = tuple(
         (i + 1, j + 1)
         for i in range(k)
-        for j in range(k)
+        for j in range(i, k)
         if m[i][j].value > 0.0 and m[i][j].stderr > UNRELIABLE_RATIO * m[i][j].value
     )
 
     r = None
     if with_rij:
-        r = estimate_Rij(kernel, intensity, reps=reps, rng=_stream(2))
+        r = estimate_Rij(kernel, intensity, reps=reps, rng=np.random.default_rng(_seq(2)))
 
     stein_terms = None
     if with_stein_terms:
@@ -547,7 +463,7 @@ def bound_report(
             intensity,
             reps=reps,
             z_samples=z_samples,
-            rng=_stream(3),
+            rng=np.random.default_rng(_seq(3)),
             var_f=var_f,
             mc=mc,
         )

@@ -6,9 +6,13 @@ For a U-statistic of order k with kernel f the i-th expansion kernel is
 
 for i = 1..k (and 0 above k).  The variance identity reads
 
-    Var F = sum_{i=1..k} i! * ||f_i||^2,     ||f_i||^2 = integral of f_i^2 dmu_t^i,
+    Var F = sum_{i=1..k} i! * ||f_i||^2,     ||f_i||^2 = integral of f_i^2 dmu_t^i.
 
-and the first-order stochastic integral has the pathwise form
+||f_i||^2 is the contraction of f_i x f_i over the i! pairings of two
+groups of i variables, so Var F and the bound terms M_ij are sums of the
+same kind: ``contraction_sum`` integrates a list of contraction classes of
+chaos kernels once per seed at unit scale and rescales them to mu_t.  The
+first-order stochastic integral has the pathwise form
 
     I_1(g) = sum_{x in eta} g(x) - integral of g dmu_t.
 
@@ -20,8 +24,8 @@ with the analytic formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from dataclasses import replace
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,10 +37,9 @@ from .ustat import _iterated_differences, replication_blocks
 __all__ = [
     "MCValue",
     "chaos_kernel_values",
-    "kernel_f_i",
+    "contraction_sum",
     "kernel_empirical",
     "variance_from_kernels",
-    "VarianceResult",
     "wiener_ito_I1",
 ]
 
@@ -72,20 +75,6 @@ def chaos_kernel_values(
     return binom * vals, binom * ses
 
 
-def kernel_f_i(
-    kernel: SymmetricKernel,
-    intensity: IntensitySpec,
-    i: int,
-    points,
-    *,
-    mc: Optional[MarginalIntegration] = None,
-) -> MCValue:
-    """f_i at a single i-tuple of points."""
-    x = np.asarray(points, dtype=float).reshape(1, i, intensity.dim)
-    vals, ses = chaos_kernel_values(kernel, intensity, i, x, mc=mc)
-    return MCValue(float(vals[0]), float(ses[0]))
-
-
 def kernel_empirical(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
@@ -109,13 +98,73 @@ def kernel_empirical(
     return MCValue(est, se)
 
 
-@dataclass
-class VarianceResult:
-    """Var F with its per-order terms i! * ||f_i||^2."""
+def contraction_sum(
+    kernel: SymmetricKernel,
+    intensity: IntensitySpec,
+    classes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...],
+    *,
+    samples: int,
+    rng: Union[np.random.Generator, np.random.SeedSequence],
+    mc: MarginalIntegration,
+    name: str,
+) -> MCValue:
+    """Sum over ``classes`` (sizes, block_masks, weight) of weight times
+    the integral of prod_a f_{sizes[a]}, one variable per block, where
+    factor a reads the blocks whose mask holds bit a and draws its fallback
+    marginals from seed ``mc.seed + 7919 (a + 1)``, independent of the others.
 
-    variance: float
-    stderr: float
-    terms: list  # MCValue per order 1..k
+    As mu_t = t mu_1 and f_s scales as t^{k - s}, a class with B blocks is
+    t^p times its integral against mu_1, p = B + sum_a (k - sizes[a]); so
+    each class is integrated at unit scale with ``samples`` draws and
+    scaled, and the stderrs combine in quadrature.  A Generator ``rng`` is
+    consumed as given; a SeedSequence is a value, so the unit-scale
+    integrals it gives are cached on ``kernel`` and another t only rescales
+    them.  ``name`` labels the NumericalError of a non-finite sum.
+    """
+    cache, key = {}, None  # a Generator's integrals are used once
+    if isinstance(rng, np.random.SeedSequence):
+        cache = kernel._integral_cache
+        entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
+        key = (classes, intensity.box, intensity.density, intensity.density_sup,
+               intensity.base_integral, samples, mc, entropy, rng.spawn_key, rng.pool_size)
+        rng = np.random.default_rng(rng)
+    if key not in cache:
+        cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng, mc)
+    k, t = kernel.order, intensity.t
+    total = var_acc = 0.0
+    for (sizes, masks, weight), (est, se) in zip(classes, cache[key]):
+        try:
+            scale = weight * t ** (len(masks) + sum(k - s for s in sizes))
+        except OverflowError:
+            scale = math.inf
+        total += scale * est
+        var_acc += (scale * se) * (scale * se)
+    if not (math.isfinite(total) and math.isfinite(var_acc)):
+        raise NumericalError(f"non-finite {name} at t={t:g}")
+    return MCValue(total, math.sqrt(var_acc))
+
+
+def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
+    """(estimate, stderr) of each class against mu_1 on the box and density
+    of ``intensity``, drawn from ``rng`` class by class."""
+    unit = IntensitySpec(intensity.box, 1.0, intensity.density, intensity.density_sup,
+                         intensity.base_integral)
+    out = []
+    for sizes, masks, _ in classes:
+        factors = [
+            (size, [b for b, m in enumerate(masks) if m >> a & 1],
+             replace(mc, seed=mc.seed + 7919 * (a + 1)))
+            for a, size in enumerate(sizes)
+        ]
+
+        def integrand(w, factors=factors):
+            vals = np.ones(len(w))
+            for size, blocks, mc_a in factors:
+                vals *= chaos_kernel_values(kernel, unit, size, w[:, blocks, :], mc=mc_a)[0]
+            return vals
+
+        out.append(mc_integral(integrand, unit, len(masks), samples, rng))
+    return out
 
 
 def variance_from_kernels(
@@ -123,39 +172,19 @@ def variance_from_kernels(
     intensity: IntensitySpec,
     *,
     mc_samples: int = 200_000,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
     mc: Optional[MarginalIntegration] = None,
-) -> VarianceResult:
-    """Var F = sum_i i! ||f_i||^2 with each norm integrated by Monte Carlo.
-
-    When f_i itself comes from the Monte Carlo marginal fallback, the square
-    is formed as a product of two estimates with independent draws, which
-    keeps the norm estimate unbiased.
+) -> MCValue:
+    """Var F = sum_i i! ||f_i||^2 by ``contraction_sum``: ||f_i||^2 is the
+    class of i blocks that each hold both groups (i, i), with weight i!.
+    The default ``rng`` is SeedSequence(0xC4A05).
     """
     k = kernel.order
     check_order(k)
-    rng = rng if rng is not None else np.random.default_rng(np.random.SeedSequence(_VARIANCE_SEED))
-    mc = mc or MarginalIntegration()
-    terms = []
-    total = 0.0
-    var_total = 0.0
-    for i in range(1, k + 1):
-
-        def _sq(x, _i=i):
-            a, _ = chaos_kernel_values(kernel, intensity, _i, x, mc=mc)
-            b, _ = chaos_kernel_values(
-                kernel, intensity, _i, x, mc=replace(mc, seed=mc.seed + 0x517),
-            )
-            return a * b
-
-        est, se = mc_integral(_sq, intensity, i, mc_samples, rng)
-        fact = math.factorial(i)
-        terms.append(MCValue(fact * est, fact * se))
-        total += fact * est
-        var_total += (fact * se) * (fact * se)
-    if not (math.isfinite(total) and math.isfinite(var_total)):
-        raise NumericalError(f"non-finite Var F at t={intensity.t:g}")
-    return VarianceResult(total, math.sqrt(var_total), terms)
+    classes = tuple(((i, i), (0b11,) * i, math.factorial(i)) for i in range(1, k + 1))
+    rng = rng if rng is not None else np.random.SeedSequence(_VARIANCE_SEED)
+    return contraction_sum(kernel, intensity, classes, samples=mc_samples, rng=rng,
+                           mc=mc or MarginalIntegration(), name="Var F")
 
 
 def wiener_ito_I1(

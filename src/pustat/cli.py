@@ -166,15 +166,13 @@ def _cmd_ustat(args) -> int:
     box = _parse_box(args.box, args.dim)
     _check_caps(kernel, len(box), reps=args.reps, mc_samples=args.mc_samples)
     intensity = _intensity(box, args.t)
-    vr = variance_from_kernels(
+    var_f = variance_from_kernels(
         kernel,
         intensity,
         mc_samples=args.mc_samples,
-        rng=np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xFE, 0))),
+        rng=np.random.SeedSequence(args.seed, spawn_key=(0xFE, 0)),
     )
-    vals, var_f = _replicate_standardized(
-        kernel, intensity, args.reps, args.seed, MCValue(vr.variance, vr.stderr)
-    )
+    vals, _ = _replicate_standardized(kernel, intensity, args.reps, args.seed, var_f)
     dk = empirical_dK(vals)
     dw = empirical_dW(vals)
     lines = [

@@ -9,7 +9,7 @@ Stein solution from direct numerical quadrature of its defining integral,
 the Wasserstein distance from a Riemann sum, the empirical distances by
 sorting and evaluating each sample anew, the Poisson Kolmogorov distance
 from high-precision arithmetic and from scipy's gammaln and ndtr, and M_ij
-from its class integrals run at the actual t instead of at unit scale.
+and Var F from their integrals run at the actual t instead of at unit scale.
 """
 
 import math
@@ -328,7 +328,7 @@ def poisson_dk_mpmath(t, m_max=None):
 
 
 # ---------------------------------------------------------------------------
-# M_ij with every contraction class integrated against mu_t itself
+# M_ij and Var F with every integral run against mu_t itself
 # ---------------------------------------------------------------------------
 
 
@@ -364,6 +364,35 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
         est, se = mc_integral(integrand, intensity, len(masks), samples, rng)
         total += weight * est
         var_acc += (weight * se) ** 2
+    return total, math.sqrt(var_acc)
+
+
+def variance_at_t(kernel, intensity, samples, rng, mc):
+    """Var F = sum_i i! ||f_i||^2, each norm the integral against mu_t of a
+    product of two chaos kernels.
+
+    Draws from ``rng`` order by order, with the factor marginal seeds of
+    ``contraction_sum`` (factor a from mc.seed + 7919 (a + 1)); no
+    rescaling in t and no cache.
+    """
+    from dataclasses import replace
+
+    from pustat.chaos import chaos_kernel_values
+    from pustat.measure import mc_integral
+
+    mc_a, mc_b = (replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(2))
+    total = 0.0
+    var_acc = 0.0
+    for i in range(1, kernel.order + 1):
+
+        def integrand(x, i=i):
+            a, _ = chaos_kernel_values(kernel, intensity, i, x, mc=mc_a)
+            b, _ = chaos_kernel_values(kernel, intensity, i, x, mc=mc_b)
+            return a * b
+
+        est, se = mc_integral(integrand, intensity, i, samples, rng)
+        total += math.factorial(i) * est
+        var_acc += (math.factorial(i) * se) ** 2
     return total, math.sqrt(var_acc)
 
 

@@ -99,8 +99,8 @@ def test_04_variance_identity():
     kernel = make_constant(1.0, 2)
     with criterion("4 variance identity for the order-2 constant kernel at t=1"):
         res = variance_from_kernels(kernel, spec, mc_samples=10_000)
-        assert abs(res.variance - 6.0) <= res.stderr + TINY
-        assert res.variance == pytest.approx(4.0 * 1.0**3 + 2.0 * 1.0**2, rel=1e-12)
+        assert abs(res.value - 6.0) <= res.stderr + TINY
+        assert res.value == pytest.approx(4.0 * 1.0**3 + 2.0 * 1.0**2, rel=1e-12)
 
         reps = 10_000
         vals = np.empty(reps)
@@ -110,7 +110,7 @@ def test_04_variance_identity():
         centred = vals - vals.mean()
         m4 = float(np.mean(centred**4))
         se_s2 = math.sqrt(max(m4 - s2 * s2 * (reps - 3) / (reps - 1), 0.0) / reps)
-        assert abs(s2 - res.variance) <= 4.0 * (se_s2 + res.stderr)
+        assert abs(s2 - res.value) <= 4.0 * (se_s2 + res.stderr)
 
 
 def _bootstrap_se(vals, stat, seed, draws=50):
@@ -208,6 +208,6 @@ def test_09_rate_check():
             var = variance_from_kernels(
                 kernel, spec, mc_samples=400_000,
                 rng=np.random.default_rng(np.random.SeedSequence(121, spawn_key=(9,))))
-            scaled[t] = dk_bound(m, MCValue(var.variance, var.stderr), 2).value * math.sqrt(t)
+            scaled[t] = dk_bound(m, MCValue(var.value, var.stderr), 2).value * math.sqrt(t)
         spread = (max(scaled.values()) - min(scaled.values())) / min(scaled.values())
         assert spread <= 0.10

@@ -14,7 +14,7 @@ from pustat.bounds import (
     fourth_moment_bound,
 )
 from pustat.chaos import MCValue, variance_from_kernels
-from pustat import bounds, cli, ustat
+from pustat import bounds, chaos, cli, ustat
 from pustat.cli import _replicate_standardized
 from pustat.kernels import (
     MarginalIntegration,
@@ -154,14 +154,15 @@ def test_m_matches_class_integrals_at_t(dim):
 
 
 def _count_class_integrals(monkeypatch):
-    """Record each class integral that compute_Mij runs; returns the record."""
+    """Record each class integral that compute_Mij or Var F runs; returns
+    the record."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return mc_integral(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "mc_integral", counting)
+    monkeypatch.setattr(chaos, "mc_integral", counting)
     return calls
 
 
@@ -230,7 +231,8 @@ def test_m_generators_are_not_cached(monkeypatch):
 
 
 def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
-    # an experiment over three t runs the class integrals of one
+    # an experiment over three t runs the class integrals of one, Var F's
+    # two (orders 1 and 2) included
     calls = _count_class_integrals(monkeypatch)
     counts = []
     for t_values in ([50, 100, 200], [100]):
@@ -244,7 +246,7 @@ def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
         counts.append(len(calls) - before)
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(t_values)
     n_classes = sum(len(contraction_classes(i, j)) for i, j in ((1, 1), (1, 2), (2, 2)))
-    assert counts == [n_classes, n_classes]
+    assert counts == [n_classes + 2, n_classes + 2]
 
 
 def test_m_order_cap():
@@ -337,7 +339,7 @@ def test_bound_invariant_under_kernel_scaling():
         ]
         var = variance_from_kernels(kern, spec, mc_samples=20_000,
                                     rng=np.random.default_rng(77))
-        vals[name] = dk_bound(m, _mc(var.variance, var.stderr), 2).value
+        vals[name] = dk_bound(m, _mc(var.value, var.stderr), 2).value
     assert vals[3.0] == pytest.approx(vals["base"], rel=1e-9)
     assert vals[-3.0] == pytest.approx(vals["base"], rel=1e-9)
 
@@ -369,8 +371,8 @@ def test_fourth_moment_dominates_lower_bound(rng):
         for i in (1, 2)
     ]
     var = variance_from_kernels(k, spec, mc_samples=50_000, rng=rng)
-    out = fourth_moment_bound(m, _mc(var.variance, var.stderr), 2)
-    assert out.value >= 3.0 * 4 * var.variance**2 - 4.0 * out.stderr
+    out = fourth_moment_bound(m, _mc(var.value, var.stderr), 2)
+    assert out.value >= 3.0 * 4 * var.value**2 - 4.0 * out.stderr
 
 
 def test_fourth_moment_bounds_empirical_moment(rng):
@@ -382,7 +384,7 @@ def test_fourth_moment_bounds_empirical_moment(rng):
         for i in (1, 2)
     ]
     var = variance_from_kernels(k, spec, mc_samples=100_000, rng=rng)
-    bound = fourth_moment_bound(m, _mc(var.variance, var.stderr), 2)
+    bound = fourth_moment_bound(m, _mc(var.value, var.stderr), 2)
     reps = 10_000
     vals = np.empty(reps)
     for rep in range(reps):
@@ -490,8 +492,8 @@ def test_stein_terms_geometric_integration_by_parts(rng):
     k = make_geometric_indicator(0.1)
     var = variance_from_kernels(k, spec, mc_samples=200_000, rng=rng)
     th = estimate_stein_terms(k, spec, reps=4000, z_samples=256, rng=rng,
-                              var_f=_mc(var.variance, var.stderr))
-    assert abs(th.inner_mean.value - 1.0) <= 4.0 * (th.inner_mean.stderr + var.stderr / var.variance)
+                              var_f=_mc(var.value, var.stderr))
+    assert abs(th.inner_mean.value - 1.0) <= 4.0 * (th.inner_mean.stderr + var.stderr / var.value)
 
 
 def test_stein_terms_count_sup_dominated(rng):
@@ -530,12 +532,12 @@ def test_fourth_moment_remark(rng):
     k = make_geometric_indicator(0.2)
     var = variance_from_kernels(k, spec, mc_samples=100_000, rng=rng)
     th = estimate_stein_terms(k, spec, reps=4000, z_samples=64, rng=rng,
-                                 var_f=_mc(var.variance, var.stderr))
+                                 var_f=_mc(var.value, var.stderr))
     excess = th.g4.value - 3.0
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
         m = compute_Mij(k, spec, i, j, samples=100_000, rng=rng)
-        ratio = m.value / var.variance**2
-        assert ratio <= excess + 4.0 * (th.g4.stderr + m.stderr / var.variance**2)
+        ratio = m.value / var.value**2
+        assert ratio <= excess + 4.0 * (th.g4.stderr + m.stderr / var.value**2)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +562,7 @@ def test_two_dimensional_mc_fallback(rng):
     centred = vals - vals.mean()
     m4 = float(np.mean(centred**4))
     se_s2 = math.sqrt(max(m4 - s2 * s2 * (reps - 3) / (reps - 1), 0.0) / reps)
-    assert abs(s2 - res.variance) <= 4.0 * (se_s2 + res.stderr)
+    assert abs(s2 - res.value) <= 4.0 * (se_s2 + res.stderr)
 
     m11 = compute_Mij(k, spec, 1, 1, samples=4000, rng=rng, mc=mc)
     assert m11.value > 0.0

@@ -124,6 +124,15 @@ def test_bound_strict_flags_unreliable_integrals(capsys):
     code, out, _ = _run(capsys, *argv[:-1])
     assert code == 0
     assert json.loads(out)["unreliable"]
+    # M_21 is the estimate M_12: an off-diagonal entry is flagged once, as i <= j
+    code, out, err = _run(capsys, "bound", "--kernel", "geometric_indicator", "--r", "0.05",
+                          "--dim", "2", "--t", "100", "--mc-samples", "500", "--seed", "1",
+                          "--strict")
+    flagged = [tuple(ij) for ij in json.loads(out)["unreliable"]]
+    assert code == 3
+    assert (1, 2) in flagged
+    assert all(i <= j for i, j in flagged)
+    assert "[(1, 2)]" in err
 
 
 def test_non_finite_c_exits_2(capsys):
