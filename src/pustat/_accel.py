@@ -1,23 +1,40 @@
 """Neighbour counting for the distance-indicator kernel.
 
-Points are sorted on a band key, their first coordinate, and
-``searchsorted`` finds, for each point or query, the candidates whose key
-lies in a band of half-width about r around its own.  Each candidate then
-takes the exact test ``sum((x_i - x_j)**2) <= r*r`` on the original
-coordinates, so counts do not depend on the band, ties at distance exactly r
-included.  The half-width is capped at the width of the first coordinates
-(plus a rounding allowance), which holds every candidate anyway, so the
-band stays finite when r*r overflows.
+Groups and cells.  Every count is a count of groups: only points of the
+same group label are neighbours, so many configurations are counted in one
+call, and an unlabelled count is one of group 0.  In d >= 2 dimensions the
+first coordinate is cut into S strips of a common width, and a point's cell
+is ``label * (S + 1) + strip``; with one strip, as always in 1-D, the cell
+is the label.  Points are sorted on the key ``x + cell * span`` of their
+last coordinate x, where ``span`` exceeds the width of the last coordinates
+plus twice the band, so no band reaches into another cell.  A neighbour
+lies in a point's own strip or in one next to it, so a query searches the
+band of half-width about r around its key in cells c - 1, c and c + 1, and
+a pair count, which finds each pair from its lower cell, searches the later
+points of cell c and the band in cell c + 1.  The spare cell after each
+label's strips is empty, so no window reaches into another label, and no
+label test is needed.  Every candidate of every window takes the exact test
+``sum((x_i - x_j)**2) <= r*r`` on the original coordinates, in one
+``_tested`` call, so counts depend on neither the strips nor the band, ties
+at distance exactly r included.
 
-Groups.  Every count is a count of groups: only points of the same group
-label are neighbours, so many configurations are counted in one call, and
-an unlabelled count is one of group 0.  The label moves the key alone, to
-``x0 + label * span``, where ``span`` exceeds the width of the first
-coordinates plus twice the band.  So no band reaches into another group,
-and no label test is needed.  The exact test still reads the original
-coordinates, so a group counts exactly as it would on its own.  Rounding
-moves a key by at most half an ulp of the largest key, and the band is
-widened by a few such ulps.
+Widths.  The exact test rounds x_i - x_j, its square and r*r, so it can
+accept a pair whose true gap on a coordinate is a few ulps above r.  The
+outer band ``r (1 + 1e-9) + 1e-153`` covers that, the floor covering r*r in
+the subnormal range; when r*r is not finite the exact test accepts every
+pair and the band is infinite.  Strips are at least as wide as the band,
+plus a relative 1e-6 for the rounding of the strip index, so points two
+strips apart are never neighbours, and an infinite band leaves one strip.
+The search half-width is the band capped at the width of the last
+coordinates (plus a rounding allowance), which holds every candidate
+anyway, so keys stay finite when r*r overflows.  Rounding moves a key by at
+most half an ulp of the largest key, and the search is widened by a few
+such ulps.
+
+Strip count.  As many strips as fit, but at most one per point (queries
+included).  One strip when fewer than three fit, or when the band alone
+would give a group fewer candidates than one ``_BLOCK``: there the extra
+windows cost more than the candidates they save.
 
 Sure-inside band (1-D).  In one dimension the exact test is
 ``(x_i - x_j)**2 <= r*r``, and rounding is monotone, so it passes for every
@@ -30,7 +47,6 @@ The factor 1 - 1e-9 mirrors the outer band's margin.  The inner half-width
 is capped at the outer one.  When it is not positive, or r*r is below the
 normal range, every candidate takes the test.
 """
-
 import math
 
 import numpy as np
@@ -47,25 +63,59 @@ _BLOCK = 1 << 15  # candidate pairs per block; keeps the temporaries in cache
 _MARGIN = 1e-9
 _FLOOR = 1e-153
 _KEY_ULPS = 4  # ulps of the largest key that widen the band and narrow the inner band
+# (x - origin) / width rounds twice, to within a relative 2.3e-16, so the edge
+# of strip k moves by less than (k + 2) * 4.6e-16 widths.  Up to 10^9 strips,
+# each keeps a true width above width / (1 + _STRIP_MARGIN), which is the band.
+_STRIP_MARGIN = 1e-6
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _layout(first, top_label, r, dim):
-    """(group span, outer half-width, inner half-width, r*r) for the keys of
-    first coordinates ``first`` (of every point and query) with labels up to
-    ``top_label``.  An inner half-width <= 0 means no sure-inside band."""
+def _layout(cols, qs, top_label, r, candidates):
+    """(cells per label, strip origin, strip width, cell span, outer
+    half-width, inner half-width, r*r) for the keys of points and queries
+    with coordinate columns ``cols`` and ``qs`` (None when the points are
+    the queries) and labels up to ``top_label``, where ``candidates`` is the
+    number of query-point pairs before any band.  One cell per label means
+    one strip; an inner half-width <= 0 means no sure-inside band."""
+
+    def joined(axis):
+        return cols[axis] if qs is None else np.concatenate([cols[axis], qs[axis]])
+
+    last = joined(-1)
     r = float(r)
     r2 = r * r
-    lo, hi = float(first.min()), float(first.max())
+    # no accepted pair is further apart on any coordinate; inf once r*r overflows
+    band = math.sqrt(r2) * (1.0 + _MARGIN) + _FLOOR
+    lo, hi = float(last.min()), float(last.max())
     scale = max(abs(lo), abs(hi))
     slack = 16.0 * float(np.spacing(scale))
-    # a band wider than the keys of a group holds no more candidates
-    half = min(math.sqrt(r2) * (1.0 + _MARGIN) + _FLOOR, hi - lo + slack)
-    # more than width + 2 * band between groups, with room for key rounding
+    # a band wider than the keys of a cell holds no more candidates
+    half = min(band, hi - lo + slack)
+    stride, origin, width = 1, 0.0, math.inf
+    # the extra windows pay only once one band gives a block of candidates
+    many = candidates / (top_label + 1) * min(1.0, 2.0 * half / (hi - lo + slack)) >= _BLOCK
+    if many and len(cols) > 1:
+        first = joined(0)
+        origin = float(first.min())
+        length = float(first.max()) - origin
+        fit = min(length / (band * (1.0 + _STRIP_MARGIN)), len(first))
+        if fit >= 3.0:
+            stride = int(fit) + 1  # the strips and a spare cell
+            width = max(band * (1.0 + _STRIP_MARGIN), length / (stride - 1))
+    # more than width + 2 * band between cells, with room for key rounding
     span = 2.0 * (hi - lo + 2.0 * half + slack)
-    ulp = _KEY_ULPS * float(np.spacing(scale + (top_label + 1) * span + half))
-    inner = min(r * (1.0 - _MARGIN) - ulp, half + ulp) if dim == 1 and r2 >= _TINY else 0.0
-    return span, half + ulp, inner, r2
+    ulp = _KEY_ULPS * float(np.spacing(scale + (top_label + 1) * stride * span + half))
+    inner = min(r * (1.0 - _MARGIN) - ulp, half + ulp) if len(cols) == 1 and r2 >= _TINY else 0.0
+    return stride, origin, width, span, half + ulp, inner, r2
+
+
+def _cells(first, labels, layout):
+    """Each point's cell: its label's run of ``stride`` cells, then its strip."""
+    stride, origin, width = layout[:3]
+    if stride == 1:
+        return labels
+    strip = np.minimum(np.floor((first - origin) / width), stride - 2).astype(np.int64)
+    return labels * stride + strip
 
 
 def _blocks(lo, hi, size=_BLOCK):
@@ -80,7 +130,10 @@ def _blocks(lo, hi, size=_BLOCK):
     a = 0
     while a < len(lo):
         start = ends[a] - width[a]
-        b = max(int(np.searchsorted(ends, start + size, side="right")), a + 1)
+        if ends[-1] - start <= size:  # the rest fits in one block
+            b = len(lo)
+        else:
+            b = max(int(np.searchsorted(ends, start + size, side="right")), a + 1)
         row = np.repeat(np.arange(b - a), width[a:b])
         yield a, b, row, np.arange(start, ends[b - 1]) + shift[a:b][row]
         a = b
@@ -96,8 +149,6 @@ def _tested(qs, p, lo, hi, r2):
     test.  Queries and points come as coordinate columns; the squares add up
     over the coordinates in order, as ``sum(axis=-1)`` adds them."""
     out = np.zeros(len(lo), dtype=np.int64)
-    if not np.any(hi > lo):
-        return out
     for a, b, row, col in _blocks(lo, hi):
         d2 = 0.0
         for qc, pc in zip(qs, p):
@@ -107,20 +158,45 @@ def _tested(qs, p, lo, hi, r2):
     return out
 
 
+def _tested_windows(qs, p, windows, r2):
+    """For each query q, how many points of its windows lo[q]..hi[q]-1, one
+    for each (lo, hi) in ``windows``, pass the exact test; the windows that
+    hold candidates go through one ``_tested`` call."""
+    full = [(lo, hi) for lo, hi in windows if (hi > lo).any()]
+    if len(full) <= 1:
+        return _tested(qs, p, *full[0], r2) if full else np.zeros(len(qs[0]), dtype=np.int64)
+    lo, hi = (np.concatenate(ends) for ends in zip(*full))
+    qs = [np.tile(c, len(full)) for c in qs]
+    return _tested(qs, p, lo, hi, r2).reshape(len(full), -1).sum(axis=0)
+
+
+def _window(key, qkey, half):
+    """The sorted positions of the keys within ``half`` of each query key."""
+    lo = np.searchsorted(key, qkey - half, side="left")
+    return lo, np.searchsorted(key, qkey + half, side="right")
+
+
 def _later_neighbours(pts, labels, r):
-    """(counts, order): pts[order] sorted on the band key, and for each of
-    them the number of later sorted points of its group within distance r."""
+    """(counts, order): pts[order] sorted on the cell key, and for each of
+    them the number of its group's points within distance r that come later
+    in its own cell or lie in the next cell."""
     cols = _columns(pts)
-    span, half, inner, r2 = _layout(cols[0], int(labels.max()), r, len(cols))
-    key = cols[0] + labels * span
+    n = len(pts)
+    layout = _layout(cols, None, int(labels.max()), r, n * (n - 1) // 2)
+    span, half, inner, r2 = layout[3:]
+    cell = _cells(cols[0], labels, layout)
+    key = cols[-1] + cell * span
     order = np.argsort(key)
     p, key = [c[order] for c in cols], key[order]
-    after = np.arange(1, len(key) + 1)
+    after = np.arange(1, n + 1)
     hi = np.searchsorted(key, key + half, side="right")
     if inner > 0.0:
         sure = np.searchsorted(key, key + inner, side="right")
-        return sure - after + _tested(p, p, sure, hi, r2), order
-    return _tested(p, p, after, hi, r2), order
+        return sure - after + _tested_windows(p, p, [(sure, hi)], r2), order
+    windows = [(after, hi)]
+    if layout[0] > 1:
+        windows.append(_window(key, p[-1] + (cell[order] + 1) * span, half))
+    return _tested_windows(p, p, windows, r2), order
 
 
 def count_pairs_within(points, r):
@@ -156,23 +232,28 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     point_labels = np.asarray(point_labels, dtype=np.int64)
     query_labels = np.asarray(query_labels, dtype=np.int64)
     top = int(max(point_labels.max(), query_labels.max()))
+    candidates = len(pts) * len(qs)
     cols, qs = _columns(pts), _columns(qs)
-    span, half, inner, r2 = _layout(np.concatenate([cols[0], qs[0]]), top, r, len(cols))
-    key = cols[0] + point_labels * span
+    layout = _layout(cols, qs, top, r, candidates)
+    span, half, inner, r2 = layout[3:]
+    key = cols[-1] + _cells(cols[0], point_labels, layout) * span
     order = np.argsort(key)
     p, key = [c[order] for c in cols], key[order]
-    qkey = qs[0] + query_labels * span
+    qcell = _cells(qs[0], query_labels, layout)
+    qkey = qs[-1] + qcell * span
     # queries in key order make the binary searches walk the keys in order
     qorder = np.argsort(qkey)
     qkey, qs = qkey[qorder], [c[qorder] for c in qs]
-    lo = np.searchsorted(key, qkey - half, side="left")
-    hi = np.searchsorted(key, qkey + half, side="right")
+    lo, hi = _window(key, qkey, half)
     if inner > 0.0:
-        lo_in = np.searchsorted(key, qkey - inner, side="left")
-        hi_in = np.searchsorted(key, qkey + inner, side="right")
-        counts = hi_in - lo_in + _tested(qs, p, lo, lo_in, r2) + _tested(qs, p, hi_in, hi, r2)
+        lo_in, hi_in = _window(key, qkey, inner)
+        counts = hi_in - lo_in + _tested_windows(qs, p, [(lo, lo_in), (hi_in, hi)], r2)
     else:
-        counts = _tested(qs, p, lo, hi, r2)
+        windows = [(lo, hi)]
+        if layout[0] > 1:
+            qcell = qcell[qorder]
+            windows += [_window(key, qs[-1] + (qcell + s) * span, half) for s in (-1, 1)]
+        counts = _tested_windows(qs, p, windows, r2)
     out = np.empty_like(counts)
     out[qorder] = counts
     return out

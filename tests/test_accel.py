@@ -1,8 +1,11 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pustat import _accel
 
@@ -183,7 +186,7 @@ def test_group_counts_far_from_origin_with_tiny_r(rng, d):
         _check_groups(groups, queries, r)
     # at 4e6 the key ulps exceed r, so the sure-inside band is empty
     first = np.array([4e6, 4e6 + 1e-8])
-    assert _accel._layout(first, 3, r, 1)[2] <= 0.0
+    assert _accel._layout([first], None, 3, r, 1)[5] <= 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -221,5 +224,215 @@ def test_huge_radius_counts_every_pair(rng, r):
         groups = _random_groups(rng, d, [7, 0, 12, 1], scale=1e3, offset=-5e2)
         _check_groups(groups, _random_groups(rng, d, [3, 2, 0, 4]), r)
         _check(groups[0], groups[2], r)
-        span = _accel._layout(np.concatenate(groups)[:, 0], 3, r, d)[0]
+        pts = np.concatenate(groups)
+        span = _accel._layout(list(pts.T), None, 3, r, len(pts) ** 2)[3]
         assert math.isfinite(span)
+
+
+# ---------------------------------------------------------------------------
+# strips: d >= 2 cuts the first coordinate into strips, each point searching
+# its own cell and the ones next to it
+# ---------------------------------------------------------------------------
+
+
+def _strips(pts, top_label, r):
+    """The strip count a pair count of ``pts`` with labels up to top_label uses."""
+    n = len(pts)
+    stride = _accel._layout(_accel._columns(pts), None, top_label, r, n * (n - 1) // 2)[0]
+    return max(stride - 1, 1)
+
+
+@pytest.fixture(params=[_accel._BLOCK, 5], ids=["block", "block5"])
+def block(request, monkeypatch):
+    monkeypatch.setattr(_accel, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [1e154, 1e200])
+def test_strips_when_r_squared_overflows_or_nearly(rng, d, r, block):
+    # coordinates spread over several multiples of r: once r*r overflows the
+    # exact test accepts every pair, so one strip must hold them all
+    groups = _random_groups(rng, d, [40, 0, 25], scale=8.0 * r, offset=-3.0 * r)
+    queries = _random_groups(rng, d, [9, 4, 12], scale=8.0 * r, offset=-3.0 * r)
+    with np.errstate(over="ignore"):
+        _check_groups(groups, queries, r)
+        pts = np.concatenate(groups)
+        _check(pts, queries[2], r)
+        if math.isinf(r * r):
+            assert _accel.count_pairs_within(pts, r) == len(pts) * (len(pts) - 1) // 2
+    if math.isinf(r * r):
+        assert _strips(pts, 2, r) == 1
+    elif block == 5:
+        assert _strips(pts, 2, r) >= 3  # r*r is finite: strips of width ~r
+
+
+def _ties_across_strip_edges(d, r, unit, lo, hi):
+    """Points on a grid of ``unit`` along x0 in [lo, hi), each with partners
+    exactly r and one ulp above r away, along x0 and on a (3, 4, 5) diagonal
+    in the (x0, x_last) plane; r = 5 * unit keeps every gap exact."""
+    x = np.arange(lo, hi, unit)
+    base = np.zeros((len(x), d))
+    base[:, 0] = x
+    base[:, -1] = np.arange(len(x)) % 3 * unit
+    along, diagonal = base.copy(), base.copy()
+    along[:, 0] += r
+    diagonal[:, 0] += 3 * unit
+    diagonal[:, -1] += 4 * unit
+    above = diagonal.copy()
+    above[:, -1] = np.nextafter(above[:, -1], np.inf)
+    beyond = along.copy()
+    beyond[:, 0] = np.nextafter(beyond[:, 0], np.inf)
+    return base, np.vstack([along, diagonal, above, beyond])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ties_straddling_strip_edges(d, block):
+    unit = 2.0**-6
+    r = 5 * unit
+    base, partners = _ties_across_strip_edges(d, r, unit, -1.0, 3.0)
+    pts = np.vstack([base, partners])
+    _check(pts, partners, r)
+    _check(base, partners, r)
+    # the grid is finer than the strips, so exact-r pairs straddle every edge
+    assert _strips(pts, 0, r) >= 3
+    n = len(pts)
+    layout = _accel._layout(_accel._columns(pts), None, 0, r, n * (n - 1) // 2)
+    strip = _accel._cells(pts[:, 0], np.zeros(n, dtype=np.int64), layout)
+    tied = slice(len(base), 2 * len(base))  # the exact-r partners along x0
+    assert np.any(strip[: len(base)] != strip[tied])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_labels_whose_strips_meet(rng, d, block, monkeypatch):
+    # label L fills its last strip and label L + 1 its first, at the same last
+    # coordinates; the spare cell between them keeps every window in its label
+    r = 0.05
+    groups, queries = [], []
+    for label in range(4):
+        ends = np.zeros((2, d))  # every label spans the same strips
+        ends[:, 0] = 0.0, 1.0
+        ends[:, -1] = 0.5 + 0.01 * label
+        g = rng.random((60, d))
+        g[:, 0] = 1.0 - 0.02 * g[:, 0] if label % 2 == 0 else 0.02 * g[:, 0]
+        g[:, -1] = np.linspace(0.0, 0.3, 60)
+        groups.append(np.vstack([ends, g, rng.random((400, d))]))
+        queries.append(g[::4])
+    pts = np.concatenate(groups)
+    labels = np.repeat(np.arange(4), [len(g) for g in groups])
+    assert _strips(pts, 3, r) >= 3
+    # every candidate the exact test sees carries its query's label
+    label_of = {tuple(p): lab for p, lab in zip(pts.tolist(), labels.tolist())}
+    qlabel_of = dict(label_of)
+    for lab, q in enumerate(queries):
+        qlabel_of.update((tuple(p), lab) for p in q.tolist())
+    tested = _accel._tested
+
+    def same_label(qs, p, lo, hi, r2):
+        q_rows, p_rows = np.column_stack(qs).tolist(), np.column_stack(p).tolist()
+        for row, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            want = qlabel_of[tuple(q_rows[row])]
+            assert all(label_of[tuple(p_rows[c])] == want for c in range(a, b))
+        return tested(qs, p, lo, hi, r2)
+
+    monkeypatch.setattr(_accel, "_tested", same_label)
+    _check_groups(groups, queries, r)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tiny_radius_far_from_origin_caps_the_strips(rng, d, block):
+    # at 1e6, r = 1e-9 is a few ulps wide: a unit spread fits 10^9 strips, so
+    # the count stops at one strip per point
+    r = 1e-9
+    left = 1e6 + rng.random(150)
+    pts = np.zeros((600, d))
+    pts[:150, 0] = left
+    pts[150:300, 0] = left + r
+    pts[300:450, 0] = np.nextafter(left + r, np.inf)
+    pts[450:, 0] = left + 0.6 * r
+    pts[450:, -1] = 0.8 * r
+    _check(pts, pts[::7], r)
+    half = len(pts) // 2
+    _check_groups([pts[:half], pts[half:]], [pts[::5], pts[1::5]], r)
+    assert _strips(pts, 0, r) == len(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_strips_match_oracle(rng, d, block):
+    for n, r in ((400, 0.05), (300, 0.2), (250, 0.01)):
+        groups = _random_groups(rng, d, [n, n // 3, 1, 0], offset=-0.5)
+        queries = _random_groups(rng, d, [50, 0, 9, 4], offset=-0.5)
+        _check_groups(groups, queries, r)
+        _check(groups[0], queries[0], r)
+
+
+# ---------------------------------------------------------------------------
+# the mechanism as a count: most of the candidates a strip search tests pass
+# ---------------------------------------------------------------------------
+
+
+def _candidates(monkeypatch):
+    """A list whose one entry sums hi - lo over every _tested call."""
+    total = [0]
+    tested = _accel._tested
+
+    def counting(qs, p, lo, hi, r2):
+        total[0] += int((hi - lo).sum())
+        return tested(qs, p, lo, hi, r2)
+
+    monkeypatch.setattr(_accel, "_tested", counting)
+    return total
+
+
+def test_strips_test_few_candidates(monkeypatch):
+    # one slab of width 2r passes pi r / 2, about 8%, of its candidates; the
+    # strips of cells c and c + 1 (or c - 1..c + 1) pass about half
+    rng = np.random.default_rng(20130404)
+    total = _candidates(monkeypatch)
+    pts = rng.random((2000, 2))
+    pairs = _accel.count_pairs_within(pts, 0.05)
+    assert pairs == brute_force_pairs(pts, 0.05)
+    assert pairs >= 0.4 * total[0]
+    total[0] = 0
+    pts, qs = rng.random((20000, 2)), rng.random((2000, 2))
+    hits = int(_accel.count_neighbors(pts, qs, 0.05).sum())
+    assert hits >= 0.4 * total[0]
+
+
+# ---------------------------------------------------------------------------
+# property: lattices, ties and far offsets across dimensions, radii and labels
+# ---------------------------------------------------------------------------
+
+_RADII = (1e-162, 1e-9, 0.05, 0.5, 1e200)
+
+
+@st.composite
+def _labelled_points(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.sampled_from(_RADII))
+    spacing = draw(st.sampled_from([r, r / 2, float(np.nextafter(r, np.inf))]))
+    offset = draw(st.sampled_from([0.0, -5.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_lattice, n_uniform, n_queries = (draw(st.integers(0, 40)) for _ in range(3))
+    lattice = offset + spacing * rng.integers(0, 5, size=(n_lattice, d))
+    uniform = draw(st.sampled_from([0.0, -5.0, 1e6])) + rng.random((n_uniform, d))
+    pts = rng.permutation(np.vstack([lattice, uniform]))
+    qs = pts[rng.integers(0, len(pts), size=n_queries)] if len(pts) else pts
+    groups = draw(st.integers(1, 6))
+    labels = rng.integers(0, groups, size=len(pts))
+    qlabels = rng.integers(0, groups, size=len(qs))
+    block = draw(st.sampled_from([1, 5, _accel._BLOCK]))
+    return pts, labels, qs, qlabels, groups, r, block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_labelled_points())
+def test_strip_counts_match_oracle_property(case):
+    pts, labels, qs, qlabels, groups, r, block = case
+    with mock.patch.object(_accel, "_BLOCK", block), np.errstate(over="ignore"):
+        pairs = _accel.count_group_pairs(pts, labels, r, groups)
+        counts = _accel.count_neighbors(pts, qs, r, labels, qlabels)
+        assert pairs.tolist() == [brute_force_pairs(pts[labels == g], r) for g in range(groups)]
+        for g in range(groups):
+            expected = brute_force_neighbors(pts[labels == g], qs[qlabels == g], r)
+            assert counts[qlabels == g].tolist() == expected.tolist()
