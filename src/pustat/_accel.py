@@ -149,12 +149,13 @@ def _tested(qs, p, lo, hi, r2):
     test.  Queries and points come as coordinate columns; the squares add up
     over the coordinates in order, as ``sum(axis=-1)`` adds them."""
     out = np.zeros(len(lo), dtype=np.int64)
-    for a, b, row, col in _blocks(lo, hi):
-        d2 = 0.0
-        for qc, pc in zip(qs, p):
-            dx = qc[a:b][row] - pc[col]
-            d2 = d2 + dx * dx
-        out[a:b] = np.bincount(row[d2 <= r2], minlength=b - a)
+    with np.errstate(over="ignore"):  # an overflowing square is inf; the test decides it
+        for a, b, row, col in _blocks(lo, hi):
+            d2 = 0.0
+            for qc, pc in zip(qs, p):
+                dx = qc[a:b][row] - pc[col]
+                d2 = d2 + dx * dx
+            out[a:b] = np.bincount(row[d2 <= r2], minlength=b - a)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Chaos-expansion kernels, variance from kernels, and first-order integrals.
+"""Chaos-expansion kernels, and Var F and M_ij as sums of their contractions.
 
 For a U-statistic of order k with kernel f the i-th expansion kernel is
 
@@ -11,36 +11,26 @@ for i = 1..k (and 0 above k).  The variance identity reads
 ||f_i||^2 is the contraction of f_i x f_i over the i! pairings of two
 groups of i variables, so Var F and the bound terms M_ij are sums of the
 same kind: ``contraction_sum`` integrates a list of contraction classes of
-chaos kernels once per seed at unit scale and rescales them to mu_t.  The
-first-order stochastic integral has the pathwise form
-
-    I_1(g) = sum_{x in eta} g(x) - integral of g dmu_t.
-
-Expansion kernels can also be estimated empirically as the mean iterated
-difference over blocks of replications divided by n!, which must agree
-with the analytic formula.
+chaos kernels once per seed at unit scale and rescales them to mu_t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .kernels import MarginalIntegration, SymmetricKernel
 from .measure import IntensitySpec, NumericalError, mc_integral
 from .partitions import check_order
-from .ustat import _iterated_differences, replication_blocks
 
 __all__ = [
     "MCValue",
     "chaos_kernel_values",
     "contraction_sum",
-    "kernel_empirical",
     "variance_from_kernels",
-    "wiener_ito_I1",
 ]
 
 _VARIANCE_SEED = 0xC4A05
@@ -73,29 +63,6 @@ def chaos_kernel_values(
     vals, ses = kernel.marginal_with_stderr(intensity, x, i, mc=mc)
     binom = math.comb(k, i)
     return binom * vals, binom * ses
-
-
-def kernel_empirical(
-    kernel: SymmetricKernel,
-    intensity: IntensitySpec,
-    n: int,
-    points,
-    reps: int,
-    rng: np.random.Generator,
-) -> MCValue:
-    """Empirical chaos kernel: mean iterated difference over fresh
-    configurations drawn in blocks, divided by n!; a standard error needs
-    ``reps`` >= 2."""
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    zs = np.asarray(points, dtype=float).reshape(n, intensity.dim)
-    vals = np.empty(reps)
-    for rows, block, sizes in replication_blocks(intensity, reps, rng, queries=n):
-        vals[rows] = _iterated_differences(kernel, block, sizes, zs)
-    nfact = math.factorial(n)
-    est = float(vals.mean()) / nfact
-    se = float(vals.std(ddof=1)) / math.sqrt(reps) / nfact
-    return MCValue(est, se)
 
 
 def contraction_sum(
@@ -186,23 +153,3 @@ def variance_from_kernels(
     return contraction_sum(kernel, intensity, classes, samples=mc_samples, rng=rng,
                            mc=mc or MarginalIntegration(), name="Var F")
 
-
-def wiener_ito_I1(
-    g: Callable[[np.ndarray], np.ndarray],
-    config,
-    intensity: IntensitySpec,
-    *,
-    g_integral: Optional[float] = None,
-    mc_samples: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Pathwise I_1(g) = sum over configuration points of g minus its mu_t-integral.
-
-    ``g`` maps (m, d) points to (m,) values; pass the analytic g_integral
-    when available (callers should cache a Monte Carlo value otherwise).
-    """
-    if g_integral is None:
-        rng = rng if rng is not None else np.random.default_rng(np.random.SeedSequence(_VARIANCE_SEED + 1))
-        g_integral, _ = mc_integral(lambda x: np.asarray(g(x[:, 0, :])), intensity, 1, mc_samples, rng)
-    s = float(np.asarray(g(config.points), dtype=float).sum()) if len(config) else 0.0
-    return s - float(g_integral)

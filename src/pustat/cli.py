@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import SUP_GRID_POINTS, bound_report
 from .chaos import MCValue, variance_from_kernels
 from .distance import SortedSample, empirical_dK, empirical_dW, poisson_exact_dK
-from .kernels import make_kernel
+from .kernels import _BUILTIN_NAMES, make_kernel
 from .measure import IntensitySpec, NumericalError, sample_point_process
 from .partitions import MAX_GROUP_SIZE, count_partitions, enumerate_partitions
 from .stein import check_stein_properties
@@ -389,7 +389,7 @@ def _add_kernel_flags(sub):
     sub.add_argument(
         "--kernel",
         required=True,
-        choices=("count", "constant", "geometric_indicator"),
+        choices=_BUILTIN_NAMES,
         help="built-in kernel name",
     )
     sub.add_argument("--r", type=float, help="radius of the distance indicator")

@@ -45,7 +45,6 @@ __all__ = [
     "make_constant",
     "make_geometric_indicator",
     "make_product",
-    "symmetry_check",
     "kernel_descriptor",
 ]
 
@@ -163,12 +162,18 @@ def _cross_values(fn, heads, tails):
     of heads: yields (rows, values), a slice of heads and their (len, c)
     values.  A block makes about _EVAL_CHUNK evaluations, or one head's c;
     a row does not depend on where the blocks end."""
-    c = len(tails)
+    c, a = len(tails), heads.shape[1]
     step = max(1, _EVAL_CHUNK // max(c, 1))
     for s in range(0, len(heads), step):
         block = heads[s : s + step]
         m = len(block)
-        joined = np.concatenate([np.repeat(block, c, axis=0), np.tile(tails, (m, 1, 1))], axis=1)
+        if a == 0 and m == 1:  # one empty head: the tails are the arguments
+            joined = tails
+        else:  # filled by broadcasting: a repeat and a concatenate copy row by row
+            joined = np.empty((m, c, a + tails.shape[1], heads.shape[2]))
+            joined[:, :, :a] = block[:, None]
+            joined[:, :, a:] = tails
+            joined = joined.reshape(m * c, *joined.shape[2:])
         yield slice(s, s + m), fn(joined).reshape(m, c)
 
 
@@ -375,51 +380,3 @@ def kernel_descriptor(kernel: SymmetricKernel) -> dict:
     """Serializable descriptor (name + parameter map) of a built-in kernel."""
     return {"name": kernel.name, **kernel.params}
 
-
-def scale_kernel(kernel: SymmetricKernel, c: float) -> SymmetricKernel:
-    """The kernel c*f, with marginals scaled accordingly; its |f| is
-    |c| times the |f| of ``kernel``."""
-    if not abs(c) <= sys.float_info.max:
-        raise ValueError("c must be finite")
-    c = float(c)
-
-    def _wrap(fn):
-        if fn is None:
-            return None
-        return lambda *args: c * fn(*args)
-
-    nonnegative = kernel.nonnegative and c >= 0
-    return replace(
-        kernel,
-        name=f"{kernel.name}*{c:g}",
-        eval_fn=_wrap(kernel.eval_fn),
-        marginal_fn=_wrap(kernel.marginal_fn),
-        pair_radius=None,
-        nonnegative=nonnegative,
-        abs_kernel=None if nonnegative else scale_kernel(kernel.absolute, abs(c)),
-        params={**kernel.params, "scale": c},
-    )
-
-
-def symmetry_check(
-    kernel: SymmetricKernel,
-    trials: int = 64,
-    rng: Optional[np.random.Generator] = None,
-    dim: int = 1,
-    rtol: float = 1e-12,
-) -> bool:
-    """True iff f agrees under random argument permutations on random probes."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    k = kernel.order
-    if k == 1:
-        return True
-    x = rng.random((trials, k, dim))
-    base = kernel(x)
-    for _ in range(3):
-        perm = rng.permutation(k)
-        diff = np.abs(kernel(x[:, perm, :]) - base)
-        if np.any(diff > rtol * np.maximum(1.0, np.abs(base))):
-            return False
-    return True

@@ -23,12 +23,12 @@ __all__ = [
     "sample_point_process",
     "sample_points",
     "mc_integral",
-    "replication_rng",
 ]
 
 # fixed probe stream for mass estimation so an IntensitySpec is a pure
 # function of its arguments
 _MASS_PROBE_SEED = 0x1D2B5
+_MASS_MC_SAMPLES = 200_000
 
 
 class NumericalError(ValueError):
@@ -62,15 +62,6 @@ class PointConfiguration:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def with_point(self, z) -> "PointConfiguration":
-        """The configuration with one extra atom at z."""
-        z = np.asarray(z, dtype=float).reshape(1, self.dim)
-        return PointConfiguration(np.vstack([self.points, z]))
-
-    def with_points(self, zs) -> "PointConfiguration":
-        zs = np.asarray(zs, dtype=float).reshape(-1, self.dim)
-        return PointConfiguration(np.vstack([self.points, zs]))
-
 
 class IntensitySpec:
     """The measure mu_t = t * (density . Lebesgue) on an axis-aligned box.
@@ -85,8 +76,9 @@ class IntensitySpec:
         fail loudly if the density ever exceeds it.
     base_integral : analytic value of the Lebesgue integral of the density
         over the box, when known.  Without it (and with a non-constant
-        density) the mass is estimated by Monte Carlo once, with a standard
-        error reported in ``total_mass_stderr``.
+        density) the mass is estimated by Monte Carlo once, from
+        _MASS_MC_SAMPLES fixed draws, with a standard error reported in
+        ``total_mass_stderr``.
     """
 
     def __init__(
@@ -96,7 +88,6 @@ class IntensitySpec:
         density: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         density_sup: float = 1.0,
         base_integral: Optional[float] = None,
-        mass_mc_samples: int = 200_000,
     ):
         box = tuple((float(lo), float(hi)) for (lo, hi) in box)
         if not box:
@@ -123,7 +114,7 @@ class IntensitySpec:
         elif base_integral is not None:
             base, se = float(base_integral), 0.0
         else:
-            base, se = self._estimate_base_integral(mass_mc_samples)
+            base, se = self._estimate_base_integral(_MASS_MC_SAMPLES)
         if not (math.isfinite(base) and base >= 0.0):
             raise ValueError("density integral must be finite and nonnegative")
         self.base_integral = base
@@ -220,8 +211,3 @@ def mc_integral(
     if not (math.isfinite(est) and math.isfinite(stderr)):
         raise NumericalError(f"non-finite integral against mu_t^{n}")
     return est, stderr
-
-
-def replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent child stream for replication ``index`` of master ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))

@@ -7,16 +7,15 @@ For a configuration eta and a symmetric kernel f of order k,
 computed as k! times the sum over unordered index combinations.  The
 difference (add-one-cost) operator D_z F = F(eta + delta_z) - F(eta) has an
 incremental O(n^{k-1}) form: k! times the sum of f(z, subset) over unordered
-(k-1)-subsets of existing points.  Iterating D gives the inclusion-exclusion
-sum over 2^n augmented configurations.  Finally, -L^{-1}(F - EF) -- the
-inverse Ornstein-Uhlenbeck generator applied to the centred statistic --
-has the explicit pathwise representation
+(k-1)-subsets of existing points.  -L^{-1}(F - EF) -- the inverse
+Ornstein-Uhlenbeck generator applied to the centred statistic -- is
 
     sum_{m=1..k} (1/m) * [ U_m(eta) - integral of f dmu_t^k ],
 
 where U_m is the order-m U-statistic whose kernel is the m-th marginal
-integral of f (binomial factor excluded).  The order-k marginal is f
-itself, so U_k = F and the top term of -D_z L^{-1}F is exactly D_z F / k.
+integral of f (binomial factor excluded).  Its add-one cost drops the
+constants; the order-k marginal is f itself, so U_k = F and the top term
+of -D_z L^{-1}F is exactly D_z F / k.
 
 Each operation has one implementation, on a block: configurations stacked
 in order with their sizes, as ``replication_blocks`` draws them.  A single
@@ -44,12 +43,9 @@ __all__ = [
     "add_one_costs",
     "add_one_costs_many",
     "replication_blocks",
-    "iterated_difference",
-    "inverse_ou_pathwise",
     "inverse_ou_add_one_costs",
 ]
 
-_MAX_ITERATED = 20  # inclusion-exclusion guard: 2^n terms
 _BLOCK_POINTS = 1 << 14  # points (and queries) per block of replications
 
 
@@ -79,13 +75,6 @@ def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarr
         for a, b, row, col in _accel._blocks(head[:, -1] + 1, n, chunk):
             if len(col):
                 yield np.concatenate([head[a:b][row], col[:, None]], axis=1)
-
-
-def _sum_over_tuples(values_fn, points: np.ndarray, k: int) -> float:
-    total = 0.0
-    for idx in _combo_chunks(len(points), k):
-        total += float(values_fn(points[idx]).sum())
-    return math.factorial(k) * total
 
 
 def _sum_with_point(values_fn, heads: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
@@ -157,8 +146,10 @@ def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray
     if _counted(kernel):
         pairs = _accel.count_group_pairs(points, _labels(sizes), kernel.pair_radius, len(sizes))
         return 2.0 * pairs.astype(float)
-    k = kernel.order
-    return np.array([_sum_over_tuples(kernel, p, k) for p in _split(points, sizes)])
+    # every k-subset joined to one empty head
+    k, head = kernel.order, np.empty((1, 0, points.shape[1]))
+    sums = [_sum_with_point(kernel, head, p, k)[0] for p in _split(points, sizes)]
+    return math.factorial(k) * np.array(sums)
 
 
 def add_one_costs(
@@ -199,75 +190,6 @@ def add_one_costs_many(
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
     """D_z F at a single point z."""
     return float(add_one_costs(kernel, config, np.atleast_2d(z))[0])
-
-
-def iterated_difference(kernel: SymmetricKernel, config: PointConfiguration, zs) -> float:
-    """The n-fold difference D^n F at points zs, by inclusion-exclusion.
-
-    Exact sum of (-1)^(n-|I|) F(eta + sum_{i in I} delta_{z_i}) over all
-    2^n subsets I; refuses n > 20.  The block of one configuration (see
-    _iterated_differences).
-    """
-    sizes = np.array([len(config)])
-    return float(_iterated_differences(kernel, config.points, sizes, zs)[0])
-
-
-def _iterated_differences(
-    kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray, zs
-) -> np.ndarray:
-    """iterated_difference of each configuration of a block (stacked as in
-    evaluate_many) at the same points zs: for each subset of zs, one
-    evaluate_many call on the block with the subset after every
-    configuration."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    n = len(zs)
-    if n < 1:
-        raise ValueError("need at least one difference point")
-    if n > _MAX_ITERATED:
-        raise ValueError(f"iterated difference limited to {_MAX_ITERATED} points")
-    b = len(sizes)
-    ends = np.cumsum(sizes)
-    total = np.zeros(b)
-    for mask in range(1 << n):
-        chosen = zs[[i for i in range(n) if (mask >> i) & 1]]
-        c = len(chosen)
-        aug = np.insert(points, np.repeat(ends, c), np.tile(chosen, (b, 1)), axis=0)
-        sign = -1.0 if (n - c) % 2 else 1.0
-        total += sign * evaluate_many(kernel, aug, sizes + c)
-    return total
-
-
-def inverse_ou_pathwise(
-    kernel: SymmetricKernel,
-    config: PointConfiguration,
-    intensity: IntensitySpec,
-    *,
-    mc: Optional[MarginalIntegration] = None,
-) -> float:
-    """-L^{-1}(F - EF) at the configuration, via the marginal U-statistics.
-
-    Requires marginals (analytic, or the Monte Carlo fallback).  The full
-    integral of f against mu_t^k is cached per (kernel, intensity).
-
-    With Monte Carlo marginals the centering constant is itself an
-    estimate, so all returned values share a fixed offset of order
-    1/sqrt(mc.samples) (deterministic given the fallback seed); it does not
-    average out over replications.  Differences D_z of this quantity are
-    free of that constant (see inverse_ou_add_one_costs).
-    """
-    k = kernel.order
-    full = kernel.full_integral(intensity, mc=mc)
-    points = config.points
-    n = len(config)
-    out = 0.0
-    for m in range(1, k + 1):
-        um = 0.0
-        if n >= m:
-            um = _sum_over_tuples(
-                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc), points, m
-            )
-        out += (um - full) / m
-    return out
 
 
 def inverse_ou_add_one_costs(

@@ -10,13 +10,29 @@ the Wasserstein distance from a Riemann sum, the empirical distances by
 sorting and evaluating each sample anew, the Poisson Kolmogorov distance
 from high-precision arithmetic and from scipy's gammaln and ndtr, and M_ij
 and Var F from their integrals run at the actual t instead of at unit scale.
+
+The Malliavin operators that the certificates do not call live here too,
+written from their definitions: D^n F by inclusion-exclusion over augmented
+configurations, empirical chaos kernels as mean iterated differences, and
+pathwise I_1 and -L^{-1}F.  So do the helpers only tests use: a scaled
+kernel, a symmetry check, a configuration with added atoms, and the
+per-replication streams of the acceptance suite.
 """
 
+import itertools
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, ndtr
 from scipy.stats import norm
+
+from pustat.chaos import MCValue, chaos_kernel_values
+from pustat.measure import PointConfiguration, mc_integral
+from pustat.partitions import contraction_classes
+from pustat.ustat import evaluate_many, replication_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +260,6 @@ def wasserstein_riemann(samples, step=1e-4, span=10.0):
 
 
 # ---------------------------------------------------------------------------
-# Poisson Kolmogorov distance in high-precision arithmetic
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # empirical distances: every sample sorted and evaluated anew
 # ---------------------------------------------------------------------------
 
@@ -291,10 +302,13 @@ def empirical_dw_direct(samples, cdf, quantile):
     return float(anti[0] + anti[-1] - x[-1] + np.sum(np.abs(left) + np.abs(right)))
 
 
+# ---------------------------------------------------------------------------
+# Poisson Kolmogorov distance from scipy and in high-precision arithmetic
+# ---------------------------------------------------------------------------
+
+
 def poisson_dk_scipy(t):
     """The Poisson sup gap over m <= m_hi with scipy's gammaln and ndtr."""
-    from scipy.special import gammaln, ndtr
-
     sd = math.sqrt(t)
     m_hi = int(math.ceil(t + 12.0 * sd)) + 1
     while (-t + (m_hi + 1) + (m_hi + 1) * math.log(t / (m_hi + 1)) > math.log(1e-12)
@@ -339,12 +353,6 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
     ``contraction_classes(min(i, j), max(i, j))``, with the per-factor
     marginal seeds of ``compute_Mij``; no rescaling in t and no cache.
     """
-    from dataclasses import replace
-
-    from pustat.chaos import chaos_kernel_values
-    from pustat.measure import mc_integral
-    from pustat.partitions import contraction_classes
-
     i, j = min(i, j), max(i, j)
     absolute = kernel.absolute
     sizes = (i, i, j, j)
@@ -375,11 +383,6 @@ def variance_at_t(kernel, intensity, samples, rng, mc):
     ``contraction_sum`` (factor a from mc.seed + 7919 (a + 1)); no
     rescaling in t and no cache.
     """
-    from dataclasses import replace
-
-    from pustat.chaos import chaos_kernel_values
-    from pustat.measure import mc_integral
-
     mc_a, mc_b = (replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(2))
     total = 0.0
     var_acc = 0.0
@@ -404,3 +407,141 @@ def variance_at_t(kernel, intensity, samples, rng, mc):
 def poisson_central_moment4(t):
     """E (Y - t)^4 for Y ~ Poisson(t): fourth cumulant t plus 3 Var^2."""
     return t + 3.0 * t * t
+
+
+# ---------------------------------------------------------------------------
+# Malliavin operators from their definitions
+# ---------------------------------------------------------------------------
+
+_MAX_ITERATED = 20  # inclusion-exclusion guard: 2^n terms
+
+
+def iterated_difference(kernel, config, zs):
+    """The n-fold difference D^n F at points zs, by inclusion-exclusion.
+
+    Exact sum of (-1)^(n-|I|) F(eta + sum_{i in I} delta_{z_i}) over all
+    2^n subsets I; refuses n > 20.  The block of one configuration (see
+    iterated_differences).
+    """
+    sizes = np.array([len(config)])
+    return float(iterated_differences(kernel, config.points, sizes, zs)[0])
+
+
+def iterated_differences(kernel, points, sizes, zs):
+    """iterated_difference of each configuration of a block (stacked as in
+    ``evaluate_many``) at the same points zs: for each subset of zs, one
+    evaluate_many call on the block with the subset after every
+    configuration."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    n = len(zs)
+    if n < 1:
+        raise ValueError("need at least one difference point")
+    if n > _MAX_ITERATED:
+        raise ValueError(f"iterated difference limited to {_MAX_ITERATED} points")
+    b = len(sizes)
+    ends = np.cumsum(sizes)
+    total = np.zeros(b)
+    for mask in range(1 << n):
+        chosen = zs[[i for i in range(n) if (mask >> i) & 1]]
+        c = len(chosen)
+        aug = np.insert(points, np.repeat(ends, c), np.tile(chosen, (b, 1)), axis=0)
+        sign = -1.0 if (n - c) % 2 else 1.0
+        total += sign * evaluate_many(kernel, aug, sizes + c)
+    return total
+
+
+def kernel_empirical(kernel, intensity, n, points, reps, rng):
+    """Empirical chaos kernel: mean iterated difference over fresh
+    configurations drawn in blocks, divided by n!; a standard error needs
+    ``reps`` >= 2."""
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
+    zs = np.asarray(points, dtype=float).reshape(n, intensity.dim)
+    vals = np.empty(reps)
+    for rows, block, sizes in replication_blocks(intensity, reps, rng, queries=n):
+        vals[rows] = iterated_differences(kernel, block, sizes, zs)
+    nfact = math.factorial(n)
+    est = float(vals.mean()) / nfact
+    se = float(vals.std(ddof=1)) / math.sqrt(reps) / nfact
+    return MCValue(est, se)
+
+
+def wiener_ito_I1(g, config, intensity, *, g_integral):
+    """Pathwise I_1(g) = sum over configuration points of g minus
+    ``g_integral``, its integral against ``intensity``; ``g`` maps (m, d)
+    points to (m,) values."""
+    s = float(np.asarray(g(config.points), dtype=float).sum()) if len(config) else 0.0
+    return s - float(g_integral)
+
+
+def inverse_ou_pathwise(kernel, config, intensity, *, mc=None):
+    """-L^{-1}(F - EF) = sum_{m=1..k} (U_m - integral of f dmu_t^k) / m at
+    the configuration, where U_m sums the m-th marginal of f over ordered
+    m-tuples of distinct points: each unordered m-subset, times m!."""
+    full = kernel.full_integral(intensity, mc=mc)
+    n = len(config)
+    out = 0.0
+    for m in range(1, kernel.order + 1):
+        idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp).reshape(-1, m)
+        marg = kernel.marginal(intensity, config.points[idx], m, mc=mc)
+        out += (math.factorial(m) * float(marg.sum()) - full) / m
+    return out
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests use
+# ---------------------------------------------------------------------------
+
+
+def with_points(config, zs):
+    """The configuration with extra atoms at zs, one point or rows of points."""
+    zs = np.asarray(zs, dtype=float).reshape(-1, config.dim)
+    return PointConfiguration(np.vstack([config.points, zs]))
+
+
+def replication_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent child stream for replication ``index`` of master ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+
+
+def scale_kernel(kernel, c):
+    """The kernel c*f, with marginals scaled accordingly; its |f| is
+    |c| times the |f| of ``kernel``."""
+    if not abs(c) <= sys.float_info.max:
+        raise ValueError("c must be finite")
+    c = float(c)
+
+    def _wrap(fn):
+        if fn is None:
+            return None
+        return lambda *args: c * fn(*args)
+
+    nonnegative = kernel.nonnegative and c >= 0
+    return replace(
+        kernel,
+        name=f"{kernel.name}*{c:g}",
+        eval_fn=_wrap(kernel.eval_fn),
+        marginal_fn=_wrap(kernel.marginal_fn),
+        pair_radius=None,
+        nonnegative=nonnegative,
+        abs_kernel=None if nonnegative else scale_kernel(kernel.absolute, abs(c)),
+        params={**kernel.params, "scale": c},
+    )
+
+
+def symmetry_check(kernel, trials=64, rng=None, dim=1, rtol=1e-12):
+    """True iff f agrees under random argument permutations on random probes."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    k = kernel.order
+    if k == 1:
+        return True
+    x = rng.random((trials, k, dim))
+    base = kernel(x)
+    for _ in range(3):
+        perm = rng.permutation(k)
+        diff = np.abs(kernel(x[:, perm, :]) - base)
+        if np.any(diff > rtol * np.maximum(1.0, np.abs(base))):
+            return False
+    return True

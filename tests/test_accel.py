@@ -229,6 +229,21 @@ def test_huge_radius_counts_every_pair(rng, r):
         assert math.isfinite(span)
 
 
+@pytest.mark.parametrize("r", [1e150, 1e200])
+def test_overflowing_squares_count_without_warnings(rng, r):
+    # gaps up to 5e200 square to inf, outside any errstate: once r*r is
+    # finite such a pair fails the exact test, once it overflows it passes
+    square = rng.random((30, 2)) * 5e200
+    row = square * [1.0, 0.0]  # one last coordinate: every pair a candidate
+    qs = rng.random((12, 2)) * 5e200
+    for pts in (square, row):
+        pairs = _accel.count_pairs_within(pts, r)
+        counts = _accel.count_neighbors(pts, qs, r)
+        with np.errstate(over="ignore"):
+            assert pairs == brute_force_pairs(pts, r)
+            assert counts.tolist() == brute_force_neighbors(pts, qs, r).tolist()
+
+
 # ---------------------------------------------------------------------------
 # strips: d >= 2 cuts the first coordinate into strips, each point searching
 # its own cell and the ones next to it

@@ -15,11 +15,16 @@ from pustat.bounds import bound_report, compute_Mij, dk_bound, estimate_Rij, est
 from pustat.chaos import MCValue, variance_from_kernels
 from pustat.distance import empirical_dK, empirical_dW, poisson_exact_dK
 from pustat.kernels import make_constant, make_count, make_geometric_indicator
-from pustat.measure import IntensitySpec, replication_rng, sample_point_process
+from pustat.measure import IntensitySpec, sample_point_process
 from pustat.stein import G_MAX, check_stein_properties, g
 from pustat.ustat import evaluate
 
-from oracles import brute_force_partitions_multi, poisson_central_moment4, stein_g_quadrature
+from oracles import (
+    brute_force_partitions_multi,
+    poisson_central_moment4,
+    replication_rng,
+    stein_g_quadrature,
+)
 
 UNIT = [(0.0, 1.0)]
 TINY = 1e-12

@@ -21,14 +21,13 @@ from pustat.kernels import (
     make_constant,
     make_count,
     make_geometric_indicator,
-    scale_kernel,
 )
 from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
 from pustat.partitions import contraction_classes
 from pustat.ustat import evaluate
 
 import oracles
-from oracles import poisson_central_moment4
+from oracles import poisson_central_moment4, scale_kernel
 
 UNIT = [(0.0, 1.0)]
 

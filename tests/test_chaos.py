@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from pustat import chaos
-from pustat.chaos import (
-    chaos_kernel_values,
-    kernel_empirical,
-    variance_from_kernels,
-    wiener_ito_I1,
-)
+from pustat.chaos import chaos_kernel_values, variance_from_kernels
 from pustat.kernels import MarginalIntegration, make_constant, make_count, make_geometric_indicator
 from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
 from pustat.ustat import evaluate
 
 import oracles
+from oracles import kernel_empirical, wiener_ito_I1
 
 UNIT = [(0.0, 1.0)]
 

@@ -1,12 +1,14 @@
-"""Every public name the package or its benchmark reaches for exists.
+"""Every public name the package, its benchmark or its README reaches for exists.
 
-A deleted function that ``__all__`` still lists, or that the benchmark's
-tracer wraps by name, fails here instead of at a later import or run.
+A deleted function that ``__all__`` still lists, that the benchmark's
+tracer wraps by name, or that the README's library example calls, fails
+here instead of at a later import or run.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,15 @@ def test_tracer_targets_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"perfbench/tracer.py wraps missing functions {missing}"
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], flags=re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    out = capsys.readouterr().out.splitlines()
+    assert "UStatValue(value=924.0, tuple_count=9900)" in out
+    assert "18365184" in out

@@ -12,14 +12,14 @@ from pustat.kernels import (
     make_geometric_indicator,
     make_kernel,
     make_product,
-    scale_kernel,
-    symmetry_check,
     kernel_descriptor,
     SymmetricKernel,
 )
 from pustat.bounds import compute_Mij
 from pustat.chaos import variance_from_kernels
 from pustat.measure import IntensitySpec, mc_integral, sample_points
+
+from oracles import scale_kernel, symmetry_check
 
 UNIT = [(0.0, 1.0)]
 

@@ -9,9 +9,10 @@ from pustat.measure import (
     NumericalError,
     PointConfiguration,
     mc_integral,
-    replication_rng,
     sample_point_process,
 )
+
+from oracles import replication_rng, with_points
 
 UNIT = [(0.0, 1.0)]
 
@@ -138,7 +139,7 @@ def test_configuration_shape_guard():
         PointConfiguration(np.zeros(3))
     cfg = PointConfiguration.empty(2)
     assert len(cfg) == 0 and cfg.dim == 2
-    assert len(cfg.with_point([0.1, 0.2])) == 1
+    assert len(with_points(cfg, [0.1, 0.2])) == 1
 
 
 def test_mc_integral_overflow_is_a_numerical_error(rng):

@@ -14,10 +14,10 @@ from pustat.ustat import (
     evaluate,
     evaluate_many,
     inverse_ou_add_one_costs,
-    inverse_ou_pathwise,
-    iterated_difference,
     replication_blocks,
 )
+
+from oracles import inverse_ou_pathwise, iterated_difference, iterated_differences, with_points
 
 UNIT = [(0.0, 1.0)]
 
@@ -90,7 +90,7 @@ def test_add_one_cost_consistency(rng):
     for _ in range(20):
         cfg = PointConfiguration(rng.random((rng.integers(0, 30), 1)))
         z = rng.random(1)
-        direct = evaluate(k, cfg.with_point(z)).value - evaluate(k, cfg).value
+        direct = evaluate(k, with_points(cfg, z)).value - evaluate(k, cfg).value
         inc = add_one_cost(k, cfg, z)
         assert abs(inc - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -187,7 +187,7 @@ def test_inverse_ou_add_one_matches_difference(rng, make):
     zs = rng.random((4, 1))
     inc = inverse_ou_add_one_costs(k, cfg, spec, zs)
     for row, z in enumerate(zs):
-        direct = inverse_ou_pathwise(k, cfg.with_point(z), spec) - inverse_ou_pathwise(k, cfg, spec)
+        direct = inverse_ou_pathwise(k, with_points(cfg, z), spec) - inverse_ou_pathwise(k, cfg, spec)
         assert inc[row] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
@@ -277,7 +277,7 @@ def _direct_iterated_difference(kernel, cfg, zs):
     for mask in range(1 << len(zs)):
         chosen = [i for i in range(len(zs)) if (mask >> i) & 1]
         sign = -1.0 if (len(zs) - len(chosen)) % 2 else 1.0
-        total += sign * evaluate(kernel, cfg.with_points(zs[chosen])).value
+        total += sign * evaluate(kernel, with_points(cfg, zs[chosen])).value
     return total
 
 
@@ -293,7 +293,7 @@ def test_iterated_differences_of_a_block_match_one_at_a_time(rng, dim):
     for kernel in kernels:
         for n in (1, 2, 3):
             zs = rng.random((n, dim))
-            block = ustat._iterated_differences(kernel, points, sizes, zs)
+            block = iterated_differences(kernel, points, sizes, zs)
             single = [iterated_difference(kernel, c, zs) for c in configs]
             direct = [_direct_iterated_difference(kernel, c, zs) for c in configs]
             assert block.tolist() == single == direct
