@@ -43,6 +43,9 @@ most ``r (1 - 1e-9) - 4 ulp`` of the largest key is such a pair, because the
 ulps cover the rounding of the keys.  These candidates are counted as a
 difference of ``searchsorted`` positions, without the test, and only the
 thin shell between that inner band and the outer one takes the exact test.
+The shell is about 1e-9 r plus a few ulps wide and almost never holds a
+key, so each outer edge is found from the inner one by comparing the next
+key beyond it, and only the queries whose shell holds a key search again.
 The factor 1 - 1e-9 mirrors the outer band's margin.  The inner half-width
 is capped at the outer one.  When it is not positive, or r*r is below the
 normal range, every candidate takes the test.
@@ -121,8 +124,9 @@ def _cells(first, labels, layout):
 def _blocks(lo, hi, size=_BLOCK):
     """Candidate pairs (row, lo[row] <= col < hi[row]) in blocks of rows.
 
-    Yields (a, b, row, col) for rows a..b-1, with row counted from a.  A
-    block holds about ``size`` candidates, or one row if that row has more.
+    Yields (a, b, width, col) for rows a..b-1: each row's candidate count
+    and the columns of its candidates, row after row.  A block holds about
+    ``size`` candidates, or one row if that row has more.
     """
     width = hi - lo
     ends = np.cumsum(width)
@@ -134,8 +138,8 @@ def _blocks(lo, hi, size=_BLOCK):
             b = len(lo)
         else:
             b = max(int(np.searchsorted(ends, start + size, side="right")), a + 1)
-        row = np.repeat(np.arange(b - a), width[a:b])
-        yield a, b, row, np.arange(start, ends[b - 1]) + shift[a:b][row]
+        w = width[a:b]
+        yield a, b, w, np.arange(start, ends[b - 1]) + np.repeat(shift[a:b], w)
         a = b
 
 
@@ -150,12 +154,14 @@ def _tested(qs, p, lo, hi, r2):
     over the coordinates in order, as ``sum(axis=-1)`` adds them."""
     out = np.zeros(len(lo), dtype=np.int64)
     with np.errstate(over="ignore"):  # an overflowing square is inf; the test decides it
-        for a, b, row, col in _blocks(lo, hi):
-            d2 = 0.0
+        for a, b, w, col in _blocks(lo, hi):
+            d2 = None
             for qc, pc in zip(qs, p):
-                dx = qc[a:b][row] - pc[col]
-                d2 = d2 + dx * dx
-            out[a:b] = np.bincount(row[d2 <= r2], minlength=b - a)
+                dx = np.repeat(qc[a:b], w)
+                dx -= pc[col]
+                dx *= dx
+                d2 = dx if d2 is None else np.add(d2, dx, out=d2)
+            out[a:b] = np.bincount(np.repeat(np.arange(b - a), w)[d2 <= r2], minlength=b - a)
     return out
 
 
@@ -177,6 +183,22 @@ def _window(key, qkey, half):
     return lo, np.searchsorted(key, qkey + half, side="right")
 
 
+def _widened(key, inner, edge, side):
+    """``searchsorted(key, edge, side)`` from ``inner``, the same search at
+    edges no further out: only the queries whose shell between the two
+    edges holds a key are searched again."""
+    last = len(key) - 1
+    if side == "right":
+        held = (key[np.minimum(inner, last)] <= edge) & (inner <= last)
+    else:
+        held = (key[np.maximum(inner - 1, 0)] >= edge) & (inner > 0)
+    if not held.any():
+        return inner
+    out = inner.copy()
+    out[held] = np.searchsorted(key, edge[held], side=side)
+    return out
+
+
 def _later_neighbours(pts, labels, r):
     """(counts, order): pts[order] sorted on the cell key, and for each of
     them the number of its group's points within distance r that come later
@@ -190,10 +212,11 @@ def _later_neighbours(pts, labels, r):
     order = np.argsort(key)
     p, key = [c[order] for c in cols], key[order]
     after = np.arange(1, n + 1)
-    hi = np.searchsorted(key, key + half, side="right")
     if inner > 0.0:
         sure = np.searchsorted(key, key + inner, side="right")
+        hi = _widened(key, sure, key + half, "right")
         return sure - after + _tested_windows(p, p, [(sure, hi)], r2), order
+    hi = np.searchsorted(key, key + half, side="right")
     windows = [(after, hi)]
     if layout[0] > 1:
         windows.append(_window(key, p[-1] + (cell[order] + 1) * span, half))
@@ -245,12 +268,13 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     # queries in key order make the binary searches walk the keys in order
     qorder = np.argsort(qkey)
     qkey, qs = qkey[qorder], [c[qorder] for c in qs]
-    lo, hi = _window(key, qkey, half)
     if inner > 0.0:
         lo_in, hi_in = _window(key, qkey, inner)
+        lo = _widened(key, lo_in, qkey - half, "left")
+        hi = _widened(key, hi_in, qkey + half, "right")
         counts = hi_in - lo_in + _tested_windows(qs, p, [(lo, lo_in), (hi_in, hi)], r2)
     else:
-        windows = [(lo, hi)]
+        windows = [_window(key, qkey, half)]
         if layout[0] > 1:
             qcell = qcell[qorder]
             windows += [_window(key, qs[-1] + (qcell + s) * span, half) for s in (-1, 1)]

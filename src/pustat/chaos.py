@@ -79,6 +79,9 @@ def contraction_sum(
     the integral of prod_a f_{sizes[a]}, one variable per block, where
     factor a reads the blocks whose mask holds bit a and draws its fallback
     marginals from seed ``mc.seed + 7919 (a + 1)``, independent of the others.
+    A factor that reads the same size and blocks as an earlier one reuses
+    its values when their stderrs are all 0 (an analytic marginal, or f;
+    also a fallback whose draws all agreed on every probe of the chunk).
 
     As mu_t = t mu_1 and f_s scales as t^{k - s}, a class with B blocks is
     t^p times its integral against mu_1, p = B + sum_a (k - sizes[a]); so
@@ -125,9 +128,14 @@ def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
         ]
 
         def integrand(w, factors=factors):
-            vals = np.ones(len(w))
+            vals, exact = np.ones(len(w)), {}
             for size, blocks, mc_a in factors:
-                vals *= chaos_kernel_values(kernel, unit, size, w[:, blocks, :], mc=mc_a)[0]
+                fv = exact.get((size, *blocks))
+                if fv is None:
+                    fv, se = chaos_kernel_values(kernel, unit, size, w[:, blocks, :], mc=mc_a)
+                    if not se.any():  # exact, so another seed gives the same values
+                        exact[(size, *blocks)] = fv
+                vals *= fv
             return vals
 
         out.append(mc_integral(integrand, unit, len(masks), samples, rng))

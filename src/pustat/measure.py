@@ -29,6 +29,9 @@ __all__ = [
 # function of its arguments
 _MASS_PROBE_SEED = 0x1D2B5
 _MASS_MC_SAMPLES = 200_000
+# draws per chunk of an mc_integral: a chunk's points and integrand
+# temporaries stay in cache, and a run holds one double per draw besides
+_MC_CHUNK = 1 << 13
 
 
 class NumericalError(ValueError):
@@ -190,16 +193,26 @@ def mc_integral(
 
     ``g`` maps an (m, n, d) array of stacked n-tuples to an (m,) array.
     Points are drawn i.i.d. from mu_t/mass per coordinate block and the
-    sample mean is scaled by mass^n.  Returns (estimate, stderr); a
-    standard error needs at least two samples.  Raises NumericalError when
-    either is not finite.
+    sample mean is scaled by mass^n.  Points are drawn and ``g`` is
+    evaluated in chunks of at most _MC_CHUNK rows, so a call holds one
+    double per sample besides one chunk's points and temporaries; ``g``
+    must give each row a value that does not depend on the other rows.  On
+    a constant density the draws do not depend on the chunk size
+    (consecutive ``rng.random`` calls give the doubles of one call); with
+    rejection sampling they depend on where the chunks end, and the fixed
+    private chunk size keeps them reproducible.  Returns (estimate,
+    stderr); a standard error needs at least two samples.  Raises
+    NumericalError when either is not finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = sample_points(intensity, samples * n, rng).reshape(samples, n, intensity.dim)
-    vals = np.asarray(g(x), dtype=float).reshape(samples)
+    vals = np.empty(samples)
+    for start in range(0, samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - start)
+        x = sample_points(intensity, m * n, rng).reshape(m, n, intensity.dim)
+        vals[start : start + m] = np.asarray(g(x), dtype=float).reshape(m)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("integrand returned non-finite values")
     try:

@@ -72,9 +72,9 @@ def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarr
             yield idx[s : s + chunk]
         return
     for head in _combo_chunks(n, k - 1, chunk):
-        for a, b, row, col in _accel._blocks(head[:, -1] + 1, n, chunk):
+        for a, b, w, col in _accel._blocks(head[:, -1] + 1, n, chunk):
             if len(col):
-                yield np.concatenate([head[a:b][row], col[:, None]], axis=1)
+                yield np.concatenate([np.repeat(head[a:b], w, axis=0), col[:, None]], axis=1)
 
 
 def _sum_with_point(values_fn, heads: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:

@@ -8,19 +8,22 @@ Python walk for small n), the
 Stein solution from direct numerical quadrature of its defining integral,
 the Wasserstein distance from a Riemann sum, the empirical distances by
 sorting and evaluating each sample anew, the Poisson Kolmogorov distance
-from high-precision arithmetic and from scipy's gammaln and ndtr, and M_ij
-and Var F from their integrals run at the actual t instead of at unit scale.
+from high-precision arithmetic and from scipy's gammaln and ndtr, a Monte
+Carlo integral from one draw of all its samples, and M_ij and Var F from
+their integrals run at the actual t instead of at unit scale.
 
 The Malliavin operators that the certificates do not call live here too,
 written from their definitions: D^n F by inclusion-exclusion over augmented
 configurations, empirical chaos kernels as mean iterated differences, and
 pathwise I_1 and -L^{-1}F.  So do the helpers only tests use: a scaled
-kernel, a symmetry check, a configuration with added atoms, and the
-per-replication streams of the acceptance suite.
+kernel, a symmetry check, a configuration with added atoms, the
+per-replication streams of the acceptance suite, and a child process's
+peak memory measured from a bare launcher.
 """
 
 import itertools
 import math
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -30,7 +33,7 @@ from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
 from pustat.chaos import MCValue, chaos_kernel_values
-from pustat.measure import PointConfiguration, mc_integral
+from pustat.measure import PointConfiguration, mc_integral, sample_points
 from pustat.partitions import contraction_classes
 from pustat.ustat import evaluate_many, replication_blocks
 
@@ -342,8 +345,16 @@ def poisson_dk_mpmath(t, m_max=None):
 
 
 # ---------------------------------------------------------------------------
-# M_ij and Var F with every integral run against mu_t itself
+# Monte Carlo integrals in one draw; M_ij and Var F against mu_t itself
 # ---------------------------------------------------------------------------
+
+
+def mc_integral_single_shot(g, intensity, n, samples, rng):
+    """``mc_integral`` with every sample drawn at once and one call of g."""
+    x = sample_points(intensity, samples * n, rng).reshape(samples, n, intensity.dim)
+    vals = np.asarray(g(x), dtype=float).reshape(samples)
+    scale = intensity.total_mass**n
+    return float(vals.mean()) * scale, float(vals.std(ddof=1)) / math.sqrt(samples) * scale
 
 
 def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
@@ -545,3 +556,25 @@ def symmetry_check(kernel, trials=64, rng=None, dim=1, rtol=1e-12):
         if np.any(diff > rtol * np.maximum(1.0, np.abs(base))):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# a child's peak memory, from a launcher that imported nothing
+# ---------------------------------------------------------------------------
+
+# Linux carries a process's peak RSS across fork and exec into the child's
+# ru_maxrss, so a child started from the test process would read at least
+# the test process's own peak; one started by ``python -S`` reads its own.
+_BARE_LAUNCHER = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def child_peak_rss_mb(argv, env=None, cwd=None):
+    """(exit code, peak RSS in MiB) of ``argv`` run from a bare launcher."""
+    run = subprocess.run([sys.executable, "-S", "-c", _BARE_LAUNCHER, *argv], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    code, kib = run.stdout.split()
+    return int(code), int(kib) / 1024.0

@@ -382,6 +382,60 @@ def test_strips_match_oracle(rng, d, block):
 
 
 # ---------------------------------------------------------------------------
+# 1-D sure-inside band: each outer edge is searched only where its shell
+# between the inner and the outer band holds a key
+# ---------------------------------------------------------------------------
+
+
+def _shell_points(qs, r):
+    """Points at gaps r, one ulp above r and r (1 +- 5e-10) on both sides of
+    each query: all of them in the shell of the sure-inside band."""
+    gaps = (r, float(np.nextafter(r, np.inf)), r * (1 + 5e-10), r * (1 - 5e-10))
+    return np.vstack([qs + sign * gap for gap in gaps for sign in (-1.0, 1.0)])
+
+
+def _held_shells(monkeypatch):
+    """A list of the share of queries whose shell held a key, per edge."""
+    held = []
+    widened = _accel._widened
+
+    def recording(key, inner, edge, side):
+        out = widened(key, inner, edge, side)
+        assert np.array_equal(out, np.searchsorted(key, edge, side=side))
+        held.append(float(np.mean(out != inner)))
+        return out
+
+    monkeypatch.setattr(_accel, "_widened", recording)
+    return held
+
+
+@pytest.mark.parametrize("r", [0.25, 0.05, 1e-6])
+def test_band_edges_at_r_in_every_shell(rng, monkeypatch, r):
+    held = _held_shells(monkeypatch)
+    query_groups = [rng.uniform(-1.0, 1.0, size=(n, 1)) for n in (6, 1, 9)]
+    groups = [np.vstack([q, _shell_points(q, r)]) for q in query_groups]
+    _check_groups(groups, query_groups, r)
+    # every query's shell holds a key on both sides, so every query searched
+    # again; in the pair count, the points at the queries searched again
+    assert held[1:3] == [1.0, 1.0]
+    assert 0.0 < held[0] < 1.0
+
+
+@pytest.mark.parametrize("r", [0.25, 0.05])
+def test_band_edges_at_r_in_some_shells(rng, monkeypatch, r):
+    held = _held_shells(monkeypatch)
+    groups, query_groups = [], []
+    for n in (40, 0, 25):
+        qs = rng.uniform(-1.0, 1.0, size=(n, 1))
+        shelled = _shell_points(qs[: n // 3], r)
+        groups.append(np.vstack([rng.uniform(-1.5, 1.5, size=(3 * n, 1)), shelled[::3]]))
+        query_groups.append(qs)
+    _check_groups(groups, query_groups, r)
+    assert held and all(0.0 <= h < 1.0 for h in held)
+    assert max(held) > 0.0
+
+
+# ---------------------------------------------------------------------------
 # the mechanism as a count: most of the candidates a strip search tests pass
 # ---------------------------------------------------------------------------
 

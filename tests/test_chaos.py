@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pustat import chaos
+from pustat import chaos, measure
 from pustat.chaos import chaos_kernel_values, variance_from_kernels
 from pustat.kernels import MarginalIntegration, make_constant, make_count, make_geometric_indicator
 from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
@@ -164,6 +164,46 @@ def test_variance_generators_are_not_cached(monkeypatch):
     assert len(calls) == 3 * 2
     assert a == b
     assert a != c
+
+
+def _kernel_value_calls(monkeypatch):
+    """A list of (i, rows, values) for each chaos_kernel_values call of a
+    class integrand."""
+    calls = []
+
+    def recording(kernel, intensity, i, x, **kwargs):
+        out = chaos_kernel_values(kernel, intensity, i, x, **kwargs)
+        calls.append((i, len(x), out[0]))
+        return out
+
+    monkeypatch.setattr(chaos, "chaos_kernel_values", recording)
+    return calls
+
+
+def test_variance_evaluates_an_exact_factor_once(monkeypatch):
+    # in 1-D f_1 is analytic and f_2 is f, so each Var F class evaluates its
+    # one factor once per chunk and squares it
+    calls = _kernel_value_calls(monkeypatch)
+    chunk = measure._MC_CHUNK
+    k = make_geometric_indicator(0.1)
+    spec = IntensitySpec(UNIT, t=20.0)
+    got = variance_from_kernels(k, spec, mc_samples=2 * chunk + 3, rng=np.random.default_rng(3))
+    assert [c[:2] for c in calls] == [(1, chunk), (1, chunk), (1, 3), (2, chunk), (2, chunk), (2, 3)]
+    monkeypatch.undo()
+    want = oracles.variance_at_t(k, spec, 2 * chunk + 3, np.random.default_rng(3),
+                                 MarginalIntegration())
+    assert got.value == pytest.approx(want[0], rel=1e-12)
+
+
+def test_variance_fallback_factors_stay_independent(monkeypatch):
+    # in 2-D f_1 comes from the seeded fallback: its two factors draw from
+    # their own seeds and differ, while f_2 = f is evaluated once
+    calls = _kernel_value_calls(monkeypatch)
+    spec = IntensitySpec([(0.0, 1.0)] * 2, t=30.0)
+    variance_from_kernels(make_geometric_indicator(0.2), spec, mc_samples=500,
+                          rng=np.random.default_rng(4), mc=MarginalIntegration(samples=300))
+    assert [c[:2] for c in calls] == [(1, 500), (1, 500), (2, 500)]
+    assert not np.array_equal(calls[0][2], calls[1][2])
 
 
 def test_variance_matches_sample_variance(rng):

@@ -17,6 +17,7 @@ from pustat.ustat import evaluate
 
 from oracles import (
     brute_force_partitions,
+    child_peak_rss_mb,
     distance_sample_kinds,
     empirical_dk_direct,
     empirical_dw_direct,
@@ -582,6 +583,21 @@ def test_sample_caps_keep_arrays_under_1_gib(k, dim):
     # the documented defaults and the sweep's counts stay well inside
     assert min(caps["reps"], caps["term_reps"]) >= 10_000 and caps["z_samples"] >= 128
     assert caps["mc_samples"] >= 200_000
+
+
+def test_many_mc_samples_peak_under_the_readme_bound(tmp_path):
+    # mc_integral holds one double per draw plus one chunk, so ten times the
+    # default draws stay under the README's 120 MB (about 250 MB when every
+    # draw and integrand temporary was held at once)
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "100",
+            "--mc-samples", "2000000", "--seed", "1"]
+    code, peak = child_peak_rss_mb([sys.executable, "-m", "pustat.cli", *argv], env=env,
+                                   cwd=tmp_path)
+    assert code == 0
+    assert peak < 120.0
 
 
 @pytest.mark.parametrize("t", ["1e80", "1e200"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, poisson
 
+from pustat import measure
 from pustat.measure import (
     IntensitySpec,
     NumericalError,
@@ -12,7 +13,7 @@ from pustat.measure import (
     sample_point_process,
 )
 
-from oracles import replication_rng, with_points
+from oracles import mc_integral_single_shot, replication_rng, with_points
 
 UNIT = [(0.0, 1.0)]
 
@@ -147,3 +148,60 @@ def test_mc_integral_overflow_is_a_numerical_error(rng):
     spec = IntensitySpec(UNIT, t=1e200)
     with pytest.raises(NumericalError, match="non-finite"):
         mc_integral(lambda x: np.zeros(len(x)), spec, 2, 10, rng)
+
+
+def _rowwise(x):
+    # each row's value from its own coordinates, by exact elementwise steps
+    first, last = x[:, 0, 0], x[:, -1, -1]
+    return first * (1.0 + last) ** 2 / (1.0 + x[:, x.shape[1] // 2, 0] ** 2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mc_integral_chunks_match_single_shot(n, d):
+    # on a constant density the chunked draws and values are those of one
+    # draw, so the estimate and its stderr keep every bit
+    chunk = measure._MC_CHUNK
+    spec = IntensitySpec([(-0.5, 1.5), (0.0, 3.0)][:d], t=2.5)
+    for samples in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        got = mc_integral(_rowwise, spec, n, samples, np.random.default_rng(samples))
+        want = mc_integral_single_shot(_rowwise, spec, n, samples, np.random.default_rng(samples))
+        assert got == want, (n, d, samples)
+
+
+def test_mc_integral_evaluates_in_chunks(rng):
+    chunk = measure._MC_CHUNK
+    rows = []
+
+    def g(x):
+        rows.append(len(x))
+        return x[:, 0, 0]
+
+    mc_integral(g, IntensitySpec(UNIT, t=2.0), 2, 3 * chunk + 5, rng)
+    assert rows == [chunk, chunk, chunk, 5]
+
+
+def test_mc_integral_nan_in_a_middle_chunk(rng):
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        vals = np.ones(len(x))
+        if len(calls) == 2:
+            vals[len(x) // 2] = np.nan
+        return vals
+
+    with pytest.raises(NumericalError, match="non-finite"):
+        mc_integral(g, IntensitySpec(UNIT), 1, 3 * measure._MC_CHUNK, rng)
+    assert len(calls) == 3
+
+
+def test_mc_integral_chunks_on_a_nonconstant_density(rng):
+    # density 2x on [0,1]: the integral of x_1 x_2 against mu_t^2 is (2t/3)^2;
+    # rejection makes the draws depend on the chunks, not the estimate's law
+    spec = IntensitySpec(UNIT, t=3.0, density=lambda p: 2.0 * p[:, 0], density_sup=2.0,
+                         base_integral=1.0)
+    est, se = mc_integral(lambda x: x[:, 0, 0] * x[:, 1, 0], spec, 2,
+                          3 * measure._MC_CHUNK + 5, rng)
+    assert se > 0.0
+    assert abs(est - 4.0) <= 4.0 * se
