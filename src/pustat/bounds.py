@@ -8,10 +8,10 @@ The computable core is the family of partition-indexed integrals
 where fbar_i are the chaos kernels of |f| (``kernel.absolute``) and the
 contraction replaces all variables sharing a block of p by one integration
 variable.  The integral of p depends only on the multiset of its blocks'
-group masks, so ``compute_Mij`` passes the contraction classes
-(``partitions.contraction_classes``), weighted by their numbers of
-partitions, to ``chaos.contraction_sum``, the integrator that Var F uses
-too.  M_ij = M_ji; ``bound_report`` integrates i <= j only and mirrors
+group masks, so ``compute_Mij`` passes the group sizes (i, i, j, j) to
+``chaos.contraction_sum``, the integrator that Var F uses too, which
+integrates their contraction classes weighted by their numbers of
+partitions.  M_ij = M_ji; ``bound_report`` integrates i <= j only and mirrors
 the result.  From these and Var F:
 
     dK <= 19 k^5     * sum_{i,j}    sqrt(M_ij) / Var F,
@@ -42,7 +42,7 @@ import numpy as np
 from .chaos import MCValue, chaos_kernel_values, contraction_sum, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
 from .measure import IntensitySpec, sample_points
-from .partitions import check_order, contraction_classes
+from .partitions import check_order
 from .ustat import (
     _inverse_ou_lower_costs,
     add_one_costs_many,
@@ -83,10 +83,9 @@ def compute_Mij(
     """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
 
     M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
-    stream.  The classes of ``contraction_classes(i, j)`` join the groups
-    (i, i, j, j) of chaos kernels of |f|, and ``contraction_sum`` integrates
-    each once at unit scale with ``samples`` draws and rescales it by its
-    power of t.
+    stream.  ``contraction_sum`` joins the groups (i, i, j, j) of chaos
+    kernels of |f|, integrates each of their contraction classes once at
+    unit scale with ``samples`` draws and rescales it by its power of t.
 
     ``rng`` is a Generator, consumed as given, or a SeedSequence (the
     default is (0xB0D5, spawn key (i, j))), whose class integrals are
@@ -100,9 +99,8 @@ def compute_Mij(
     i, j = min(i, j), max(i, j)
     if rng is None:
         rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
-    classes = tuple(((i, i, j, j), masks, weight) for masks, weight in contraction_classes(i, j))
-    return contraction_sum(kernel.absolute, intensity, classes, samples=samples, rng=rng,
-                           mc=mc or MarginalIntegration(), name=f"M_{i}{j}")
+    return contraction_sum(kernel.absolute, intensity, ((i, i, j, j),), samples=samples,
+                           rng=rng, mc=mc or MarginalIntegration(), name=f"M_{i}{j}")
 
 
 class BoundValue(NamedTuple):

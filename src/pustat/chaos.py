@@ -8,10 +8,11 @@ for i = 1..k (and 0 above k).  The variance identity reads
 
     Var F = sum_{i=1..k} i! * ||f_i||^2,     ||f_i||^2 = integral of f_i^2 dmu_t^i.
 
-||f_i||^2 is the contraction of f_i x f_i over the i! pairings of two
-groups of i variables, so Var F and the bound terms M_ij are sums of the
-same kind: ``contraction_sum`` integrates a list of contraction classes of
-chaos kernels once per seed at unit scale and rescales them to mu_t.
+i! ||f_i||^2 is the one contraction class of the groups (i, i), the i!
+pairings of two groups of i variables, so Var F and the bound terms M_ij
+(groups (i, i, j, j)) are sums of the same kind: ``contraction_sum`` takes
+the group sizes and integrates their classes of chaos kernels once per seed
+at unit scale, rescaled to mu_t.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .kernels import MarginalIntegration, SymmetricKernel
 from .measure import IntensitySpec, NumericalError, mc_integral
-from .partitions import check_order
+from .partitions import check_order, contraction_classes
 
 __all__ = [
     "MCValue",
@@ -68,15 +69,16 @@ def chaos_kernel_values(
 def contraction_sum(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
-    classes: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...],
+    groups: Tuple[Tuple[int, ...], ...],
     *,
     samples: int,
     rng: Union[np.random.Generator, np.random.SeedSequence],
     mc: MarginalIntegration,
     name: str,
 ) -> MCValue:
-    """Sum over ``classes`` (sizes, block_masks, weight) of weight times
-    the integral of prod_a f_{sizes[a]}, one variable per block, where
+    """Sum over the classes (block_masks, weight) of ``contraction_classes``
+    of each group-size tuple ``sizes`` in ``groups`` of weight times the
+    integral of prod_a f_{sizes[a]}, one variable per block, where
     factor a reads the blocks whose mask holds bit a and draws its fallback
     marginals from seed ``mc.seed + 7919 (a + 1)``, independent of the others.
     A factor that reads the same size and blocks as an earlier one reuses
@@ -95,9 +97,10 @@ def contraction_sum(
     if isinstance(rng, np.random.SeedSequence):
         cache = kernel._integral_cache
         entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
-        key = (classes, intensity.box, intensity.density, intensity.density_sup,
+        key = (groups, intensity.box, intensity.density, intensity.density_sup,
                intensity.base_integral, samples, mc, entropy, rng.spawn_key, rng.pool_size)
         rng = np.random.default_rng(rng)
+    classes = [(s, masks, w) for s in groups for masks, w in contraction_classes(s)]
     if key not in cache:
         cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng, mc)
     k, t = kernel.order, intensity.t
@@ -150,14 +153,14 @@ def variance_from_kernels(
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
     mc: Optional[MarginalIntegration] = None,
 ) -> MCValue:
-    """Var F = sum_i i! ||f_i||^2 by ``contraction_sum``: ||f_i||^2 is the
-    class of i blocks that each hold both groups (i, i), with weight i!.
-    The default ``rng`` is SeedSequence(0xC4A05).
+    """Var F = sum_i i! ||f_i||^2 by ``contraction_sum`` over the groups
+    (i, i) for i = 1..k: i! ||f_i||^2 is their one class.  The default
+    ``rng`` is SeedSequence(0xC4A05).
     """
     k = kernel.order
     check_order(k)
-    classes = tuple(((i, i), (0b11,) * i, math.factorial(i)) for i in range(1, k + 1))
+    groups = tuple((i, i) for i in range(1, k + 1))
     rng = rng if rng is not None else np.random.SeedSequence(_VARIANCE_SEED)
-    return contraction_sum(kernel, intensity, classes, samples=mc_samples, rng=rng,
+    return contraction_sum(kernel, intensity, groups, samples=mc_samples, rng=rng,
                            mc=mc or MarginalIntegration(), name="Var F")
 

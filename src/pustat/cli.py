@@ -42,7 +42,8 @@ _TMAX_CAP = 2.0**20
 # (2**27 doubles).  Per unit the largest arrays hold SUP_GRID_POINTS doubles
 # per replication (the Stein terms' sup grid), max(SUP_GRID_POINTS, dim)
 # per z sample (one replication's jumps or its query points) and 2k * dim
-# per Monte Carlo draw (an M_ij class of order k has up to 2k blocks).
+# per Monte Carlo draw (an M_ij class of order k has up to 2k blocks), as if
+# every draw were held at once (mc_integral keeps one double per draw).
 _ARRAY_DOUBLES = 2**27
 
 

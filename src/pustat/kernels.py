@@ -91,6 +91,7 @@ class SymmetricKernel:
     nonnegative: bool = False
     abs_kernel: Optional[SymmetricKernel] = None
     params: dict = field(default_factory=dict)
+    # chaos.contraction_sum's unit-scale class integrals, keyed by value
     _integral_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -143,15 +144,8 @@ class SymmetricKernel:
         return self.marginal_with_stderr(intensity, x, i, mc=mc)[0]
 
     def full_integral(self, intensity: IntensitySpec, *, mc=None) -> float:
-        """Integral of f against mu_t^k, cached per intensity and mc."""
-        mc = mc or MarginalIntegration()
-        # the key holds the intensity itself, so no entry outlives it
-        key = (intensity, mc)
-        cache = self._integral_cache
-        if key not in cache:
-            x0 = np.empty((1, 0, intensity.dim))
-            cache[key] = float(self.marginal(intensity, x0, 0, mc=mc)[0])
-        return cache[key]
+        """Integral of f against mu_t^k: the order-0 marginal."""
+        return float(self.marginal(intensity, np.empty((1, 0, intensity.dim)), 0, mc=mc)[0])
 
 
 _EVAL_CHUNK = 1 << 19  # kernel evaluations per batched call

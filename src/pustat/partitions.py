@@ -1,14 +1,14 @@
-"""Connected partitions of four variable groups, and their contraction classes.
+"""Connected partitions of variable groups, and their contraction classes.
 
-The variables come in four groups with sizes (i, i, j, j), written g:s for
-group g in 1..4 and slot s.  We enumerate the set partitions of all
-2i + 2j variables such that
+``enumerate_partitions`` takes four groups with sizes (i, i, j, j), written
+g:s for group g in 1..4 and slot s.  It enumerates the set partitions of
+all 2i + 2j variables such that
 
   * no block contains two variables from the same group,
   * every block has at least two variables,
-  * no proper bipartition of the four groups separates the blocks: there is
-    no split {A1, A2} of {1,2,3,4} with every block drawn entirely from A1
-    or entirely from A2.
+  * no proper bipartition of the groups separates the blocks: there is
+    no split {A1, A2} of the groups with every block drawn entirely from
+    A1 or entirely from A2.
 
 These partitions index the contracted-product integrals of the bound terms:
 each block becomes one integration variable shared by its members.
@@ -23,9 +23,10 @@ time, so its memory does not grow with the count (18,365,184 for (4, 4)).
 A partition's contracted integral depends only on the multiset of its
 blocks' group masks (bit g-1 set when the block holds a variable of group
 g), because the chaos kernels are symmetric and the blocks are exchangeable
-integration variables.  ``contraction_classes`` lists these multisets
-directly, each with the number of partitions it stands for, without
-building any partition.
+integration variables.  ``contraction_classes`` lists these multisets for
+2 to 4 groups, each with the number of partitions it stands for, without
+building any partition: (i, i, j, j) gives the classes of M_ij, and (i, i)
+the one class of i! ||f_i||^2 in Var F.
 """
 
 from __future__ import annotations
@@ -45,16 +46,12 @@ __all__ = [
 # the largest group size, and so the largest kernel order the bound terms take
 MAX_GROUP_SIZE = 4
 
-# one representative per unordered proper bipartition of {1,2,3,4}: the side
-# containing group 1, as a bitmask over groups 1..4 -> bits 0..3
-_SEPARATORS = tuple(a for a in range(1, 15) if a & 1)
-# group masks a block can carry: at least two groups
-_BLOCK_MASKS = tuple(m for m in range(1, 16) if bin(m).count("1") >= 2)
 
-
-def _check_sizes(i: int, j: int):
-    if not (1 <= i <= MAX_GROUP_SIZE and 1 <= j <= MAX_GROUP_SIZE):
-        raise ValueError(f"group sizes must lie in 1..{MAX_GROUP_SIZE}, got ({i}, {j})")
+def _check_sizes(sizes: Tuple[int, ...]):
+    if not 2 <= len(sizes) <= 4:
+        raise ValueError(f"contraction classes join 2 to 4 groups, got {len(sizes)}")
+    if not all(1 <= s <= MAX_GROUP_SIZE for s in sizes):
+        raise ValueError(f"group sizes must lie in 1..{MAX_GROUP_SIZE}, got {sizes}")
 
 
 def check_order(k: int):
@@ -65,9 +62,10 @@ def check_order(k: int):
         )
 
 
-def _connected(masks) -> bool:
-    """No proper group bipartition splits the blocks."""
-    for sep in _SEPARATORS:
+def _connected(masks, n_groups: int) -> bool:
+    """No proper bipartition of the ``n_groups`` groups splits the blocks.
+    Each bipartition is tried once, as its side holding group 1 (bit 0)."""
+    for sep in range(1, (1 << n_groups) - 1, 2):
         if all((m & sep) == m or (m & sep) == 0 for m in masks):
             return False
     return True
@@ -78,7 +76,7 @@ def enumerate_partitions(i: int, j: int) -> Iterator[Tuple[Tuple[Tuple[int, int]
     canonical order.  A partition is a tuple of blocks and a block a tuple
     of (group, slot) pairs in variable order.  The sizes are checked at the
     call, before the first partition is asked for."""
-    _check_sizes(i, j)
+    _check_sizes((i, i, j, j))
     vars_ = tuple((g, s) for g, size in zip((1, 2, 3, 4), (i, i, j, j)) for s in range(1, size + 1))
     group_bits = tuple(1 << (g - 1) for g, _ in vars_)
     n = len(vars_)
@@ -88,7 +86,7 @@ def enumerate_partitions(i: int, j: int) -> Iterator[Tuple[Tuple[Tuple[int, int]
 
     def _rec(v: int):
         if v == n:
-            if min(sizes) >= 2 and _connected(masks):
+            if min(sizes) >= 2 and _connected(masks, 4):
                 blocks = [[] for _ in masks]
                 for var, b in zip(vars_, assign):
                     blocks[b].append(var)
@@ -118,18 +116,20 @@ def enumerate_partitions(i: int, j: int) -> Iterator[Tuple[Tuple[Tuple[int, int]
 
 
 @lru_cache(maxsize=None)
-def contraction_classes(i: int, j: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """The contraction classes for group sizes (i, i, j, j), as
+def contraction_classes(sizes: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The contraction classes for a tuple of 2 to 4 group sizes, as
     (block_masks, weight) pairs.
 
     ``block_masks`` is a nondecreasing tuple of group masks, one per block:
-    every mask has at least two bits, group g lies in exactly size_g masks,
-    and no group bipartition splits them.  ``weight`` counts the partitions
-    of the class, prod size_g! / prod (multiplicity of each mask)!, so the
-    weights sum to ``count_partitions(i, j)``.
+    every mask has at least two bits, bit g lies in exactly sizes[g]
+    masks, and no group bipartition splits them.  ``weight`` counts the
+    partitions of the class, prod size_g! / prod (multiplicity of each
+    mask)!, so for (i, i, j, j) the weights sum to ``count_partitions(i, j)``
+    and (i, i) has the one class (0b11,) * i of weight i!.
     """
-    _check_sizes(i, j)
-    sizes = (i, i, j, j)
+    _check_sizes(sizes)
+    # group masks a block can carry: at least two groups
+    block_masks = [m for m in range(1, 1 << len(sizes)) if bin(m).count("1") >= 2]
     numerator = prod(factorial(s) for s in sizes)
     out = []
 
@@ -137,13 +137,13 @@ def contraction_classes(i: int, j: int) -> Tuple[Tuple[Tuple[int, ...], int], ..
     # still needs that many slots
     def _rec(pos: int, need: Tuple[int, ...], chosen: Tuple[int, ...]):
         if not any(need):
-            if _connected(chosen):
+            if _connected(chosen, len(sizes)):
                 mult = prod(factorial(chosen.count(m)) for m in set(chosen))
                 out.append((chosen, numerator // mult))
             return
-        if pos == len(_BLOCK_MASKS):
+        if pos == len(block_masks):
             return
-        m = _BLOCK_MASKS[pos]
+        m = block_masks[pos]
         for copies in range(min(n for g, n in enumerate(need) if m >> g & 1) + 1):
             rest = tuple(n - copies if m >> g & 1 else n for g, n in enumerate(need))
             _rec(pos + 1, rest, chosen + (m,) * copies)
@@ -154,4 +154,4 @@ def contraction_classes(i: int, j: int) -> Tuple[Tuple[Tuple[int, ...], int], ..
 
 def count_partitions(i: int, j: int) -> int:
     """The number of valid partitions: the weight sum of the contraction classes."""
-    return sum(weight for _, weight in contraction_classes(i, j))
+    return sum(weight for _, weight in contraction_classes((i, i, j, j)))

@@ -21,11 +21,13 @@ per-replication streams of the acceptance suite, and a child process's
 peak memory measured from a bare launcher.
 """
 
+import functools
 import itertools
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -361,8 +363,9 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
     """M_ij as the weighted sum of its class integrals against mu_t.
 
     Draws from ``rng`` class by class in the order of
-    ``contraction_classes(min(i, j), max(i, j))``, with the per-factor
-    marginal seeds of ``compute_Mij``; no rescaling in t and no cache.
+    ``contraction_classes((i, i, j, j))``, (i, j) taken as (min, max), with
+    the per-factor marginal seeds of ``compute_Mij``; no rescaling in t and
+    no cache.
     """
     i, j = min(i, j), max(i, j)
     absolute = kernel.absolute
@@ -370,7 +373,7 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
     factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
     total = 0.0
     var_acc = 0.0
-    for masks, weight in contraction_classes(i, j):
+    for masks, weight in contraction_classes(sizes):
         columns = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(4)]
 
         def integrand(w, columns=columns):
@@ -408,6 +411,125 @@ def variance_at_t(kernel, intensity, samples, rng, mc):
         total += math.factorial(i) * est
         var_acc += (math.factorial(i) * se) ** 2
     return total, math.sqrt(var_acc)
+
+
+# ---------------------------------------------------------------------------
+# exact class integrals of the 1-D distance indicator at r = 1/n
+# ---------------------------------------------------------------------------
+
+
+def _simplex_integral(exponents):
+    """Integral of prod_m z_m^{e_m} over 0 < z_1 < ... < z_B < 1, which is
+    prod_m 1 / (m + e_1 + ... + e_m)."""
+    out, power = Fraction(1), 0
+    for m, e in enumerate(exponents, start=1):
+        power += e
+        out /= m + power
+    return out
+
+
+def _linked_cells(n_blocks, links, n):
+    """Every tuple of cells, one per block, whose linked blocks lie at most
+    one cell apart."""
+    cells = []
+
+    def rec():
+        u = len(cells)
+        if u == n_blocks:
+            yield tuple(cells)
+            return
+        for c in range(n):
+            cells.append(c)
+            if all(abs(cells[a] - cells[b]) <= 1 for a, b in links if max(a, b) == u):
+                yield from rec()
+            cells.pop()
+
+    return rec()
+
+
+# 2 a(x) / r on cell 0, an inner cell and cell n - 1, as {power of y: coefficient}
+_TWICE_REACH = ({0: 2, 1: 2}, {0: 4}, {0: 4, 1: -2})
+
+
+def _cells_integral(n_blocks, links, diffs, singles):
+    """The y-integral over [0, 1]^B of the class on one tuple of cells.
+
+    ``links`` are the (u, v) block pairs of the f_2 factors with cell
+    differences ``diffs`` = c_u - c_v, and ``singles`` the (block, kind) of
+    the f_1 factors.  The f_2 factor is 1 for equal cells, 1(y_u <= y_v)
+    for c_u - c_v = 1 and 1(y_v <= y_u) for -1; the f_1 factor is a
+    polynomial in y (``_TWICE_REACH``).  Each of the B! orders of the y's
+    keeps or drops the whole integrand, and each monomial is integrated
+    over its simplex.
+    """
+    poly = {(0,) * n_blocks: Fraction(1)}
+    for u, kind in singles:
+        out = {}
+        for exps, coef in poly.items():
+            for e, c in _TWICE_REACH[kind].items():
+                key = exps[:u] + (exps[u] + e,) + exps[u + 1:]
+                out[key] = out.get(key, 0) + coef * c
+        poly = out
+    total = Fraction(0)
+    for order in itertools.permutations(range(n_blocks)):
+        pos = {u: m for m, u in enumerate(order)}
+        if all(d == 0 or (pos[u] < pos[v]) == (d == 1) for (u, v), d in zip(links, diffs)):
+            total += sum(coef * _simplex_integral([exps[u] for u in order])
+                         for exps, coef in poly.items())
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def distance_class_exact(sizes, masks, n):
+    """The exact integral against mu_1 of one contraction class of the chaos
+    kernels of the distance indicator (order 2) on [0, 1] with unit density
+    and r = 1/n, n >= 2, as a Fraction.
+
+    ``sizes`` holds 1 or 2 per factor, and factor a reads the blocks whose
+    mask holds bit a, in block order, as in ``chaos.contraction_sum``.  At
+    unit scale f_2(x, y) = 1(|x - y| <= r) and f_1(x) = 2 a(x), a(x) the
+    length of [x - r, x + r] within [0, 1].  The box is cut into n cells of
+    width r and each block written as x = (c + y) r, so a(x) is 2r in the
+    inner cells, r(1 + y) in cell 0 and r(2 - y) in cell n - 1, and f_2 is
+    a function of the order of the y's.  The sum runs over the cell tuples
+    whose linked blocks lie at most one cell apart; tuples with the same
+    cell differences and f_1 kinds share one y-integral.
+
+    It covers neither boxes of dimension 2 or more nor an r that does not
+    divide the box length into whole cells.
+    """
+    if not (n >= 2 and set(sizes) <= {1, 2}):
+        raise ValueError("the oracle covers order-2 chaos kernels with r = 1/n, n >= 2")
+    r = Fraction(1, n)
+    reads = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(len(sizes))]
+    links = [tuple(blocks) for size, blocks in zip(sizes, reads) if size == 2]
+    single_blocks = [blocks[0] for size, blocks in zip(sizes, reads) if size == 1]
+    memo = {}
+    total = Fraction(0)
+    for cells in _linked_cells(len(masks), links, n):
+        diffs = tuple(cells[u] - cells[v] for u, v in links)
+        singles = tuple((u, 0 if cells[u] == 0 else 2 if cells[u] == n - 1 else 1)
+                        for u in single_blocks)
+        if (diffs, singles) not in memo:
+            memo[diffs, singles] = _cells_integral(len(masks), links, diffs, singles)
+        total += memo[diffs, singles]
+    # dx = r^B dy, and each f_1 factor carries one r
+    return total * r ** (len(masks) + len(single_blocks))
+
+
+def distance_contraction_exact(groups, n, t):
+    """The exact ``contraction_sum`` of the distance indicator with r = 1/n
+    on [0, 1] at intensity t (an int or Fraction): over each tuple of group
+    sizes in ``groups`` and each class of ``contraction_classes(sizes)``,
+    weight * t^p * ``distance_class_exact``, p = B + sum_a (2 - sizes[a]).
+    Var F is groups ((1, 1), (2, 2)) and M_ij is ((i, i, j, j),).
+    """
+    total = Fraction(0)
+    for sizes in groups:
+        for masks, weight in contraction_classes(sizes):
+            p = len(masks) + sum(2 - s for s in sizes)
+            total += weight * Fraction(t) ** p * distance_class_exact(sizes, masks, n)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +76,42 @@ def test_m11_geometric_analytic_oracle(rng):
     assert abs(out.value - target) <= 4.0 * out.stderr
 
 
+@pytest.mark.parametrize("n", [2, 3, 20])
+def test_distance_oracle_closed_forms(n):
+    # the exact class oracle, summed over the classes of Var F and M_11,
+    # gives their closed forms for r = 1/n, in every power of t
+    r = Fraction(1, n)
+    for t in (Fraction(1), Fraction(7, 3)):
+        var_f = oracles.distance_contraction_exact(((1, 1), (2, 2)), n, t)
+        assert var_f == 4 * t**3 * (4 * r**2 - Fraction(10, 3) * r**3) + 2 * t**2 * (2 * r - r**2)
+        m11 = oracles.distance_contraction_exact(((1, 1, 1, 1),), n, t)
+        assert m11 == 16 * t**5 * (16 * r**4 - Fraction(98, 5) * r**5)
+
+
+def test_distance_oracle_ignores_block_order():
+    # the blocks are exchangeable integration variables
+    for sizes in ((1, 1, 2, 2), (2, 2, 2, 2)):
+        for masks, _ in contraction_classes(sizes):
+            values = {oracles.distance_class_exact(sizes, order, 3)
+                      for order in itertools.permutations(masks)}
+            assert len(values) == 1 and values.pop() > 0
+
+
+def test_certificate_within_errors_of_exact_oracle():
+    # r = 1/20 at t = 100 with the default draws: Var F and every M_ij
+    # lie within 4 stderr of their exact values (z = +0.11, -0.35, +0.82
+    # and -1.32 at seed 1)
+    rep = bound_report(make_geometric_indicator(0.05), IntensitySpec(UNIT, t=100.0), seed=1)
+    for est, groups in (
+        (rep.var_f, ((1, 1), (2, 2))),
+        (rep.m[0][0], ((1, 1, 1, 1),)),
+        (rep.m[0][1], ((1, 1, 2, 2),)),
+        (rep.m[1][1], ((2, 2, 2, 2),)),
+    ):
+        exact = float(oracles.distance_contraction_exact(groups, 20, 100))
+        assert abs(est.value - exact) <= 4.0 * est.stderr, groups
+
+
 def test_m_matrix_symmetric_within_errors(rng):
     # on one shared stream, (i, j) and (j, i) draw different samples and
     # agree within their errors
@@ -112,7 +150,7 @@ def test_m_constant_kernel_exact_high_order(order):
         for j in range(1, order + 1):
             fi = math.comb(order, i) * c * mass ** (order - i)
             fj = math.comb(order, j) * c * mass ** (order - j)
-            classes = contraction_classes(min(i, j), max(i, j))
+            classes = contraction_classes(tuple(sorted((i, i, j, j))))
             target = sum(w * mass ** len(masks) for masks, w in classes) * fi**2 * fj**2
             got = rep.m[i - 1][j - 1]
             assert got.value == pytest.approx(target, rel=1e-12)
@@ -169,7 +207,7 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
     calls = _count_class_integrals(monkeypatch)
     k = make_geometric_indicator(0.1)
     spec = IntensitySpec(UNIT, t=20.0)
-    n_classes = len(contraction_classes(1, 2))
+    n_classes = len(contraction_classes((1, 1, 2, 2)))
 
     def run(kern=k, intensity=spec, seed=4, samples=2000, mc=None):
         before = len(calls)
@@ -224,7 +262,7 @@ def test_m_generators_are_not_cached(monkeypatch):
     a = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
     b = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
     c = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(2))
-    assert len(calls) == 3 * len(contraction_classes(1, 2))
+    assert len(calls) == 3 * len(contraction_classes((1, 1, 2, 2)))
     assert a == b
     assert a != c
 
@@ -244,7 +282,7 @@ def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
         assert cli.main(["experiment", str(path)]) == 0
         counts.append(len(calls) - before)
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(t_values)
-    n_classes = sum(len(contraction_classes(i, j)) for i, j in ((1, 1), (1, 2), (2, 2)))
+    n_classes = sum(len(contraction_classes((i, i, j, j))) for i, j in ((1, 1), (1, 2), (2, 2)))
     assert counts == [n_classes + 2, n_classes + 2]
 
 

@@ -115,7 +115,7 @@ def _block_masks(p):
 @pytest.mark.parametrize("i, j", SMALL_CASES)
 def test_classes_group_the_partitions(i, j):
     grouped = Counter(_block_masks(p) for p in enumerate_partitions(i, j))
-    classes = contraction_classes(i, j)
+    classes = contraction_classes((i, i, j, j))
     assert len({masks for masks, _ in classes}) == len(classes)  # each class once
     assert {masks: w for masks, w in classes} == dict(grouped)
 
@@ -130,26 +130,33 @@ def test_classes_group_the_partitions(i, j):
         (3, 3, 46, 41_364),
         (3, 4, 65, 687_168),
         (4, 4, 130, 18_365_184),
+        # j None: the two groups (i, i) of Var F, one class of i blocks
+        (1, None, 1, 1),
+        (2, None, 1, 2),
+        (3, None, 1, 6),
+        (4, None, 1, 24),
     ],
 )
 def test_class_counts_and_weight_sums(i, j, n_classes, weight_sum):
-    classes = contraction_classes(i, j)
+    classes = contraction_classes((i, i) if j is None else (i, i, j, j))
     assert len(classes) == n_classes
     assert sum(w for _, w in classes) == weight_sum
+    if j is None:
+        assert classes == (((0b11,) * i, weight_sum),)
 
 
 def test_class_weight_sums_symmetric():
     for i in range(1, MAX_GROUP_SIZE + 1):
         for j in range(1, MAX_GROUP_SIZE + 1):
-            assert sum(w for _, w in contraction_classes(i, j)) == sum(
-                w for _, w in contraction_classes(j, i)
+            assert sum(w for _, w in contraction_classes((i, i, j, j))) == sum(
+                w for _, w in contraction_classes((j, j, i, i))
             )
 
 
 def test_class_masks_obey_the_rules():
     for i in range(1, MAX_GROUP_SIZE + 1):
         for j in range(i, MAX_GROUP_SIZE + 1):
-            for masks, weight in contraction_classes(i, j):
+            for masks, weight in contraction_classes((i, i, j, j)):
                 assert all(bin(m).count("1") >= 2 for m in masks)
                 assert [sum(m >> g & 1 for m in masks) for g in range(4)] == [i, i, j, j]
                 assert list(masks) == sorted(masks)
@@ -157,10 +164,16 @@ def test_class_masks_obey_the_rules():
 
 
 def test_class_size_cap():
-    with pytest.raises(ValueError):
-        contraction_classes(MAX_GROUP_SIZE + 1, 1)
-    with pytest.raises(ValueError):
-        contraction_classes(1, 0)
+    for sizes in (
+        (MAX_GROUP_SIZE + 1, MAX_GROUP_SIZE + 1, 1, 1),
+        (1, 1, 0, 0),
+        (0, 0),
+        (MAX_GROUP_SIZE + 1, 1),
+        (1,),
+        (1, 1, 1, 1, 1),
+    ):
+        with pytest.raises(ValueError):
+            contraction_classes(sizes)
     check_order(MAX_GROUP_SIZE)
     with pytest.raises(ValueError, match="capped"):
         check_order(MAX_GROUP_SIZE + 1)
