@@ -27,8 +27,9 @@ G = (F - EF)/sqrt(Var F):
 
     T1 = E|1 - <DG, -DL^{-1}G>|,   T2 = E<(DG)^2, (DL^{-1}G)^2>,
 
-the companion moments entering c(F), and a grid maximum (a lower estimate)
-of sup_s E<D 1(G > s), DG |DL^{-1}G|>.
+the companion moments entering c(F), and sup_s E<D 1(G > s), DG |DL^{-1}G|>
+as the supremum of its sample mean over s, taken exactly from one sort of
+the sample function's breakpoints (biased upward, never down).
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ __all__ = [
 
 _M_SEED = 0xB0D5
 UNRELIABLE_RATIO = 0.5  # stderr/estimate above this flags a divergent integral
-_SUP_NOTE = "grid maximum over s; a lower estimate of the supremum"
-SUP_GRID_POINTS = 41  # the sup term's grid of s on [-4, 4]
+_SUP_NOTE = "exact supremum over s of the sample mean; biased upward"
 
 
 def compute_Mij(
@@ -252,7 +252,7 @@ class SteinTerms:
     dgdg_sq: MCValue  # E<DG, DG>^2
     g4: MCValue  # E G^4
     c_f: MCValue
-    sup_term: MCValue  # a grid maximum over s: a lower estimate of the sup
+    sup_term: MCValue  # sup over s of the sample mean: biased upward
     # integration by parts gives E<DG, -DL^{-1}G> = E G^2 = 1; a drift away
     # from 1 signals bias in the operator estimates
     inner_mean: MCValue
@@ -274,8 +274,10 @@ def estimate_stein_terms(
     from the add-one cost of the inverse-generator representation, whose
     top term D_z F / k reuses the add-one cost; inner
     products in L^2(mu_t) are Monte Carlo averages over z drawn from
-    mu_t/mass, scaled by the mass.  The sup term is reported as a grid
-    maximum and labeled a lower estimate.  The configurations come from
+    mu_t/mass, scaled by the mass.  The sup term is the exact supremum over
+    s of its sample mean (``_rows_at_step_sup``), whose stderr comes from the
+    replications at the maximizing s; E sup >= sup E, so any bias is
+    upward.  The configurations come from
     ``rng`` (``replication_blocks``) and the z from a generator spawned from
     it, so that on a constant density neither depends on the block size.
     """
@@ -288,10 +290,14 @@ def estimate_stein_terms(
     sigma = math.sqrt(var_f.value)
     ef = kernel.full_integral(intensity, mc=mc)
     mass = intensity.total_mass
-    grid = np.linspace(-4.0, 4.0, SUP_GRID_POINTS)
 
     ip1, q2, dg4, ipdg, g4 = np.empty((5, reps))
-    sup_mat = np.empty((reps, len(grid)))
+    # the sup term's breakpoints: each replication's G, then its G + D_z G
+    # row by row, with the weights of ``_rows_at_step_sup``
+    pos = np.empty(reps * (z_samples + 1))
+    wt = np.empty_like(pos)
+    tops = pos[reps:].reshape(reps, z_samples)
+    drops = wt[reps:].reshape(reps, z_samples)
 
     for rows, points, sizes in replication_blocks(intensity, reps, rng, z_samples):
         b = len(sizes)
@@ -306,10 +312,12 @@ def estimate_stein_terms(
         dg4[rows] = mass * np.mean(dg**4, axis=1)
         ipdg[rows] = np.square(mass * np.mean(dg * dg, axis=1))
         g4[rows] = np.square(gv * gv)
-        # jump[b, z, s] = 1(G + D_z G > s) - 1(G > s) on the grid of s
-        jump = ((gv[:, None] + dg)[:, :, None] > grid).astype(float)
-        jump -= (gv[:, None] > grid)[:, None, :]
-        sup_mat[rows] = mass * (jump * (dg * np.abs(mdl))[:, :, None]).mean(axis=1)
+        # 1(G + D_z G > s) - 1(G > s) steps up by w at G, down at G + D_z G
+        w = dg * np.abs(mdl)
+        pos[rows] = gv
+        wt[rows] = w.sum(axis=1)
+        tops[rows] = gv[:, None] + dg
+        drops[rows] = -w
 
     t1 = _mean_with_stderr(np.abs(1.0 - ip1))
     t2 = _mean_with_stderr(q2)
@@ -317,7 +325,7 @@ def estimate_stein_terms(
     b = _mean_with_stderr(ipdg)
     c = _mean_with_stderr(g4)
     c_f = _cf_value(a, b, c)
-    sup = _mean_with_stderr(sup_mat[:, int(np.argmax(sup_mat.mean(axis=0)))])
+    sup = _mean_with_stderr(mass / z_samples * _rows_at_step_sup(pos, wt, reps))
     return SteinTerms(
         t1=t1,
         t2=t2,
@@ -328,6 +336,30 @@ def estimate_stein_terms(
         sup_term=sup,
         inner_mean=_mean_with_stderr(ip1),
     )
+
+
+def _rows_at_step_sup(pos: np.ndarray, wt: np.ndarray, reps: int) -> np.ndarray:
+    """Each replication's step function at the s where their sum peaks.
+
+    Replication b's function is the sum of wt[i] 1(s >= pos[i]) over its
+    breakpoints: pos[b] and row b of pos[reps:] reshaped to (reps, z).  The
+    sum over b is right-continuous, so its supremum is 0 (s below every
+    breakpoint) or its value at a breakpoint.  One sort and one running sum
+    visit them all.  Tied breakpoints sort by weight, ascending: the running
+    sum then falls, then rises through a tie group, so inside it no partial
+    sum exceeds both the group's value and the one before it, and the
+    largest running sum is the supremum.
+    """
+    order = np.lexsort((wt, pos))
+    run = wt[order]
+    np.cumsum(run, out=run)
+    best = int(np.argmax(run))
+    s = pos[order[best]] if run[best] > 0.0 else -np.inf
+    del order, run
+    z = len(pos) // reps - 1
+    rows = wt[:reps] * (pos[:reps] <= s)
+    rows += np.sum(wt[reps:].reshape(reps, z), axis=1, where=pos[reps:].reshape(reps, z) <= s)
+    return rows
 
 
 def _cf_value(a: MCValue, b: MCValue, c: MCValue) -> MCValue:
@@ -386,6 +418,7 @@ class BoundReport:
             "fourth_moment_bound": self.fourth_moment.value,
             "fourth_moment_bound_stderr": self.fourth_moment.stderr,
             "t1": _mcv(th.t1) if th else None,
+            "inner_mean": _mcv(th.inner_mean) if th else None,
             "t2": _mcv(th.t2) if th else None,
             "c_f": _mcv(th.c_f) if th else None,
             "sup_term": _mcv(th.sup_term) if th else None,

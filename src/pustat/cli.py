@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds import SUP_GRID_POINTS, bound_report
+from .bounds import bound_report
 from .chaos import MCValue, variance_from_kernels
 from .distance import SortedSample, empirical_dK, empirical_dW, poisson_exact_dK
 from .kernels import _BUILTIN_NAMES, make_kernel
@@ -39,12 +39,18 @@ NUMERICAL_ERROR = 3
 # poisson_exact_dK(t) holds a few arrays of t + 12 sqrt(t) entries
 _TMAX_CAP = 2.0**20
 # The sample counts are capped so that no array of a run reaches 1 GiB
-# (2**27 doubles).  Per unit the largest arrays hold SUP_GRID_POINTS doubles
-# per replication (the Stein terms' sup grid), max(SUP_GRID_POINTS, dim)
-# per z sample (one replication's jumps or its query points) and 2k * dim
-# per Monte Carlo draw (an M_ij class of order k has up to 2k blocks), as if
-# every draw were held at once (mc_integral keeps one double per draw).
+# (2**27 doubles).  Per unit the largest hold 4 doubles per replication (the
+# list of quantile levels that dW maps through NormalDist: a float object and
+# its pointer; the R and Stein replications, with 1 each, share the cap),
+# dim per z sample (one replication's query points) and
+# 2k * dim per Monte Carlo draw (an M_ij class of order k has up to 2k
+# blocks), as if every draw were held at once (mc_integral keeps one double
+# per draw).  The Stein terms also hold at most four arrays of
+# reps * (z_samples + 1) <= 2 * reps * z_samples entries at once (breakpoint
+# positions and weights, their sort order and running sum), so their
+# product reps * z_samples has a cap of its own.
 _ARRAY_DOUBLES = 2**27
+_STEIN_PAIRS = _ARRAY_DOUBLES // (4 * 2)
 
 
 class ConfigError(ValueError):
@@ -56,9 +62,9 @@ def _sample_caps(k: int, dim: int) -> dict:
     dimensions: the largest power of two whose arrays stay below
     _ARRAY_DOUBLES."""
     per_unit = {
-        "reps": SUP_GRID_POINTS,
-        "term_reps": SUP_GRID_POINTS,
-        "z_samples": max(SUP_GRID_POINTS, dim),
+        "reps": 4,
+        "term_reps": 4,
+        "z_samples": dim,
         "mc_samples": 2 * min(k, MAX_GROUP_SIZE) * dim,
     }
     return {
@@ -67,13 +73,22 @@ def _sample_caps(k: int, dim: int) -> dict:
     }
 
 
-def _check_caps(kernel, dim: int, **counts):
-    """Refuse a sample count above its cap before any work starts."""
+def _check_caps(kernel, dim: int, stein_reps: Optional[str] = None, **counts):
+    """Refuse a sample count above its cap before any work starts.
+    ``stein_reps`` names the count of the Stein terms' replications when
+    they run: its product with z_samples is capped too."""
     caps = _sample_caps(kernel.order, dim)
     for name, value in counts.items():
         if value > caps[name]:
             raise ConfigError(
                 f"{name}: must be <= {caps[name]} (keeps arrays under 1 GiB), got {value}"
+            )
+    if stein_reps is not None:
+        reps, z = counts[stein_reps], counts["z_samples"]
+        if reps * z > _STEIN_PAIRS:
+            raise ConfigError(
+                f"{stein_reps} * z_samples: must be <= {_STEIN_PAIRS} (keeps the Stein terms' "
+                f"arrays under 1 GiB), got {reps} * {z}"
             )
 
 
@@ -196,7 +211,7 @@ def _cmd_bound(args) -> int:
         counts["reps"] = args.reps
     if args.stein_terms:
         counts["z_samples"] = args.z_samples
-    _check_caps(kernel, len(box), **counts)
+    _check_caps(kernel, len(box), "reps" if args.stein_terms else None, **counts)
     intensity = _intensity(box, args.t)
     report = bound_report(
         kernel,
@@ -311,10 +326,9 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
     return cfg
 
 
-_SWEEP_COLUMNS = (
-    "t,var_f,var_f_se,dk_emp,dk_emp_se,dk_bound,dk_bound_se,"
-    "dw_emp,dw_emp_se,dw_bound,dw_bound_se,t1,t1_se,t2,t2_se,sup_term,sup_term_se"
-)
+# each after t as a value and a stderr column
+_SWEEP_STATS = ("var_f", "dk_emp", "dk_bound", "dw_emp", "dw_bound", "t1", "t2", "sup_term")
+_SWEEP_COLUMNS = ",".join(["t", *(f"{name},{name}_se" for name in _SWEEP_STATS)])
 
 
 def _bootstrap_se(vals: np.ndarray, seed: int, draws: int = 100):
@@ -338,7 +352,8 @@ def _cmd_experiment(args) -> int:
         kernel = make_kernel(cfg["kernel"])
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
-    _check_caps(kernel, len(cfg["box"]), **{key: cfg[key] for key in _EXPERIMENT_MINIMA})
+    _check_caps(kernel, len(cfg["box"]), "term_reps" if cfg["stein_terms"] else None,
+                **{key: cfg[key] for key in _EXPERIMENT_MINIMA})
     rows = [_SWEEP_COLUMNS]
     for t in cfg["t_values"]:
         intensity = _intensity(cfg["box"], float(t))
@@ -357,25 +372,17 @@ def _cmd_experiment(args) -> int:
         dw_emp = empirical_dW(vals)
         dk_se, dw_se = _bootstrap_se(vals, cfg["seed"])
         th = report.stein_terms
-        cells = [
-            _fmt(float(t)),
-            _fmt(report.var_f.value),
-            _fmt(report.var_f.stderr),
-            _fmt(dk_emp),
-            _fmt(dk_se),
-            _fmt(report.dk.value),
-            _fmt(report.dk.stderr),
-            _fmt(dw_emp),
-            _fmt(dw_se),
-            _fmt(report.dw.value),
-            _fmt(report.dw.stderr),
-            _fmt(th.t1.value) if th else "",
-            _fmt(th.t1.stderr) if th else "",
-            _fmt(th.t2.value) if th else "",
-            _fmt(th.t2.stderr) if th else "",
-            _fmt(th.sup_term.value) if th else "",
-            _fmt(th.sup_term.stderr) if th else "",
-        ]
+        stats = {
+            "var_f": report.var_f,
+            "dk_emp": (dk_emp, dk_se),
+            "dk_bound": report.dk[:2],
+            "dw_emp": (dw_emp, dw_se),
+            "dw_bound": report.dw[:2],
+            **({"t1": th.t1, "t2": th.t2, "sup_term": th.sup_term} if th else {}),
+        }
+        cells = [_fmt(float(t))]
+        for name in _SWEEP_STATS:
+            cells.extend(map(_fmt, stats[name]) if name in stats else ("", ""))
         rows.append(",".join(cells))
     _write_lines(args.out, rows)
     return 0

@@ -14,9 +14,10 @@ with Phi and its antiderivative at the sorted values.  A bootstrap
 resample holds only values of the sample, so its distances gather from the
 same table; the sample itself is the identity resample.
 
-Nothing here imports scipy: Phi comes from math.erf/erfc, its inverse from
-statistics.NormalDist (imported by the first dW) and log m! from
-math.lgamma.
+Nothing here imports scipy: Phi comes from math.erf/erfc and its inverse
+from statistics.NormalDist (imported by the first dW).  The Poisson
+probabilities take Loader's saddle-point form, which never forms the
+cancelling terms -t + m log t - log m!.
 """
 
 from __future__ import annotations
@@ -132,6 +133,60 @@ def empirical_dW(samples) -> float:
     return table.dw(table.identity)
 
 
+# log m! - log(sqrt(2 pi m) (m/e)^m) at m = 1..15 (index 0 unused), then the
+# coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188 of its series in 1/m
+_STIRLERR_TABLE = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+
+
+def _stirlerr(m: np.ndarray) -> np.ndarray:
+    """log m! - log(sqrt(2 pi m) (m/e)^m) for whole numbers m >= 1."""
+    nn = m * m
+    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / m
+    small = m <= 15
+    out[small] = _STIRLERR_TABLE[m[small].astype(int)]
+    return out
+
+
+def _bd0(x: np.ndarray, t: float) -> np.ndarray:
+    """x log(x/t) + t - x, by its series in v = (x - t)/(x + t) where
+    |v| < 0.1, so that the terms of size x log x do not cancel."""
+    out = x * np.log(x / t) + t - x
+    near = np.abs(x - t) < 0.1 * (x + t)
+    xn = x[near]
+    v = (xn - t) / (xn + t)
+    s = (xn - t) * v
+    term = 2.0 * xn * v
+    v *= v
+    j = 1
+    while True:
+        term *= v
+        nxt = s + term / (2 * j + 1)
+        if np.array_equal(nxt, s):
+            break
+        s, j = nxt, j + 1
+    out[near] = s
+    return out
+
+
+def _poisson_pmf(t: float, m_hi: int) -> np.ndarray:
+    """P(Y = m), Y ~ Poisson(t), for m = 0..m_hi, each within a few ulps of
+    the largest: exp(-stirlerr(m) - bd0(m, t)) / sqrt(2 pi m) above 0
+    (Loader, "Fast and accurate computation of binomial probabilities",
+    2000; the method of R's dpois)."""
+    m = np.arange(1.0, m_hi + 1)
+    pmf = np.empty(m_hi + 1)
+    pmf[0] = math.exp(-t)
+    pmf[1:] = np.exp(-_stirlerr(m) - _bd0(m, t)) / np.sqrt(2.0 * math.pi * m)
+    return pmf
+
+
 def _poisson_tail_log(t: float, a: int) -> float:
     """log of the Chernoff bound for P(Y >= a), Y ~ Poisson(t), a > t."""
     return -t + a + a * math.log(t / a)
@@ -155,9 +210,7 @@ def poisson_exact_dK(t: float) -> float:
     ):
         m_hi += int(10 * sd) + 10
     m = np.arange(0, m_hi + 1)
-    log_factorial = np.fromiter(map(math.lgamma, range(1, m_hi + 2)), dtype=float, count=m_hi + 1)
-    logpmf = -t + m * math.log(t) - log_factorial
-    cdf = np.cumsum(np.exp(logpmf))
+    cdf = np.cumsum(_poisson_pmf(t, m_hi))
     phi_at = normal_cdf((m - t) / sd)
     cdf_left = np.concatenate([[0.0], cdf[:-1]])
     gaps = np.maximum(np.abs(cdf - phi_at), np.abs(cdf_left - phi_at))

@@ -6,7 +6,9 @@ filtering a plain restricted-growth enumeration of ALL set partitions (an
 int8 array filtered column by column, checked against a string-by-string
 Python walk for small n), the
 Stein solution from direct numerical quadrature of its defining integral,
-the Wasserstein distance from a Riemann sum, the empirical distances by
+the Wasserstein distance from a Riemann sum, the Stein terms' sup term by
+evaluating its sample function at every breakpoint and just below each
+one, the empirical distances by
 sorting and evaluating each sample anew, the Poisson Kolmogorov distance
 from high-precision arithmetic and from scipy's gammaln and ndtr, a Monte
 Carlo integral from one draw of all its samples, and M_ij and Var F from
@@ -237,6 +239,30 @@ def stein_g_quadrature(s, w):
         b, _ = quad(integrand, s, w, limit=200)
         val = a + b
     return math.exp(0.5 * w * w) * val
+
+
+# ---------------------------------------------------------------------------
+# the Stein terms' sup term: its sample function at every breakpoint
+# ---------------------------------------------------------------------------
+
+
+def stein_sup_sample(g, top, c, s):
+    """The sup term's sample function at each level of ``s``:
+
+        h(s) = mean over b of sum over z of c[b, z] (1(top[b, z] > s) - 1(g[b] > s)),
+
+    for each replication's G in ``g`` (reps,), its G + D_z G in ``top`` and
+    its weights mass * D_z G |D_z L^{-1} G| / z_samples in ``c`` (reps, z)."""
+    s = np.asarray(s, dtype=float)[:, None, None]
+    jumps = (top[None] > s).astype(float) - (g[None, :, None] > s)
+    return (jumps * c[None]).sum(axis=2).mean(axis=1)
+
+
+def stein_sup_brute_force(g, top, c):
+    """max of ``stein_sup_sample`` over every breakpoint and just below each."""
+    points = np.unique(np.concatenate([g, top.ravel()]))
+    levels = np.concatenate([points, np.nextafter(points, -np.inf)])
+    return float(stein_sup_sample(g, top, c, levels).max())
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,85 @@ def test_stein_terms_count_sup_dominated(rng):
     assert th.sup_term.value <= 1.0 / math.sqrt(t) + 4.0 * th.sup_term.stderr
 
 
+def _sup_draws(monkeypatch, kernel, t, reps, z_samples, seed):
+    """estimate_stein_terms's result and the draws of its sup term: each
+    replication's G, its G + D_z G and the oracle's weights c."""
+    seen = []
+    real = bounds._rows_at_step_sup
+
+    def spy(pos, wt, n):
+        seen.append((pos.copy(), wt.copy()))
+        return real(pos, wt, n)
+
+    monkeypatch.setattr(bounds, "_rows_at_step_sup", spy)
+    spec = IntensitySpec(UNIT, t=t)
+    var = _mc(t) if kernel.order == 1 else None
+    th = estimate_stein_terms(kernel, spec, reps=reps, z_samples=z_samples,
+                              rng=np.random.default_rng(seed), var_f=var)
+    (pos, wt), = seen
+    top = pos[reps:].reshape(reps, z_samples)
+    c = -spec.total_mass / z_samples * wt[reps:].reshape(reps, z_samples)
+    return th, pos[:reps], top, c
+
+
+@pytest.mark.parametrize("reps, z_samples", [(3, 2), (7, 5), (40, 16)])
+@pytest.mark.parametrize("name", ["distance", "count"])
+def test_stein_sup_is_the_brute_force_maximum(monkeypatch, name, reps, z_samples):
+    # the sweep's sup term is the largest value of the sample function over
+    # every breakpoint and just below each one, and at least the old
+    # 41-point grid's maximum on the same draws
+    kernel = make_geometric_indicator(0.1) if name == "distance" else make_count()
+    for seed in range(4):
+        th, g, top, c = _sup_draws(monkeypatch, kernel, 12.0, reps, z_samples, seed)
+        exact = oracles.stein_sup_brute_force(g, top, c)
+        assert th.sup_term.value == pytest.approx(exact, rel=1e-12, abs=1e-300)
+        grid = oracles.stein_sup_sample(g, top, c, np.linspace(-4.0, 4.0, 41)).max()
+        assert th.sup_term.value >= grid - 1e-15
+
+
+def test_stein_sup_count_kernel_ties(monkeypatch):
+    # D_z G = 1/sigma for every z and G is shared by a replication's z, so
+    # every breakpoint ties with many others; at t = 4, G = (N - 4)/2 and
+    # G + 1/2 are exact, so rises at one replication's G tie with falls at
+    # another's G + D_z G.  The value is the oracle's
+    t, reps, z_samples = 4.0, 60, 8
+    th, g, top, c = _sup_draws(monkeypatch, make_count(), t, reps, z_samples, 5)
+    assert np.all(top - g[:, None] == 0.5)
+    assert np.allclose(c, 1.0 / z_samples, rtol=1e-12)  # mass t times 1/sigma^2
+    points = np.concatenate([g, top.ravel()])
+    assert len(np.unique(points)) < len(points) / 4
+    assert len(np.intersect1d(g, top)) > 1
+    assert th.sup_term.value > 0.0
+    assert th.sup_term.value == pytest.approx(oracles.stein_sup_brute_force(g, top, c), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_step_sup_with_mixed_weights_and_ties(seed):
+    # integer breakpoints tie often, and weights of either sign put rises
+    # and falls in the same tie group
+    rng = np.random.default_rng(seed)
+    reps, z = 30, 6
+    g = rng.integers(-5, 5, reps).astype(float)
+    top = g[:, None] + rng.integers(-3, 4, (reps, z))
+    c = rng.normal(size=(reps, z))
+    pos = np.concatenate([g, top.ravel()])
+    wt = np.concatenate([c.sum(axis=1), -c.ravel()])
+    rows = bounds._rows_at_step_sup(pos, wt, reps)
+    exact = oracles.stein_sup_brute_force(g, top, c)
+    assert rows.mean() == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def test_stein_sup_of_an_all_negative_function_is_zero():
+    # below every breakpoint the function is 0, which bounds the sup below
+    g = np.array([0.0, 1.0])
+    top = g[:, None] + np.array([[1.0], [2.0]])
+    c = -np.ones((2, 1))
+    pos = np.concatenate([g, top.ravel()])
+    wt = np.concatenate([c.sum(axis=1), -c.ravel()])
+    assert not np.any(bounds._rows_at_step_sup(pos, wt, 2))
+    assert oracles.stein_sup_brute_force(g, top, c) == 0.0
+
+
 def test_mean_matches_full_integral(rng):
     # E F is the integral of f against mu_t^k
     spec = IntensitySpec(UNIT, t=10.0)

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pustat.cli import _bootstrap_se, _sample_caps, main
+from pustat.cli import _STEIN_PAIRS, _bootstrap_se, _check_caps, _sample_caps, main
 from pustat.distance import _normal_quantiles, empirical_dK, empirical_dW
-from pustat.kernels import make_geometric_indicator
+from pustat.kernels import make_count, make_geometric_indicator
 from pustat.measure import IntensitySpec, PointConfiguration
 from pustat.stein import normal_cdf
 from pustat.ustat import evaluate
@@ -575,14 +575,72 @@ def test_oversized_sample_counts_exit_2(capsys, argv, field):
 @pytest.mark.parametrize("k, dim", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (2, 100)])
 def test_sample_caps_keep_arrays_under_1_gib(k, dim):
     caps = _sample_caps(k, dim)
-    per_unit = {"reps": 41, "term_reps": 41, "z_samples": max(41, dim), "mc_samples": 2 * k * dim}
+    # doubles per unit: dW's list of quantile levels (32 bytes a replication),
+    # a z sample's query point and an M_ij draw of up to 2k blocks
+    per_unit = {"reps": 4, "term_reps": 4, "z_samples": dim, "mc_samples": 2 * k * dim}
     for name, cap in caps.items():
         assert cap * per_unit[name] * 8 < 2**30, name
         assert 2 * cap * per_unit[name] * 8 >= 2**30, name  # the largest such power of two
         assert cap & (cap - 1) == 0
+    # the Stein terms hold four arrays of reps * (z_samples + 1) entries
+    assert 4 * 2 * _STEIN_PAIRS * 8 <= 2**30
     # the documented defaults and the sweep's counts stay well inside
     assert min(caps["reps"], caps["term_reps"]) >= 10_000 and caps["z_samples"] >= 128
     assert caps["mc_samples"] >= 200_000
+    assert 10_000 * 128 <= _STEIN_PAIRS
+
+
+@pytest.mark.parametrize("command", ["bound", "experiment"])
+def test_stein_pairs_over_the_joint_cap_exit_2(capsys, tmp_path, command):
+    # each count is under its own cap, but the Stein terms' breakpoint
+    # arrays would not be: refused before the first integral
+    reps, z = 2**20, 2**20
+    caps = _sample_caps(2, 1)
+    assert reps <= min(caps["reps"], caps["term_reps"]) and z <= caps["z_samples"]
+    assert reps * z > _STEIN_PAIRS
+    if command == "bound":
+        argv = ["bound", "--kernel", "count", "--t", "10", "--seed", "1", "--stein-terms",
+                "--reps", str(reps), "--z-samples", str(z)]
+        field = "reps"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": {"name": "count"}, "t_values": [10], "seed": 1,
+                                   "term_reps": reps, "z_samples": z}))
+        argv = ["experiment", str(cfg)]
+        field = "term_reps"
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} * z_samples: must be <= {_STEIN_PAIRS} ")
+    assert f"got {reps} * {z}" in err
+    # without the Stein terms the pair is not checked
+    assert _check_caps(make_count(), 1, reps=reps, z_samples=z) is None
+
+
+def test_stein_terms_peak_under_the_readme_bound(tmp_path):
+    # the sup term sorts reps * (z_samples + 1) breakpoints once: at 2**21
+    # pairs its four arrays of 16.8 MB stay under the README's 160 MB
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = ["bound", "--kernel", "count", "--t", "10", "--stein-terms", "--reps", "2048",
+            "--z-samples", "1024", "--seed", "1"]
+    code, peak = child_peak_rss_mb([sys.executable, "-m", "pustat.cli", *argv], env=env,
+                                   cwd=tmp_path)
+    assert code == 0
+    assert peak < 160.0
+
+
+def test_bound_reports_inner_mean(capsys):
+    # integration by parts: E<DG, -DL^{-1}G> = E G^2 = 1 for the
+    # standardized statistic, so the 1-D certificate's inner mean sits near 1
+    code, out, _ = _run(capsys, "bound", "--kernel", "geometric_indicator", "--r", "0.05",
+                        "--t", "100", "--stein-terms", "--seed", "1")
+    assert code == 0
+    inner = json.loads(out)["inner_mean"]
+    assert abs(inner["value"] - 1.0) <= 4.0 * inner["stderr"]
+    code, out, _ = _run(capsys, "bound", "--kernel", "count", "--t", "10", "--seed", "1")
+    assert code == 0 and json.loads(out)["inner_mean"] is None
 
 
 def test_many_mc_samples_peak_under_the_readme_bound(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pustat.distance import (
     SortedSample,
     _normal_quantiles,
+    _poisson_pmf,
+    _stirlerr,
     empirical_dK,
     empirical_dW,
     poisson_exact_dK,
@@ -105,6 +107,32 @@ def test_poisson_dk_rejects_nonpositive():
 def test_poisson_dk_against_high_precision_oracle():
     for t in (1.0, 4.0, 25.0):
         assert abs(poisson_exact_dK(t) - poisson_dk_mpmath(t)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1.0, 7.5, 512.0, 4096.0])
+def test_poisson_dk_to_a_few_ulps(t):
+    # Loader's saddle-point pmf never forms -t + m log t - log m!, whose
+    # cancelling terms cost about t log t ulps (3.4e-10 relative at 4096)
+    exact = poisson_dk_mpmath(t)
+    assert poisson_exact_dK(t) == pytest.approx(exact, rel=1e-13)
+
+
+def test_stirlerr_and_pmf_against_high_precision():
+    # stirlerr from the table (m <= 15) and from the series above it, and
+    # the pmf on both sides of bd0's series region |m - t| < 0.1 (m + t),
+    # each within a few ulps of its largest value: what a cumsum reads
+    import mpmath as mp
+
+    m = np.arange(1, 60)
+    with mp.workdps(40):
+        ref = [mp.loggamma(k + 1) - (k + 0.5) * mp.log(k) + k - mp.log(mp.sqrt(2 * mp.pi))
+               for k in m.tolist()]
+        assert np.abs(_stirlerr(m) - np.array(ref, dtype=float)).max() <= 2e-16
+        for t in (0.5, 7.5, 30.0, 300.5):
+            m_hi = int(t + 12 * math.sqrt(t)) + 2
+            ref = np.array([mp.e ** (-mp.mpf(t) + k * mp.log(t) - mp.loggamma(k + 1))
+                            for k in range(m_hi + 1)], dtype=float)
+            assert np.abs(_poisson_pmf(t, m_hi) - ref).max() <= 4e-15 * ref.max()
 
 
 def test_poisson_dk_t1_brute_force_window():
