@@ -40,7 +40,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .chaos import MCValue, chaos_kernel_values, contraction_sum, variance_from_kernels
+from .chaos import ClassSum, MCValue, chaos_kernel_values, contraction_sum, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
 from .measure import IntensitySpec, sample_points
 from .partitions import check_order
@@ -63,10 +63,14 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "UNRELIABLE_RATIO",
+    "MIN_HITS",
 ]
 
 _M_SEED = 0xB0D5
 UNRELIABLE_RATIO = 0.5  # stderr/estimate above this flags a divergent integral
+# a class integral with fewer nonzero draws flags its sum: the stderr of a
+# mean of h nonzero values is itself uncertain by about 1/sqrt(2h)
+MIN_HITS = 30
 _SUP_NOTE = "exact supremum over s of the sample mean; biased upward"
 
 
@@ -79,7 +83,7 @@ def compute_Mij(
     samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
     mc: Optional[MarginalIntegration] = None,
-) -> MCValue:
+) -> ClassSum:
     """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
 
     M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
@@ -396,6 +400,7 @@ class BoundReport:
     r: Optional[List[List[MCValue]]] = None
     stein_terms: Optional[SteinTerms] = None
     unreliable: Tuple[Tuple[int, int], ...] = ()
+    var_f_unreliable: bool = False
 
     def to_dict(self) -> dict:
         def _mcv(v):
@@ -424,6 +429,7 @@ class BoundReport:
             "sup_term": _mcv(th.sup_term) if th else None,
             "sup_term_note": _SUP_NOTE if th else None,
             "unreliable": [list(ij) for ij in self.unreliable],
+            "var_f_unreliable": self.var_f_unreliable,
         }
 
 
@@ -452,7 +458,9 @@ def bound_report(
     The Var F and M_ij streams are passed as SeedSequences, so reports at
     several t for one kernel, box and seed integrate each class once and
     rescale it by its power of t.  ``unreliable`` lists the (i, j), i <= j,
-    whose stderr exceeds ``UNRELIABLE_RATIO`` times the estimate.
+    whose stderr exceeds ``UNRELIABLE_RATIO`` times the estimate or one of
+    whose class integrals had fewer than ``MIN_HITS`` nonzero draws;
+    ``var_f_unreliable`` applies the same test to Var F.
     The replication settings of the requested stages are checked before
     the first integral.
     """
@@ -477,10 +485,7 @@ def bound_report(
                 kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j), mc=mc
             )
     unreliable = tuple(
-        (i + 1, j + 1)
-        for i in range(k)
-        for j in range(i, k)
-        if m[i][j].value > 0.0 and m[i][j].stderr > UNRELIABLE_RATIO * m[i][j].value
+        (i + 1, j + 1) for i in range(k) for j in range(i, k) if _unreliable(m[i][j])
     )
 
     r = None
@@ -512,4 +517,10 @@ def bound_report(
         r=r,
         stein_terms=stein_terms,
         unreliable=unreliable,
+        var_f_unreliable=_unreliable(var_f),
     )
+
+
+def _unreliable(v: ClassSum) -> bool:
+    """A class sum that few draws reached, or whose stderr is large."""
+    return v.fewest_hits < MIN_HITS or (v.value > 0.0 and v.stderr > UNRELIABLE_RATIO * v.value)

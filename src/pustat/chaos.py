@@ -29,6 +29,7 @@ from .partitions import check_order, contraction_classes
 
 __all__ = [
     "MCValue",
+    "ClassSum",
     "chaos_kernel_values",
     "contraction_sum",
     "variance_from_kernels",
@@ -42,6 +43,18 @@ class MCValue(NamedTuple):
 
     value: float
     stderr: float
+
+
+class ClassSum(MCValue):
+    """The MCValue of a ``contraction_sum``, which also records in
+    ``fewest_hits`` the fewest nonzero integrand draws of any class it
+    sums: a class that few draws reached has a stderr that is itself
+    unreliable, however small it reads."""
+
+    def __new__(cls, value: float, stderr: float, fewest_hits: int):
+        out = super().__new__(cls, value, stderr)
+        out.fewest_hits = fewest_hits
+        return out
 
 
 def chaos_kernel_values(
@@ -75,7 +88,7 @@ def contraction_sum(
     rng: Union[np.random.Generator, np.random.SeedSequence],
     mc: MarginalIntegration,
     name: str,
-) -> MCValue:
+) -> ClassSum:
     """Sum over the classes (block_masks, weight) of ``contraction_classes``
     of each group-size tuple ``sizes`` in ``groups`` of weight times the
     integral of prod_a f_{sizes[a]}, one variable per block, where
@@ -91,7 +104,9 @@ def contraction_sum(
     scaled, and the stderrs combine in quadrature.  A Generator ``rng`` is
     consumed as given; a SeedSequence is a value, so the unit-scale
     integrals it gives are cached on ``kernel`` and another t only rescales
-    them.  ``name`` labels the NumericalError of a non-finite sum.
+    them.  ``name`` labels the NumericalError of a non-finite sum.  The
+    result's ``fewest_hits`` counts the nonzero integrand draws of the class
+    that fewest draws reached.
     """
     cache, key = {}, None  # a Generator's integrals are used once
     if isinstance(rng, np.random.SeedSequence):
@@ -105,7 +120,7 @@ def contraction_sum(
         cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng, mc)
     k, t = kernel.order, intensity.t
     total = var_acc = 0.0
-    for (sizes, masks, weight), (est, se) in zip(classes, cache[key]):
+    for (sizes, masks, weight), (est, se, _) in zip(classes, cache[key]):
         try:
             scale = weight * t ** (len(masks) + sum(k - s for s in sizes))
         except OverflowError:
@@ -114,12 +129,12 @@ def contraction_sum(
         var_acc += (scale * se) * (scale * se)
     if not (math.isfinite(total) and math.isfinite(var_acc)):
         raise NumericalError(f"non-finite {name} at t={t:g}")
-    return MCValue(total, math.sqrt(var_acc))
+    return ClassSum(total, math.sqrt(var_acc), min(hits for *_, hits in cache[key]))
 
 
 def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
-    """(estimate, stderr) of each class against mu_1 on the box and density
-    of ``intensity``, drawn from ``rng`` class by class."""
+    """(estimate, stderr, nonzero draws) of each class against mu_1 on the
+    box and density of ``intensity``, drawn from ``rng`` class by class."""
     unit = IntensitySpec(intensity.box, 1.0, intensity.density, intensity.density_sup,
                          intensity.base_integral)
     out = []
@@ -130,7 +145,9 @@ def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
             for a, size in enumerate(sizes)
         ]
 
-        def integrand(w, factors=factors):
+        hits = [0]
+
+        def integrand(w, factors=factors, hits=hits):
             vals, exact = np.ones(len(w)), {}
             for size, blocks, mc_a in factors:
                 fv = exact.get((size, *blocks))
@@ -139,9 +156,10 @@ def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
                     if not se.any():  # exact, so another seed gives the same values
                         exact[(size, *blocks)] = fv
                 vals *= fv
+            hits[0] += int(np.count_nonzero(vals))
             return vals
 
-        out.append(mc_integral(integrand, unit, len(masks), samples, rng))
+        out.append((*mc_integral(integrand, unit, len(masks), samples, rng), hits[0]))
     return out
 
 
@@ -152,7 +170,7 @@ def variance_from_kernels(
     mc_samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
     mc: Optional[MarginalIntegration] = None,
-) -> MCValue:
+) -> ClassSum:
     """Var F = sum_i i! ||f_i||^2 by ``contraction_sum`` over the groups
     (i, i) for i = 1..k: i! ||f_i||^2 is their one class.  The default
     ``rng`` is SeedSequence(0xC4A05).

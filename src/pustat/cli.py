@@ -224,11 +224,14 @@ def _cmd_bound(args) -> int:
         z_samples=args.z_samples,
     )
     _write_lines(args.out, [json.dumps(report.to_dict(), indent=2)])
-    if args.strict and report.unreliable:
-        print(
-            f"error: unreliable M_ij estimates at {list(report.unreliable)}",
-            file=sys.stderr,
-        )
+    if args.strict and (report.var_f_unreliable or report.unreliable):
+        if report.var_f_unreliable:
+            print("error: unreliable Var F estimate", file=sys.stderr)
+        if report.unreliable:
+            print(
+                f"error: unreliable M_ij estimates at {list(report.unreliable)}",
+                file=sys.stderr,
+            )
         return NUMERICAL_ERROR
     return 0
 

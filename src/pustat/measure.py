@@ -25,10 +25,6 @@ __all__ = [
     "mc_integral",
 ]
 
-# fixed probe stream for mass estimation so an IntensitySpec is a pure
-# function of its arguments
-_MASS_PROBE_SEED = 0x1D2B5
-_MASS_MC_SAMPLES = 200_000
 # draws per chunk of an mc_integral: a chunk's points and integrand
 # temporaries stay in cache, and a run holds one double per draw besides
 _MC_CHUNK = 1 << 13
@@ -77,11 +73,10 @@ class IntensitySpec:
         (m,) array of nonnegative values; None means the constant 1.
     density_sup : declared sup of the density (rejection envelope); draws
         fail loudly if the density ever exceeds it.
-    base_integral : analytic value of the Lebesgue integral of the density
-        over the box, when known.  Without it (and with a non-constant
-        density) the mass is estimated by Monte Carlo once, from
-        _MASS_MC_SAMPLES fixed draws, with a standard error reported in
-        ``total_mass_stderr``.
+    base_integral : the Lebesgue integral of the density over the box,
+        required with a density: every integral scales by a power of the
+        mass and every replication draws its Poisson count from it, so an
+        estimated mass would add an error that no stderr reports.
     """
 
     def __init__(
@@ -103,6 +98,11 @@ class IntensitySpec:
             raise ValueError("scale t must be finite and nonnegative")
         if density is not None and not (math.isfinite(density_sup) and density_sup > 0):
             raise ValueError("density_sup must be positive and finite")
+        if density is not None and base_integral is None:
+            raise ValueError(
+                "a density needs its base_integral: an estimated mass would leave its "
+                "error out of every stderr"
+            )
 
         self.box = box
         self.t = t
@@ -112,17 +112,11 @@ class IntensitySpec:
         self._hi = np.array([hi for _, hi in box])
         self.volume = float(np.prod(self._hi - self._lo))
 
-        if density is None:
-            base, se = self.volume, 0.0
-        elif base_integral is not None:
-            base, se = float(base_integral), 0.0
-        else:
-            base, se = self._estimate_base_integral(_MASS_MC_SAMPLES)
+        base = self.volume if density is None else float(base_integral)
         if not (math.isfinite(base) and base >= 0.0):
             raise ValueError("density integral must be finite and nonnegative")
         self.base_integral = base
         self.total_mass = t * base
-        self.total_mass_stderr = t * se
 
     @property
     def dim(self) -> int:
@@ -143,13 +137,6 @@ class IntensitySpec:
                 f"density exceeds the declared sup ({vals.max():g} > {self.density_sup:g})"
             )
         return vals
-
-    def _estimate_base_integral(self, samples: int) -> Tuple[float, float]:
-        rng = np.random.default_rng(np.random.SeedSequence(_MASS_PROBE_SEED))
-        vals = self._density_values(self._uniform(samples, rng))
-        est = float(vals.mean()) * self.volume
-        se = float(vals.std(ddof=1)) / math.sqrt(samples) * self.volume
-        return est, se
 
 
 def sample_points(intensity: IntensitySpec, n: int, rng: np.random.Generator) -> np.ndarray:

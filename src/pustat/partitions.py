@@ -1,8 +1,7 @@
 """Connected partitions of variable groups, and their contraction classes.
 
-``enumerate_partitions`` takes four groups with sizes (i, i, j, j), written
-g:s for group g in 1..4 and slot s.  It enumerates the set partitions of
-all 2i + 2j variables such that
+Four groups with sizes (i, i, j, j), written g:s for group g in 1..4 and
+slot s, index the partitions of all 2i + 2j variables such that
 
   * no block contains two variables from the same group,
   * every block has at least two variables,
@@ -13,13 +12,6 @@ all 2i + 2j variables such that
 These partitions index the contracted-product integrals of the bound terms:
 each block becomes one integration variable shared by its members.
 
-Enumeration walks restricted-growth strings over the canonical variable
-order (groups ascending, slots ascending), pruning same-group collisions as
-labels are assigned; block sizes and connectivity are checked on completed
-strings.  The output order is the lexicographic order of the growth strings
-and is deterministic.  The walk is a generator that holds one string at a
-time, so its memory does not grow with the count (18,365,184 for (4, 4)).
-
 A partition's contracted integral depends only on the multiset of its
 blocks' group masks (bit g-1 set when the block holds a variable of group
 g), because the chaos kernels are symmetric and the blocks are exchangeable
@@ -27,11 +19,19 @@ integration variables.  ``contraction_classes`` lists these multisets for
 2 to 4 groups, each with the number of partitions it stands for, without
 building any partition: (i, i, j, j) gives the classes of M_ij, and (i, i)
 the one class of i! ||f_i||^2 in Var F.
+
+``enumerate_partitions`` lists the partitions themselves by expanding the
+classes of (i, i, j, j) one at a time: each group's slots go to the blocks
+whose mask holds it, in every order, once per relabelling of blocks with
+equal masks.  The output comes class by class, in the order of
+``contraction_classes``, and is deterministic.  Only one class is expanded
+at a time, so memory does not grow with the count (18,365,184 for (4, 4)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial, prod
 from typing import Iterator, Tuple
 
@@ -72,47 +72,36 @@ def _connected(masks, n_groups: int) -> bool:
 
 
 def enumerate_partitions(i: int, j: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], ...]]:
-    """The valid partitions for group sizes (i, i, j, j), one at a time, in
-    canonical order.  A partition is a tuple of blocks and a block a tuple
-    of (group, slot) pairs in variable order.  The sizes are checked at the
-    call, before the first partition is asked for."""
-    _check_sizes((i, i, j, j))
-    vars_ = tuple((g, s) for g, size in zip((1, 2, 3, 4), (i, i, j, j)) for s in range(1, size + 1))
-    group_bits = tuple(1 << (g - 1) for g, _ in vars_)
-    n = len(vars_)
-    assign = [0] * n
-    masks: list = []
-    sizes: list = []
+    """The valid partitions for group sizes (i, i, j, j), one at a time,
+    class by class.  A partition is a tuple of blocks sorted by their first
+    variable, and a block a tuple of (group, slot) pairs in variable order.
+    The sizes are checked at the call, before the first partition is asked
+    for."""
+    sizes = (i, i, j, j)
+    return (p for masks, _ in contraction_classes(sizes) for p in _class_partitions(masks, sizes))
 
-    def _rec(v: int):
-        if v == n:
-            if min(sizes) >= 2 and _connected(masks, 4):
-                blocks = [[] for _ in masks]
-                for var, b in zip(vars_, assign):
-                    blocks[b].append(var)
-                yield tuple(map(tuple, blocks))
-            return
-        # every remaining variable can close at most one singleton block
-        if sum(1 for s in sizes if s == 1) > n - v:
-            return
-        g = group_bits[v]
-        for b in range(len(masks)):
-            if masks[b] & g:
-                continue
-            masks[b] |= g
-            sizes[b] += 1
-            assign[v] = b
-            yield from _rec(v + 1)
-            masks[b] ^= g
-            sizes[b] -= 1
-        masks.append(g)
-        sizes.append(1)
-        assign[v] = len(masks) - 1
-        yield from _rec(v + 1)
-        masks.pop()
-        sizes.pop()
 
-    return _rec(0)
+def _class_partitions(masks: Tuple[int, ...], sizes: Tuple[int, ...]):
+    """The ``weight`` partitions of one class: group g's slots assigned to
+    the blocks whose mask holds bit g, in every order, keeping along each
+    run of equal masks the one order in which the slots of the mask's
+    lowest group increase."""
+    per_group = []
+    for g, size in enumerate(sizes):
+        holders = [b for b, m in enumerate(masks) if m >> g & 1]
+        runs = [[h for h, b in enumerate(holders) if masks[b] == m]
+                for m in set(masks) if m & -m == 1 << g]
+        per_group.append([
+            [(b, (g + 1, s)) for b, s in zip(holders, slots)]
+            for slots in permutations(range(1, size + 1))
+            if all(slots[a] < slots[b] for run in runs for a, b in zip(run, run[1:]))
+        ])
+    for placements in product(*per_group):
+        blocks = [[] for _ in masks]
+        for placed in placements:
+            for b, var in placed:
+                blocks[b].append(var)
+        yield tuple(sorted(map(tuple, blocks)))
 
 
 @lru_cache(maxsize=None)

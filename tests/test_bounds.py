@@ -14,6 +14,7 @@ from pustat.bounds import (
     estimate_Rij,
     estimate_stein_terms,
     fourth_moment_bound,
+    UNRELIABLE_RATIO,
 )
 from pustat.chaos import MCValue, variance_from_kernels
 from pustat import bounds, chaos, cli, ustat
@@ -110,6 +111,9 @@ def test_certificate_within_errors_of_exact_oracle():
     ):
         exact = float(oracles.distance_contraction_exact(groups, 20, 100))
         assert abs(est.value - exact) <= 4.0 * est.stderr, groups
+    # every class got enough nonzero draws for its stderr to hold
+    assert rep.unreliable == ()
+    assert not rep.var_f_unreliable
 
 
 def test_m_matrix_symmetric_within_errors(rng):
@@ -709,6 +713,19 @@ def test_bound_report_count_closed_forms():
     assert rep.dw.value == pytest.approx(0.1, abs=1e-14)
     assert rep.fourth_moment.value == pytest.approx(400.0 + 3 * 400.0**2, rel=1e-14)
     assert rep.unreliable == ()
+    assert not rep.var_f_unreliable
+
+
+def test_class_without_nonzero_draws_is_flagged():
+    # 500 draws in 2-D: some 3- and 4-block classes of M_22 see no linked
+    # draw, so M_22 reads well under its true value (about 7,600) with a
+    # stderr under half of it; the hit count still flags it
+    spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=100.0)
+    rep = bound_report(make_geometric_indicator(0.05), spec, seed=1, mc_samples=500)
+    m22 = rep.m[1][1]
+    assert m22.fewest_hits == 0
+    assert 0.0 < m22.stderr < UNRELIABLE_RATIO * m22.value
+    assert (2, 2) in rep.unreliable
 
 
 def test_certification_smoke(rng):

@@ -155,6 +155,21 @@ def test_variance_seed_sequence_integrates_once_across_t(monkeypatch):
     assert len(calls) == before
 
 
+def test_class_sums_count_their_nonzero_draws():
+    # the counting kernel's integrands never vanish: every draw is a hit,
+    # also when the cache answers for another t
+    k = make_count()
+    stream = np.random.SeedSequence(2)
+    for t in (5.0, 9.0):
+        out = variance_from_kernels(k, IntensitySpec(UNIT, t=t), mc_samples=700, rng=stream)
+        assert out.fewest_hits == 700
+        assert out == chaos.MCValue(t, 0.0)
+    # a link of radius 0.01 leaves f_2^2 zero on most of 2000 draws
+    out = variance_from_kernels(make_geometric_indicator(0.01), IntensitySpec(UNIT, t=10.0),
+                                mc_samples=2000, rng=np.random.default_rng(3))
+    assert 0 < out.fewest_hits < 200
+
+
 def test_variance_generators_are_not_cached(monkeypatch):
     calls = _count_integrals(monkeypatch)
     k = make_geometric_indicator(0.1)

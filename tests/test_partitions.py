@@ -6,6 +6,7 @@ import pytest
 from pustat.cli import _partition_line
 from pustat.partitions import (
     MAX_GROUP_SIZE,
+    _class_partitions,
     check_order,
     contraction_classes,
     count_partitions,
@@ -50,6 +51,22 @@ def test_array_oracle_matches_python_walk():
     for i, j in cases:
         assert fast[(i, j)] == walk_partitions(i, j)
         assert len(fast[(i, j)]) > 0
+
+
+def test_classes_expand_to_their_partitions():
+    # each class gives exactly ``weight`` distinct partitions of its own
+    # masks, and the classes together give every valid partition
+    cases = [(i, j) for i in range(1, 5) for j in range(1, 5) if 2 * i + 2 * j <= 10]
+    expected = brute_force_partitions_multi(cases)
+    for i, j in cases:
+        union = set()
+        for masks, weight in contraction_classes((i, i, j, j)):
+            parts = list(_class_partitions(masks, (i, i, j, j)))
+            canon = _canonical(parts)
+            assert len(parts) == len(canon) == weight
+            assert {_block_masks(p) for p in parts} == {masks}
+            union |= canon
+        assert union == expected[(i, j)]
 
 
 def test_counts_symmetric():
