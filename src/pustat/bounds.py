@@ -227,17 +227,15 @@ def estimate_Rij(
     mass = intensity.total_mass
     z = sample_points(intensity, z_samples, rng)
     f1, _ = chaos_kernel_values(kernel, intensity, 1, z[:, None, :])
-    if k == 2:
-        # z-section of f_2 = f integrates to the plain first marginal
-        section_integral = kernel.marginal(intensity, z[:, None, :], 1)
     a_vals = {(i, j): np.empty(reps) for i in range(k) for j in range(i, k)}
     if k == 1:
         a_vals[0, 0][:] = mass * float(np.mean(f1 * f1))
     else:
         for rows, points, sizes in replication_blocks(intensity, reps, rng, z_samples):
-            # sum_x f(z, x) is half the order-2 add-one cost
+            # sum_x f(z, x) is half the order-2 add-one cost, and the
+            # z-section of f_2 = f integrates to f_1(z) / 2
             zs = np.broadcast_to(z, (len(sizes), *z.shape))
-            section = add_one_costs_many(kernel, points, sizes, zs) / 2.0 - section_integral
+            section = (add_one_costs_many(kernel, points, sizes, zs) - f1) / 2.0
             factors = [np.broadcast_to(f1, section.shape), section]
             for (i, j), column in a_vals.items():
                 column[rows] = mass * np.mean(factors[i] * factors[j], axis=1)
@@ -269,7 +267,7 @@ def estimate_stein_terms(
     reps: int = 2000,
     z_samples: int = 128,
     rng: np.random.Generator,
-    var_f: Optional[MCValue] = None,
+    var_f: MCValue,
     mc: Optional[MarginalIntegration] = None,
 ) -> SteinTerms:
     """Estimate the Kolmogorov-bound terms for G = (F - EF)/sqrt(Var F).
@@ -281,14 +279,13 @@ def estimate_stein_terms(
     mu_t/mass, scaled by the mass.  The sup term is the exact supremum over
     s of its sample mean (``_rows_at_step_sup``), whose stderr comes from the
     replications at the maximizing s; E sup >= sup E, so any bias is
-    upward.  The configurations come from
-    ``rng`` (``replication_blocks``) and the z from a generator spawned from
-    it, so that on a constant density neither depends on the block size.
+    upward.  ``var_f`` is the Var F that standardizes G.  The configurations
+    come from ``rng`` (``replication_blocks``) and the z from the second of
+    two generators spawned from it, so that on a constant density neither
+    depends on the block size.
     """
     _check_replication_args(reps, z_samples)
-    var_rng, z_rng = rng.spawn(2)
-    if var_f is None:
-        var_f = variance_from_kernels(kernel, intensity, rng=var_rng, mc=mc)
+    _, z_rng = rng.spawn(2)
     if var_f.value <= 0.0:
         raise ValueError("Var F estimate must be positive")
     sigma = math.sqrt(var_f.value)
@@ -443,7 +440,6 @@ def bound_report(
     with_stein_terms: bool = False,
     reps: int = 2000,
     z_samples: int = 128,
-    mc: Optional[MarginalIntegration] = None,
 ) -> BoundReport:
     """Assemble the full certificate with a deterministic stream tree.
 
@@ -475,15 +471,14 @@ def bound_report(
     def _seq(*key):
         return np.random.SeedSequence(int(seed), spawn_key=key)
 
-    var_f = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_seq(0), mc=mc)
+    var_f = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_seq(0))
 
     # M_ji = M_ij: integrate i <= j and mirror
     m: List[List[MCValue]] = [[None] * k for _ in range(k)]
     for i in range(1, k + 1):
         for j in range(i, k + 1):
             m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
-                kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j), mc=mc
-            )
+                kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j))
     unreliable = tuple(
         (i + 1, j + 1) for i in range(k) for j in range(i, k) if _unreliable(m[i][j])
     )
@@ -494,15 +489,8 @@ def bound_report(
 
     stein_terms = None
     if with_stein_terms:
-        stein_terms = estimate_stein_terms(
-            kernel,
-            intensity,
-            reps=reps,
-            z_samples=z_samples,
-            rng=np.random.default_rng(_seq(3)),
-            var_f=var_f,
-            mc=mc,
-        )
+        stein_terms = estimate_stein_terms(kernel, intensity, reps=reps, z_samples=z_samples,
+                                           rng=np.random.default_rng(_seq(3)), var_f=var_f)
 
     return BoundReport(
         kernel=kernel_descriptor(kernel),

@@ -42,7 +42,8 @@ _TMAX_CAP = 2.0**20
 # (2**27 doubles).  Per unit the largest hold 4 doubles per replication (the
 # list of quantile levels that dW maps through NormalDist: a float object and
 # its pointer; the R and Stein replications, with 1 each, share the cap),
-# dim per z sample (one replication's query points) and
+# dim per z sample (one replication's query points), dim per expected point
+# of a configuration (t times the box volume) and
 # 2k * dim per Monte Carlo draw (an M_ij class of order k has up to 2k
 # blocks), as if every draw were held at once (mc_integral keeps one double
 # per draw).  The Stein terms also hold at most four arrays of
@@ -66,6 +67,7 @@ def _sample_caps(k: int, dim: int) -> dict:
         "term_reps": 4,
         "z_samples": dim,
         "mc_samples": 2 * min(k, MAX_GROUP_SIZE) * dim,
+        "points": dim,
     }
     return {
         name: 1 << (max((_ARRAY_DOUBLES - 1) // size, 1).bit_length() - 1)
@@ -92,11 +94,22 @@ def _check_caps(kernel, dim: int, stein_reps: Optional[str] = None, **counts):
             )
 
 
+def _check_points(intensity: IntensitySpec, name: str = "t"):
+    """Refuse a configuration whose expected number of points, t times the
+    box volume, is above its cap before any work starts; the message names
+    ``name``, the setting that gave t."""
+    cap = _sample_caps(1, intensity.dim)["points"]
+    if not intensity.total_mass <= cap:
+        volume = intensity.base_integral
+        raise ConfigError(
+            f"{name}: must be <= {cap / volume!r} (at most {cap} expected points in a box of "
+            f"volume {volume!r} keep arrays under 1 GiB), got {intensity.t!r}"
+        )
+
+
 def _fmt(x) -> str:
     """Shortest round-trip decimal representation, for reproducible files."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(float(x))
 
 
 def _write_lines(path: Optional[str], lines: Iterable[str]):
@@ -135,13 +148,6 @@ def _kernel_from_args(args) -> dict:
     return desc
 
 
-def _intensity(box, t) -> IntensitySpec:
-    try:
-        return IntensitySpec(box, t=t)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
     """Replications of (F - EF)/sqrt(Var F), drawn in blocks from stream
     (0xA0,) of ``seed``, and the Var F that scaled them (a tuple, samples
@@ -166,12 +172,11 @@ def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
 
 def _cmd_sample(args) -> int:
     box = _parse_box(args.box, args.dim)
-    intensity = _intensity(box, args.t)
+    intensity = IntensitySpec(box, t=args.t)
+    _check_points(intensity)
     cfg = sample_point_process(intensity, np.random.default_rng(np.random.SeedSequence(args.seed)))
-    lines = [",".join(f"x{c + 1}" for c in range(cfg.dim))]
-    for row in cfg.points:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    _write_lines(args.out, lines)
+    head = ",".join(f"x{c + 1}" for c in range(cfg.dim))
+    _write_lines(args.out, chain([head], (",".join(map(_fmt, row)) for row in cfg.points)))
     return 0
 
 
@@ -181,7 +186,8 @@ def _cmd_ustat(args) -> int:
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
     _check_caps(kernel, len(box), reps=args.reps, mc_samples=args.mc_samples)
-    intensity = _intensity(box, args.t)
+    intensity = IntensitySpec(box, t=args.t)
+    _check_points(intensity)
     var_f = variance_from_kernels(
         kernel,
         intensity,
@@ -198,8 +204,7 @@ def _cmd_ustat(args) -> int:
         f"# dk_emp={_fmt(dk)} dw_emp={_fmt(dw)}",
         "standardized_value",
     ]
-    lines.extend(_fmt(float(v)) for v in vals)
-    _write_lines(args.out, lines)
+    _write_lines(args.out, chain(lines, map(_fmt, vals)))
     return 0
 
 
@@ -212,7 +217,10 @@ def _cmd_bound(args) -> int:
     if args.stein_terms:
         counts["z_samples"] = args.z_samples
     _check_caps(kernel, len(box), "reps" if args.stein_terms else None, **counts)
-    intensity = _intensity(box, args.t)
+    intensity = IntensitySpec(box, t=args.t)
+    if args.rij or args.stein_terms:
+        # only these stages draw configurations
+        _check_points(intensity)
     report = bound_report(
         kernel,
         intensity,
@@ -249,8 +257,7 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_stein_check(args) -> int:
-    report = check_stein_properties()
-    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2)])
+    _write_lines(args.out, [json.dumps(check_stein_properties(), indent=2)])
     return 0
 
 
@@ -357,9 +364,10 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"kernel: {exc}") from exc
     _check_caps(kernel, len(cfg["box"]), "term_reps" if cfg["stein_terms"] else None,
                 **{key: cfg[key] for key in _EXPERIMENT_MINIMA})
+    _check_points(IntensitySpec(cfg["box"], t=max(cfg["t_values"])), "t_values")
     rows = [_SWEEP_COLUMNS]
     for t in cfg["t_values"]:
-        intensity = _intensity(cfg["box"], float(t))
+        intensity = IntensitySpec(cfg["box"], t=t)
         report = bound_report(
             kernel,
             intensity,
@@ -383,7 +391,7 @@ def _cmd_experiment(args) -> int:
             "dw_bound": report.dw[:2],
             **({"t1": th.t1, "t2": th.t2, "sup_term": th.sup_term} if th else {}),
         }
-        cells = [_fmt(float(t))]
+        cells = [_fmt(t)]
         for name in _SWEEP_STATS:
             cells.extend(map(_fmt, stats[name]) if name in stats else ("", ""))
         rows.append(",".join(cells))
@@ -483,9 +491,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -347,8 +347,6 @@ def make_kernel(spec) -> SymmetricKernel:
     Descriptors cover the serializable built-ins; ``product`` and custom
     kernels are constructed programmatically via their factories.
     """
-    if isinstance(spec, SymmetricKernel):
-        return spec
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, dict) or "name" not in spec:

@@ -25,8 +25,6 @@ functions of the solution g, so only ``pustat stein-check`` loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "g_prime",
     "g_second",
     "check_stein_properties",
-    "SteinCheckReport",
     "G_MAX",
 ]
 
@@ -45,6 +42,11 @@ G_MAX = SQRT_2PI / 4.0
 _SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
 _FP_SLACK = 1e-12
+# what check_stein_properties evaluates: g_s on a grid of w for each s, and
+# the step of its one-sided differences across the kink
+_GRID = {"w_min": -8.0, "w_max": 8.0, "step": 0.01}
+_S_VALUES = (-2.0, 0.0, 1.0)
+_JUMP_H = 1e-6
 
 
 def normal_cdf(x):
@@ -107,54 +109,19 @@ def g_second(s, w):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class SteinCheckReport:
-    """Worst margins of the solution bounds over an evaluation grid."""
-
-    s_values: Tuple[float, ...]
-    w_min: float
-    w_max: float
-    step: float
-    g_min: float
-    g_max: float
-    gprime_abs_max: float
-    wg_abs_max: float
-    gsecond_margin_min: float  # min over grid of bound - |g''|
-    jump_errors: Dict[float, float] = field(default_factory=dict)
-    passed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "grid": {"w_min": self.w_min, "w_max": self.w_max, "step": self.step},
-            "g_min": self.g_min,
-            "g_max": self.g_max,
-            "g_upper_bound": G_MAX,
-            "gprime_abs_max": self.gprime_abs_max,
-            "wg_abs_max": self.wg_abs_max,
-            "gsecond_margin_min": self.gsecond_margin_min,
-            "jump_errors": {str(s): e for s, e in self.jump_errors.items()},
-            "passed": self.passed,
-        }
-
-
-def check_stein_properties(
-    w_min: float = -8.0,
-    w_max: float = 8.0,
-    step: float = 0.01,
-    s_values: Tuple[float, ...] = (-2.0, 0.0, 1.0),
-    jump_h: float = 1e-6,
-) -> SteinCheckReport:
-    """Verify the solution bounds on a dense grid and the kink jump by
-    one-sided differences; margins are reported with their worst case."""
-    w = np.arange(w_min, w_max + step / 2, step)
+def check_stein_properties() -> dict:
+    """Verify the solution bounds on the grid ``_GRID`` at each of
+    ``_S_VALUES`` and the kink jump by one-sided differences of step
+    ``_JUMP_H``; returns the worst margins, as ``pustat stein-check`` prints
+    them."""
+    w = np.arange(_GRID["w_min"], _GRID["w_max"] + _GRID["step"] / 2, _GRID["step"])
     g_min = math.inf
     g_max = -math.inf
     gp_max = 0.0
     wg_max = 0.0
     gs_margin = math.inf
     jumps = {}
-    for s in s_values:
+    for s in _S_VALUES:
         gw = g(s, w)
         gpw = g_prime(s, w)
         gsw = g_second(s, w)
@@ -164,9 +131,9 @@ def check_stein_properties(
         wg_max = max(wg_max, float(np.abs(w * gw).max()))
         gs_margin = min(gs_margin, float((G_MAX + np.abs(w) - np.abs(gsw)).min()))
         # numerical one-sided derivatives across the kink
-        right = (g(s, s + jump_h) - g(s, s)) / jump_h
-        left = (g(s, s) - g(s, s - jump_h)) / jump_h
-        jumps[float(s)] = abs((right - left) - (-1.0))
+        right = (g(s, s + _JUMP_H) - g(s, s)) / _JUMP_H
+        left = (g(s, s) - g(s, s - _JUMP_H)) / _JUMP_H
+        jumps[str(s)] = abs((right - left) - (-1.0))
     passed = (
         g_min > 0.0
         and g_max <= G_MAX + _FP_SLACK
@@ -175,16 +142,15 @@ def check_stein_properties(
         and gs_margin >= -_FP_SLACK
         and all(e <= 1e-5 for e in jumps.values())
     )
-    return SteinCheckReport(
-        s_values=tuple(float(s) for s in s_values),
-        w_min=float(w_min),
-        w_max=float(w_max),
-        step=float(step),
-        g_min=g_min,
-        g_max=g_max,
-        gprime_abs_max=gp_max,
-        wg_abs_max=wg_max,
-        gsecond_margin_min=gs_margin,
-        jump_errors=jumps,
-        passed=passed,
-    )
+    return {
+        "s_values": list(_S_VALUES),
+        "grid": dict(_GRID),
+        "g_min": g_min,
+        "g_max": g_max,
+        "g_upper_bound": G_MAX,
+        "gprime_abs_max": gp_max,
+        "wg_abs_max": wg_max,
+        "gsecond_margin_min": gs_margin,  # min over the grid of bound - |g''|
+        "jump_errors": jumps,
+        "passed": passed,
+    }

@@ -181,13 +181,13 @@ def test_08_stein_properties():
             w = float(rng.uniform(-3.0, 3.0))
             assert abs(g(s, w) - stein_g_quadrature(s, w)) <= 1e-8
         report = check_stein_properties()
-        assert report.passed
-        assert report.g_min > 0.0
-        assert report.g_max <= G_MAX + TINY
-        assert report.gprime_abs_max <= 1.0 + TINY
-        assert report.wg_abs_max <= 1.0 + TINY
-        assert report.gsecond_margin_min >= -TINY
-        assert all(err <= 1e-5 for err in report.jump_errors.values())
+        assert report["passed"]
+        assert report["g_min"] > 0.0
+        assert report["g_max"] <= G_MAX + TINY
+        assert report["gprime_abs_max"] <= 1.0 + TINY
+        assert report["wg_abs_max"] <= 1.0 + TINY
+        assert report["gsecond_margin_min"] >= -TINY
+        assert all(err <= 1e-5 for err in report["jump_errors"].values())
 
 
 def test_09_rate_check():

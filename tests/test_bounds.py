@@ -98,6 +98,24 @@ def test_distance_oracle_ignores_block_order():
             assert len(values) == 1 and values.pop() > 0
 
 
+def test_each_class_integral_within_errors_of_exact_oracle():
+    # every class of Var F and the M_ij of the r = 1/20 indicator, integrated
+    # at unit scale with 10^6 draws, lies within 4 stderr of its exact value
+    # (max |z| = 2.17, at the 4-block class of (2, 2, 2, 2))
+    kernel = make_geometric_indicator(0.05)
+    classes = [(sizes, masks, w)
+               for sizes in ((1, 1), (2, 2), (1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2))
+               for masks, w in contraction_classes(sizes)]
+    assert len(classes) == 20
+    got = chaos._unit_integrals(kernel.absolute, IntensitySpec(UNIT), classes, 10**6,
+                                np.random.default_rng(np.random.SeedSequence(16)),
+                                MarginalIntegration())
+    for (sizes, masks, _), (est, se, hits) in zip(classes, got):
+        exact = float(oracles.distance_class_exact(sizes, masks, 20))
+        assert se > 0.0 and hits > 0
+        assert abs(est - exact) <= 4.0 * se, (sizes, masks)
+
+
 def test_certificate_within_errors_of_exact_oracle():
     # r = 1/20 at t = 100 with the default draws: Var F and every M_ij
     # lie within 4 stderr of their exact values (z = +0.11, -0.35, +0.82
@@ -558,7 +576,11 @@ def _sup_draws(monkeypatch, kernel, t, reps, z_samples, seed):
 
     monkeypatch.setattr(bounds, "_rows_at_step_sup", spy)
     spec = IntensitySpec(UNIT, t=t)
-    var = _mc(t) if kernel.order == 1 else None
+    if kernel.order == 1:
+        var = _mc(t)
+    else:
+        # Var F from the first of two streams split off the seed
+        var = variance_from_kernels(kernel, spec, rng=np.random.default_rng(seed).spawn(2)[0])
     th = estimate_stein_terms(kernel, spec, reps=reps, z_samples=z_samples,
                               rng=np.random.default_rng(seed), var_f=var)
     (pos, wt), = seen

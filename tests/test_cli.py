@@ -307,6 +307,29 @@ def test_stein_check_json(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["passed"] is True
+    # the printed keys, their order and the grid the report evaluates
+    assert list(data) == ["s_values", "grid", "g_min", "g_max", "g_upper_bound",
+                          "gprime_abs_max", "wg_abs_max", "gsecond_margin_min", "jump_errors",
+                          "passed"]
+    assert data["s_values"] == [-2.0, 0.0, 1.0]
+    assert data["grid"] == {"w_min": -8.0, "w_max": 8.0, "step": 0.01}
+    assert list(data["jump_errors"]) == ["-2.0", "0.0", "1.0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--kernel", "count", "--t", "1", "--box", "1,0"],
+     "box interval (1.0, 0.0) must satisfy lo < hi"),
+    (["ustat", "--kernel", "count", "--t", "-1"], "scale t must be finite and nonnegative"),
+    (["sample", "--t", "nan"], "scale t must be finite and nonnegative"),
+    (["sample", "--t", "1", "--dim", "2", "--box", "0,1;2,2"],
+     "box interval (2.0, 2.0) must satisfy lo < hi"),
+], ids=["bound_reversed_box", "ustat_negative_t", "sample_nan_t", "sample_empty_interval"])
+def test_intensity_errors_exit_2(capsys, argv, message):
+    # IntensitySpec's own message, as a usage error and without a traceback
+    code, out, err = _run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps": 50,
@@ -349,13 +372,15 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"term_reps": 10**15}, "term_reps"),
     ({"mc_samples": 10**15}, "mc_samples"),
     ({"z_samples": 10**15}, "z_samples"),
+    ({"t_values": [10, 1e15]}, "t_values"),
+    ({"box": [[0, 1e15]]}, "t_values"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
         "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
         "huge_int_c", "infinite_c", "huge_reps", "huge_term_reps", "huge_mc_samples",
-        "huge_z_samples"])
+        "huge_z_samples", "too_many_points_t", "too_many_points_box"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -569,11 +594,18 @@ def test_bootstrap_table_equals_resample_loop(kind):
     (["bound", "--kernel", "count", "--mc-samples", "10**15"], "mc_samples"),
     (["bound", "--kernel", "count", "--rij", "--reps", "10**15"], "reps"),
     (["bound", "--kernel", "count", "--stein-terms", "--z-samples", "10**15"], "z_samples"),
+    # t = 10 on a box of volume 10**15: too many expected points
+    (["sample", "--box", "0,10**15"], "t"),
+    (["ustat", "--kernel", "count", "--reps", "2", "--box", "0,10**15"], "t"),
+    (["bound", "--kernel", "count", "--rij", "--box", "0,10**15"], "t"),
+    (["bound", "--kernel", "count", "--stein-terms", "--dim", "2",
+      "--box", "0,10**15;0,1"], "t"),
 ], ids=["ustat_reps", "ustat_mc_samples", "bound_mc_samples", "bound_rij_reps",
-        "bound_z_samples"])
+        "bound_z_samples", "sample_points", "ustat_points", "bound_rij_points",
+        "bound_stein_points_2d"])
 def test_oversized_sample_counts_exit_2(capsys, argv, field):
     # refused by the cap before the first allocation, so this starts no work
-    argv = [str(10**15) if a == "10**15" else a for a in argv]
+    argv = [a.replace("10**15", str(10**15)) for a in argv]
     code, out, err = _run(capsys, *argv, "--t", "10", "--seed", "1")
     assert code == 2
     assert out == ""
@@ -584,8 +616,10 @@ def test_oversized_sample_counts_exit_2(capsys, argv, field):
 def test_sample_caps_keep_arrays_under_1_gib(k, dim):
     caps = _sample_caps(k, dim)
     # doubles per unit: dW's list of quantile levels (32 bytes a replication),
-    # a z sample's query point and an M_ij draw of up to 2k blocks
-    per_unit = {"reps": 4, "term_reps": 4, "z_samples": dim, "mc_samples": 2 * k * dim}
+    # a z sample's query point, an M_ij draw of up to 2k blocks and an
+    # expected point of a configuration
+    per_unit = {"reps": 4, "term_reps": 4, "z_samples": dim, "mc_samples": 2 * k * dim,
+                "points": dim}
     for name, cap in caps.items():
         assert cap * per_unit[name] * 8 < 2**30, name
         assert 2 * cap * per_unit[name] * 8 >= 2**30, name  # the largest such power of two

@@ -109,14 +109,12 @@ def test_g_second_equality_edge():
 
 
 def test_check_stein_properties_report():
-    report = check_stein_properties()
-    assert report.passed
-    assert report.g_min > 0.0
-    assert report.g_max <= G_MAX + 1e-12
-    assert report.gprime_abs_max <= 1.0 + 1e-12
-    assert report.wg_abs_max <= 1.0 + 1e-12
-    assert report.gsecond_margin_min >= -1e-12
-    assert all(err <= 1e-5 for err in report.jump_errors.values())
-    d = report.to_dict()
+    d = check_stein_properties()
     assert d["passed"] is True
+    assert d["g_min"] > 0.0
+    assert d["g_max"] <= G_MAX + 1e-12
+    assert d["gprime_abs_max"] <= 1.0 + 1e-12
+    assert d["wg_abs_max"] <= 1.0 + 1e-12
+    assert d["gsecond_margin_min"] >= -1e-12
+    assert all(err <= 1e-5 for err in d["jump_errors"].values())
     assert set(d["jump_errors"]) == {"-2.0", "0.0", "1.0"}
