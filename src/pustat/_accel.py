@@ -14,9 +14,9 @@ a pair count, which finds each pair from its lower cell, searches the later
 points of cell c and the band in cell c + 1.  The spare cell after each
 label's strips is empty, so no window reaches into another label, and no
 label test is needed.  Every candidate of every window takes the exact test
-``sum((x_i - x_j)**2) <= r*r`` on the original coordinates, in one
-``_tested`` call, so counts depend on neither the strips nor the band, ties
-at distance exactly r included.
+``sum((x_i - x_j)**2) <= r*r`` on the original coordinates, one
+``_tested`` call per window, so counts depend on neither the strips nor
+the band, ties at distance exactly r included.
 
 Widths.  The exact test rounds x_i - x_j, its square and r*r, so it can
 accept a pair whose true gap on a coordinate is a few ulps above r.  The
@@ -167,14 +167,12 @@ def _tested(qs, p, lo, hi, r2):
 
 def _tested_windows(qs, p, windows, r2):
     """For each query q, how many points of its windows lo[q]..hi[q]-1, one
-    for each (lo, hi) in ``windows``, pass the exact test; the windows that
-    hold candidates go through one ``_tested`` call."""
-    full = [(lo, hi) for lo, hi in windows if (hi > lo).any()]
-    if len(full) <= 1:
-        return _tested(qs, p, *full[0], r2) if full else np.zeros(len(qs[0]), dtype=np.int64)
-    lo, hi = (np.concatenate(ends) for ends in zip(*full))
-    qs = [np.tile(c, len(full)) for c in qs]
-    return _tested(qs, p, lo, hi, r2).reshape(len(full), -1).sum(axis=0)
+    for each (lo, hi) in ``windows``, pass the exact test."""
+    counts = np.zeros(len(qs[0]), dtype=np.int64)
+    for lo, hi in windows:
+        if (hi > lo).any():
+            counts += _tested(qs, p, lo, hi, r2)
+    return counts
 
 
 def _window(key, qkey, half):

@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import bound_report
 from .chaos import MCValue, variance_from_kernels
 from .distance import SortedSample, empirical_dK, empirical_dW, poisson_exact_dK
-from .kernels import _BUILTIN_NAMES, make_kernel
+from .kernels import _BUILTIN_NAMES, kernel_descriptor, make_kernel
 from .measure import IntensitySpec, NumericalError, sample_point_process
 from .partitions import MAX_GROUP_SIZE, count_partitions, enumerate_partitions
 from .stein import check_stein_properties
@@ -40,10 +40,10 @@ NUMERICAL_ERROR = 3
 _TMAX_CAP = 2.0**20
 # The sample counts are capped so that no array of a run reaches 1 GiB
 # (2**27 doubles).  Per unit the largest hold 4 doubles per replication (the
-# list of quantile levels that dW maps through NormalDist: a float object and
-# its pointer; the R and Stein replications, with 1 each, share the cap),
-# dim per z sample (one replication's query points), dim per expected point
-# of a configuration (t times the box volume) and
+# list that normal_cdf maps through math.erf/erfc for the distances: a float
+# object and its pointer; the R and Stein replications, with 1 each, share
+# the cap), dim per z sample (one replication's query points), dim per
+# expected point of a configuration (t times the box volume) and
 # 2k * dim per Monte Carlo draw (an M_ij class of order k has up to 2k
 # blocks), as if every draw were held at once (mc_integral keeps one double
 # per draw).  The Stein terms also hold at most four arrays of
@@ -198,7 +198,7 @@ def _cmd_ustat(args) -> int:
     dk = empirical_dK(vals)
     dw = empirical_dW(vals)
     lines = [
-        f"# kernel={json.dumps(_kernel_from_args(args), sort_keys=True)}",
+        f"# kernel={json.dumps(kernel_descriptor(kernel), sort_keys=True)}",
         f"# t={_fmt(intensity.t)} reps={args.reps} seed={args.seed}",
         f"# var_f={_fmt(var_f.value)} var_f_se={_fmt(var_f.stderr)}",
         f"# dk_emp={_fmt(dk)} dw_emp={_fmt(dw)}",

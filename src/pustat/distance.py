@@ -23,7 +23,6 @@ cancelling terms -t + m log t - log m!.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,16 +47,6 @@ def _normal_quantiles(p: np.ndarray) -> np.ndarray:
     from statistics import NormalDist  # a few ms; only dW needs it
 
     return np.fromiter(map(NormalDist().inv_cdf, p.tolist()), dtype=float, count=len(p))
-
-
-@lru_cache(maxsize=2)
-def _crossings(n: int):
-    """Where Phi crosses each level k/n, 0 < k < n, and s Phi(s) + phi(s)
-    there: the same for every sample of size n (read-only, cached)."""
-    q = _normal_quantiles(np.arange(1, n) / n)
-    anti = _cdf_antideriv(q)
-    q.flags.writeable = anti.flags.writeable = False
-    return q, anti
 
 
 class SortedSample:
@@ -102,17 +91,18 @@ class SortedSample:
         tails beyond the extreme order statistics.  Between consecutive
         order statistics a <= b the level Fhat is constant.  A gap that
         Phi does not cross contributes the absolute integral of
-        level - Phi; a gap it crosses splits at the crossing.  Ties give
+        level - Phi; a gap it crosses, Phi(a) < level < Phi(b), splits at
+        the crossing, so only those levels take Phi^{-1}.  Ties give
         zero-width gaps.
         """
-        x = self.x[pos]
-        anti = self.anti[pos]
+        x, cdf, anti = self.x[pos], self.cdf[pos], self.anti[pos]
         a, b = x[:-1], x[1:]
         level = self._levels[1:-1]
         piece = np.abs(level * (b - a) - (anti[1:] - anti[:-1]))
-        crossing, anti_crossing = _crossings(len(self.x))
-        split = np.flatnonzero((crossing > a) & (crossing < b))
-        q, anti_q, lv = crossing[split], anti_crossing[split], level[split]
+        split = np.flatnonzero((cdf[:-1] < level) & (level < cdf[1:]))
+        lv = level[split]
+        q = _normal_quantiles(lv)
+        anti_q = _cdf_antideriv(q)
         left = lv * (q - a[split]) - (anti_q - anti[split])
         right = lv * (b[split] - q) - (anti[split + 1] - anti_q)
         piece[split] = np.abs(left) + np.abs(right)

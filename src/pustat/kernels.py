@@ -217,8 +217,6 @@ def make_count() -> SymmetricKernel:
 
 def make_constant(c: float, k: int) -> SymmetricKernel:
     """Order-k constant kernel f == c; its |f| is the constant |c|."""
-    if k < 1:
-        raise ValueError("kernel order k must be >= 1")
     # before float(c): an int beyond the float range raises OverflowError there
     if not abs(c) <= sys.float_info.max:
         raise ValueError("c must be finite")
@@ -305,8 +303,6 @@ def make_product(
     whose integral is ``abs_base_integral``; passing ``g_abs=g`` declares
     g >= 0, and the kernel is then its own |f|.
     """
-    if k < 1:
-        raise ValueError("kernel order k must be >= 1")
     g_abs = g_abs or (lambda pts: np.abs(g(pts)))
 
     def _eval(x):

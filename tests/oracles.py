@@ -9,7 +9,8 @@ Stein solution from direct numerical quadrature of its defining integral,
 the Wasserstein distance from a Riemann sum, the Stein terms' sup term by
 evaluating its sample function at every breakpoint and just below each
 one, the empirical distances by
-sorting and evaluating each sample anew, the Poisson Kolmogorov distance
+sorting and evaluating each sample anew (and dW from Phi^{-1} at every
+level k/n), the Poisson Kolmogorov distance
 from high-precision arithmetic and from scipy's gammaln and ndtr, a Monte
 Carlo integral from one draw of all its samples, and M_ij and Var F from
 their integrals run at the actual t instead of at unit scale.
@@ -331,6 +332,26 @@ def empirical_dw_direct(samples, cdf, quantile):
     left = level * (q - a) - (anti_q - anti[:-1])
     right = level * (b - q) - (anti[1:] - anti_q)
     return float(anti[0] + anti[-1] - x[-1] + np.sum(np.abs(left) + np.abs(right)))
+
+
+def empirical_dw_all_levels(table, pos, quantile, antideriv):
+    """``SortedSample.dw`` of the resample at sorted positions ``pos`` from
+    Phi^{-1} at every level k/n, 0 < k < n: a gap splits where its level's
+    quantile lies strictly inside it.  With the program's ``quantile`` and
+    ``antideriv`` (s Phi(s) + phi(s)) it is a bit-for-bit reference."""
+    x, anti = table.x[pos], table.anti[pos]
+    n = len(x)
+    a, b = x[:-1], x[1:]
+    level = np.arange(1, n) / n
+    crossing = quantile(level)
+    anti_crossing = antideriv(crossing)
+    piece = np.abs(level * (b - a) - (anti[1:] - anti[:-1]))
+    split = np.flatnonzero((crossing > a) & (crossing < b))
+    q, anti_q, lv = crossing[split], anti_crossing[split], level[split]
+    left = lv * (q - a[split]) - (anti_q - anti[split])
+    right = lv * (b[split] - q) - (anti[split + 1] - anti_q)
+    piece[split] = np.abs(left) + np.abs(right)
+    return float(anti[0] + anti[-1] - x[-1] + np.sum(piece))
 
 
 # ---------------------------------------------------------------------------

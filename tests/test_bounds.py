@@ -134,6 +134,25 @@ def test_certificate_within_errors_of_exact_oracle():
     assert not rep.var_f_unreliable
 
 
+def test_error_bars_calibrated_over_seeds():
+    # over seeds 1..20 at 20k draws, the z-scores of Var F and every M_ij
+    # against their exact values look standard normal: at most 2 of the 80
+    # beyond 3 and a sample sd in [0.75, 1.3] (1 beyond 3, max |z| = 3.02,
+    # sd 1.02, mean 0.01)
+    intensity = IntensitySpec(UNIT, t=100.0)
+    cases = (((1, 1), (2, 2)), ((1, 1, 1, 1),), ((1, 1, 2, 2),), ((2, 2, 2, 2),))
+    exact = [float(oracles.distance_contraction_exact(groups, 20, 100)) for groups in cases]
+    z = []
+    for seed in range(1, 21):
+        rep = bound_report(make_geometric_indicator(0.05), intensity, seed=seed, mc_samples=20_000)
+        for est, truth in zip((rep.var_f, rep.m[0][0], rep.m[0][1], rep.m[1][1]), exact):
+            z.append((est.value - truth) / est.stderr)
+    z = np.array(z)
+    assert len(z) == 80
+    assert np.count_nonzero(np.abs(z) > 3.0) <= 2
+    assert 0.75 <= z.std(ddof=1) <= 1.3
+
+
 def test_m_matrix_symmetric_within_errors(rng):
     # on one shared stream, (i, j) and (j, i) draw different samples and
     # agree within their errors

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pustat.cli import _STEIN_PAIRS, _bootstrap_se, _check_caps, _sample_caps, main
+from pustat.cli import (
+    _STEIN_PAIRS, _bootstrap_se, _check_caps, _kernel_from_args, _sample_caps, build_parser, main,
+)
 from pustat.distance import _normal_quantiles, empirical_dK, empirical_dW
-from pustat.kernels import make_count, make_geometric_indicator
+from pustat.kernels import kernel_descriptor, make_count, make_geometric_indicator, make_kernel
 from pustat.measure import IntensitySpec, PointConfiguration
 from pustat.partitions import contraction_classes
 from pustat.stein import normal_cdf
@@ -289,10 +291,26 @@ def test_ustat_emits_samples_and_distances(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     meta = [l for l in lines if l.startswith("#")]
+    assert meta[0] == '# kernel={"name": "geometric_indicator", "r": 0.1}'
     assert any("dk_emp=" in l for l in meta)
     assert any("dw_emp=" in l for l in meta)
     values = [float(l) for l in lines if not l.startswith("#") and l != "standardized_value"]
     assert len(values) == 300
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "geometric_indicator", "--r", "0.05"],
+    ["--kernel", "geometric_indicator", "--r", "1e-300"],
+    ["--kernel", "constant", "--c", "-2", "--k", "3"],
+    ["--kernel", "constant"],
+    ["--kernel", "count", "--c", "5", "--k", "2"],
+])
+def test_ustat_kernel_header_is_the_kernels_descriptor(flags):
+    # the header reads the built kernel; it is the JSON of the flags it was built from
+    args = build_parser().parse_args(["ustat", *flags, "--t", "5", "--seed", "1"])
+    desc = _kernel_from_args(args)
+    assert json.dumps(kernel_descriptor(make_kernel(desc)), sort_keys=True) == json.dumps(
+        desc, sort_keys=True)
 
 
 def test_ustat_requires_radius(capsys):
@@ -615,7 +633,8 @@ def test_oversized_sample_counts_exit_2(capsys, argv, field):
 @pytest.mark.parametrize("k, dim", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (2, 100)])
 def test_sample_caps_keep_arrays_under_1_gib(k, dim):
     caps = _sample_caps(k, dim)
-    # doubles per unit: dW's list of quantile levels (32 bytes a replication),
+    # doubles per unit: the list normal_cdf maps through math.erf/erfc for the
+    # distances (32 bytes a replication),
     # a z sample's query point, an M_ij draw of up to 2k blocks and an
     # expected point of a configuration
     per_unit = {"reps": 4, "term_reps": 4, "z_samples": dim, "mc_samples": 2 * k * dim,

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pustat import distance
 from pustat.distance import (
     SortedSample,
+    _cdf_antideriv,
     _normal_quantiles,
     _poisson_pmf,
     _stirlerr,
@@ -19,6 +21,7 @@ from pustat.stein import normal_cdf
 from oracles import (
     distance_sample_kinds,
     empirical_dk_direct,
+    empirical_dw_all_levels,
     empirical_dw_direct,
     poisson_dk_mpmath,
     poisson_dk_scipy,
@@ -170,6 +173,45 @@ def test_table_equals_direct_formulas(kind):
         pos = table.positions(draws)
         assert table.dk(pos) == empirical_dk_direct(x[draws], normal_cdf)
         assert table.dw(pos) == empirical_dw_direct(x[draws], normal_cdf, _normal_quantiles)
+
+
+def _resamples(table, count, seed):
+    """The identity and ``count`` bootstrap resamples, as sorted positions."""
+    n = len(table.x)
+    rng = np.random.default_rng(seed)
+    return [table.identity] + [table.positions(rng.integers(0, n, n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", list(distance_sample_kinds()))
+def test_dw_equals_all_levels_formula(kind):
+    # Phi^{-1} at the crossed levels only gives the bits of Phi^{-1} at all n - 1
+    table = SortedSample(distance_sample_kinds()[kind])
+    for pos in _resamples(table, 100, seed=25):
+        assert table.dw(pos) == empirical_dw_all_levels(
+            table, pos, _normal_quantiles, _cdf_antideriv)
+
+
+def test_dw_takes_quantiles_of_crossed_levels_only(monkeypatch):
+    calls = []
+
+    def spy(p):
+        calls.append(p.copy())
+        return _normal_quantiles(p)
+
+    monkeypatch.setattr(distance, "_normal_quantiles", spy)
+    for kind, x in distance_sample_kinds().items():
+        table = SortedSample(x)
+        n = len(x)
+        level = np.arange(1, n) / n
+        for pos in _resamples(table, 20, seed=26):
+            calls.clear()
+            table.dw(pos)
+            cdf = table.cdf[pos]
+            crossed = level[(cdf[:-1] < level) & (level < cdf[1:])]
+            assert len(calls) == 1 and np.array_equal(calls[0], crossed), kind
+            assert len(crossed) < n
+            if kind == "random":  # an empirical law crosses Phi at few levels
+                assert len(crossed) < n // 10
 
 
 @pytest.mark.parametrize("kind", list(distance_sample_kinds()))

@@ -77,6 +77,19 @@ def test_make_kernel_rejects_bad_descriptors():
         make_kernel({"name": "geometric_indicator"})
 
 
+def test_order_below_one_names_the_order(capsys):
+    # the kernel itself refuses k < 1; a signed kernel's |f| refuses it first
+    from pustat.cli import main
+
+    for build in (lambda: make_constant(1.0, 0), lambda: make_constant(-1.0, 0),
+                  lambda: make_product(lambda pts: pts[:, 0], 0)):
+        with pytest.raises(ValueError, match=r"^kernel order k must be >= 1$"):
+            build()
+    assert main(["bound", "--kernel", "constant", "--k", "0", "--t", "1", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: kernel order k must be >= 1\n"
+
+
 def test_symmetry_check(rng):
     assert symmetry_check(make_geometric_indicator(0.2), trials=64, rng=rng)
     assert symmetry_check(make_count(), trials=8, rng=rng)
