@@ -18,11 +18,10 @@ the result.  From these and Var F:
     dW <=  2 k^{7/2} * sum_{i<=j}   sqrt(M_ij) / Var F,
     E (F - EF)^4 <= k^2 sum_{i,j} M_ij + 3 k^2 (Var F)^2.
 
-The module also estimates, by replication, the variance-type quantities
-R_ij (order <= 2) that the partition integrals dominate (R_ij = R_ji, so
-``estimate_Rij`` returns the whole matrix from one replication pass, on
-stream (2,) in ``bound_report``), and the Malliavin--Stein inner-product
-terms of the general Kolmogorov bound for the standardized statistic
+The variance-type quantities R_ij (order <= 2) that M_ij dominates weigh
+some of the same classes otherwise, of f (``estimate_Rij``).  The module
+also estimates, by replication, the Malliavin--Stein inner-product terms of
+the general Kolmogorov bound for the standardized statistic
 G = (F - EF)/sqrt(Var F):
 
     T1 = E|1 - <DG, -DL^{-1}G>|,   T2 = E<(DG)^2, (DL^{-1}G)^2>,
@@ -40,7 +39,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .chaos import ClassSum, MCValue, chaos_kernel_values, contraction_sum, variance_from_kernels
+from .chaos import ClassSum, MCValue, contraction_sum, variance_from_kernels
 from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
 from .measure import IntensitySpec, sample_points
 from .partitions import check_order
@@ -74,6 +73,17 @@ MIN_HITS = 30
 _SUP_NOTE = "exact supremum over s of the sample mean; biased upward"
 
 
+def _pair_args(k: int, i: int, j: int, rng, mc):
+    """(i, j) as (min, max), the default stream and marginal settings."""
+    check_order(k)
+    if not (1 <= i <= k and 1 <= j <= k):
+        raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
+    i, j = min(i, j), max(i, j)
+    if rng is None:
+        rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
+    return i, j, rng, mc or MarginalIntegration()
+
+
 def compute_Mij(
     kernel: SymmetricKernel,
     intensity: IntensitySpec,
@@ -96,15 +106,52 @@ def compute_Mij(
     cached on the kernel of |f|: a call at another t on the same stream
     only rescales them.
     """
-    k = kernel.order
-    check_order(k)
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
-    i, j = min(i, j), max(i, j)
-    if rng is None:
-        rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
+    i, j, rng, mc = _pair_args(kernel.order, i, j, rng, mc)
     return contraction_sum(kernel.absolute, intensity, ((i, i, j, j),), samples=samples,
-                           rng=rng, mc=mc or MarginalIntegration(), name=f"M_{i}{j}")
+                           rng=rng, mc=mc, name=f"M_{i}{j}")
+
+
+# R_ij, the variance over eta of the integral of I_{i-1}(f_i(z, .))
+# I_{j-1}(f_j(z, .)) dmu_t(z), is a sum of classes of the groups (i, i, j, j)
+# over two copies z, z' (bit a of a block mask marks factor a):
+#   R_11 = 0, as I_0(f_1(z)) = f_1(z) does not depend on eta;
+#   R_12 = ||g||^2, g(x) = int f_1(z) f_2(z, x) dmu_t(z): the factors f_1(z),
+#     f_1(z'), f_2(z, x), f_2(z', x) give z = 0b0101, z' = 0b1010, x = 0b1100;
+#   R_22 = 2 ||G_2||^2 + ||G_1||^2 by I_1(h)^2 = I_2(h x h) + I_1(h^2) + ||h||^2,
+#     h = f_2(z, .), G_2(x, y) = int f_2(z, x) f_2(z, y) dmu_t(z) and G_1(x) =
+#     int f_2(z, x)^2 dmu_t(z): the factors f_2(z, .) twice, then f_2(z', .)
+#     twice give z = 0b0011, z' = 0b1100, and x = 0b0101 and y = 0b1010 in
+#     ||G_2||^2 or one x = 0b1111 in ||G_1||^2.
+# M_12 and M_22 weigh these classes 4 and 16, their partition counts.
+_R_WEIGHTS = {
+    (1, 1): {},
+    (1, 2): {(0b0101, 0b1010, 0b1100): 1},
+    (2, 2): {(0b0011, 0b0101, 0b1010, 0b1100): 2, (0b0011, 0b1100, 0b1111): 1},
+}
+
+
+def _check_r_order(k: int):
+    if k > 2:
+        raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
+
+
+def estimate_Rij(
+    kernel: SymmetricKernel,
+    intensity: IntensitySpec,
+    i: int,
+    j: int,
+    *,
+    samples: int = 200_000,
+    rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
+    mc: Optional[MarginalIntegration] = None,
+) -> ClassSum:
+    """R_ij (kernel order <= 2): the classes of ``_R_WEIGHTS`` of the
+    chaos kernels of f, taken as ``compute_Mij`` takes its classes of |f|,
+    default stream included; for f >= 0 on M_ij's stream they are cached."""
+    _check_r_order(kernel.order)
+    i, j, rng, mc = _pair_args(kernel.order, i, j, rng, mc)
+    return contraction_sum(kernel, intensity, ((i, i, j, j),), samples=samples, rng=rng, mc=mc,
+                           name=f"R_{i}{j}", weights=_R_WEIGHTS[i, j])
 
 
 class BoundValue(NamedTuple):
@@ -177,70 +224,16 @@ def fourth_moment_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -
     return MCValue(value, math.sqrt(var_acc))
 
 
-def _variance_with_stderr(a: np.ndarray) -> MCValue:
-    """Sample variance with its moment-based standard error."""
-    n = len(a)
-    s2 = float(a.var(ddof=1))
-    centred = a - a.mean()
-    m4 = float(np.mean(centred**4))
-    var_of_s2 = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
-    return MCValue(s2, math.sqrt(max(var_of_s2, 0.0)))
-
-
 def _mean_with_stderr(a: np.ndarray) -> MCValue:
     return MCValue(float(a.mean()), float(a.std(ddof=1)) / math.sqrt(len(a)))
 
 
-def _check_replication_args(reps: int, z_samples: int, *, rij_order: Optional[int] = None):
-    """Refuse replication settings that no estimate can use; ``rij_order``
-    is the kernel order when the R matrix is asked for."""
-    if rij_order is not None and rij_order > 2:
-        raise ValueError("R_ij estimation is supported for kernel order <= 2 only")
+def _check_replication_args(reps: int, z_samples: int):
+    """Refuse replication settings that no estimate can use."""
     if reps < 2:
         raise ValueError("reps must be >= 2")
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
-
-
-def estimate_Rij(
-    kernel: SymmetricKernel,
-    intensity: IntensitySpec,
-    *,
-    reps: int = 2000,
-    z_samples: int = 256,
-    rng: np.random.Generator,
-) -> List[List[MCValue]]:
-    """Replication estimates of the k x k matrix R, where R_ij is the
-    variance across realizations of
-
-        integral over z of I_{i-1}(f_i(z, .)) I_{j-1}(f_j(z, .)) dmu_t.
-
-    Supported for kernel order <= 2, where the inner factors are the
-    deterministic f_1(z) and the pathwise first-order integral of the
-    z-section of f_2.  One pass records every i <= j; R_ji is the same
-    estimate as R_ij.  The z-integral shares its draws across replications,
-    so a deterministic integrand (R_11) yields exactly zero.  ``rng`` gives
-    the z draws first, then the configurations (``replication_blocks``).
-    """
-    k = kernel.order
-    _check_replication_args(reps, z_samples, rij_order=k)
-    mass = intensity.total_mass
-    z = sample_points(intensity, z_samples, rng)
-    f1, _ = chaos_kernel_values(kernel, intensity, 1, z[:, None, :])
-    a_vals = {(i, j): np.empty(reps) for i in range(k) for j in range(i, k)}
-    if k == 1:
-        a_vals[0, 0][:] = mass * float(np.mean(f1 * f1))
-    else:
-        for rows, points, sizes in replication_blocks(intensity, reps, rng, z_samples):
-            # sum_x f(z, x) is half the order-2 add-one cost, and the
-            # z-section of f_2 = f integrates to f_1(z) / 2
-            zs = np.broadcast_to(z, (len(sizes), *z.shape))
-            section = (add_one_costs_many(kernel, points, sizes, zs) - f1) / 2.0
-            factors = [np.broadcast_to(f1, section.shape), section]
-            for (i, j), column in a_vals.items():
-                column[rows] = mass * np.mean(factors[i] * factors[j], axis=1)
-    r = {ij: _variance_with_stderr(column) for ij, column in a_vals.items()}
-    return [[r[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
 
 
 @dataclass
@@ -444,48 +437,45 @@ def bound_report(
     """Assemble the full certificate with a deterministic stream tree.
 
     Every Monte Carlo stage draws from its own child stream of ``seed``:
-    Var F from (0,), each M_ij with i <= j from (1, i, j), the R matrix
-    from (2,) and the Stein terms from (3,).  So the report is reproducible
-    and individual stages are independent.
+    Var F from (0,), each M_ij and R_ij with i <= j from (1, i, j) and the
+    Stein terms from (3,).  So the report is reproducible and individual
+    stages are independent.
     ``mc_samples`` is the number of draws of each Var F integral and of
-    each contraction-class integral.  The R matrix and the Stein terms each
-    take ``reps`` replications; the Stein terms draw ``z_samples`` z per
-    replication, and R the 256 of ``estimate_Rij``.
-    The Var F and M_ij streams are passed as SeedSequences, so reports at
-    several t for one kernel, box and seed integrate each class once and
+    each contraction-class integral.  The Stein terms take ``reps``
+    replications of ``z_samples`` z each.
+    The Var F, M_ij and R_ij streams are passed as SeedSequences, so reports
+    at several t for one kernel, box and seed integrate each class once and
     rescale it by its power of t.  ``unreliable`` lists the (i, j), i <= j,
     whose stderr exceeds ``UNRELIABLE_RATIO`` times the estimate or one of
-    whose class integrals had fewer than ``MIN_HITS`` nonzero draws;
-    ``var_f_unreliable`` applies the same test to Var F.
-    The replication settings of the requested stages are checked before
-    the first integral.
+    whose class integrals (R_ij's among them) had fewer than ``MIN_HITS``
+    nonzero draws; ``var_f_unreliable`` applies the same test to Var F.
+    The stage settings are checked before the first integral.
     """
     k = kernel.order
     check_order(k)
-    if with_rij or with_stein_terms:
-        # only the Stein terms read z_samples
-        _check_replication_args(
-            reps, z_samples if with_stein_terms else 1, rij_order=k if with_rij else None
-        )
+    if with_rij:
+        _check_r_order(k)
+    if with_stein_terms:
+        _check_replication_args(reps, z_samples)
 
     def _seq(*key):
         return np.random.SeedSequence(int(seed), spawn_key=key)
 
     var_f = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_seq(0))
 
-    # M_ji = M_ij: integrate i <= j and mirror
+    # M_ji = M_ij and R_ji = R_ij: integrate i <= j and mirror
     m: List[List[MCValue]] = [[None] * k for _ in range(k)]
+    r = [[None] * k for _ in range(k)] if with_rij else None
     for i in range(1, k + 1):
         for j in range(i, k + 1):
             m[i - 1][j - 1] = m[j - 1][i - 1] = compute_Mij(
                 kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j))
+            if with_rij:
+                r[i - 1][j - 1] = r[j - 1][i - 1] = estimate_Rij(
+                    kernel, intensity, i, j, samples=mc_samples, rng=_seq(1, i, j))
     unreliable = tuple(
         (i + 1, j + 1) for i in range(k) for j in range(i, k) if _unreliable(m[i][j])
     )
-
-    r = None
-    if with_rij:
-        r = estimate_Rij(kernel, intensity, reps=reps, rng=np.random.default_rng(_seq(2)))
 
     stein_terms = None
     if with_stein_terms:

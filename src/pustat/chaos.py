@@ -9,10 +9,10 @@ for i = 1..k (and 0 above k).  The variance identity reads
     Var F = sum_{i=1..k} i! * ||f_i||^2,     ||f_i||^2 = integral of f_i^2 dmu_t^i.
 
 i! ||f_i||^2 is the one contraction class of the groups (i, i), the i!
-pairings of two groups of i variables, so Var F and the bound terms M_ij
-(groups (i, i, j, j)) are sums of the same kind: ``contraction_sum`` takes
-the group sizes and integrates their classes of chaos kernels once per seed
-at unit scale, rescaled to mu_t.
+pairings of two groups of i variables, so Var F, the bound terms M_ij
+(groups (i, i, j, j)) and R_ij (other weights) are sums of the same kind:
+``contraction_sum`` takes the group sizes and integrates their classes of
+chaos kernels once per seed at unit scale, rescaled to mu_t.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def contraction_sum(
     rng: Union[np.random.Generator, np.random.SeedSequence],
     mc: MarginalIntegration,
     name: str,
+    weights: Optional[dict] = None,
 ) -> ClassSum:
     """Sum over the classes (block_masks, weight) of ``contraction_classes``
     of each group-size tuple ``sizes`` in ``groups`` of weight times the
@@ -105,8 +106,11 @@ def contraction_sum(
     consumed as given; a SeedSequence is a value, so the unit-scale
     integrals it gives are cached on ``kernel`` and another t only rescales
     them.  ``name`` labels the NumericalError of a non-finite sum.  The
-    result's ``fewest_hits`` counts the nonzero integrand draws of the class
-    that fewest draws reached.
+    result's ``fewest_hits`` counts the nonzero integrand draws of the summed
+    class that fewest draws reached (``samples`` when it sums none).
+    ``weights`` maps block masks to the weights that replace the partition
+    counts, and leaves out the classes it does not name; they are still
+    integrated, so one cache entry serves every choice of weights.
     """
     cache, key = {}, None  # a Generator's integrals are used once
     if isinstance(rng, np.random.SeedSequence):
@@ -120,7 +124,12 @@ def contraction_sum(
         cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng, mc)
     k, t = kernel.order, intensity.t
     total = var_acc = 0.0
-    for (sizes, masks, weight), (est, se, _) in zip(classes, cache[key]):
+    fewest_hits = samples
+    for (sizes, masks, weight), (est, se, hits) in zip(classes, cache[key]):
+        weight = weight if weights is None else weights.get(masks)
+        if weight is None:
+            continue
+        fewest_hits = min(fewest_hits, hits)
         try:
             scale = weight * t ** (len(masks) + sum(k - s for s in sizes))
         except OverflowError:
@@ -129,7 +138,7 @@ def contraction_sum(
         var_acc += (scale * se) * (scale * se)
     if not (math.isfinite(total) and math.isfinite(var_acc)):
         raise NumericalError(f"non-finite {name} at t={t:g}")
-    return ClassSum(total, math.sqrt(var_acc), min(hits for *_, hits in cache[key]))
+    return ClassSum(total, math.sqrt(var_acc), fewest_hits)
 
 
 def _unit_integrals(kernel, intensity, classes, samples, rng, mc):

@@ -41,8 +41,8 @@ _TMAX_CAP = 2.0**20
 # The sample counts are capped so that no array of a run reaches 1 GiB
 # (2**27 doubles).  Per unit the largest hold 4 doubles per replication (the
 # list that normal_cdf maps through math.erf/erfc for the distances: a float
-# object and its pointer; the R and Stein replications, with 1 each, share
-# the cap), dim per z sample (one replication's query points), dim per
+# object and its pointer; the Stein replications, with 1 each, share the
+# cap), dim per z sample (one replication's query points), dim per
 # expected point of a configuration (t times the box volume) and
 # 2k * dim per Monte Carlo draw (an M_ij class of order k has up to 2k
 # blocks), as if every draw were held at once (mc_integral keeps one double
@@ -123,9 +123,11 @@ def _write_lines(path: Optional[str], lines: Iterable[str]):
             fh.close()
 
 
-def _parse_box(spec: Optional[str], dim: int):
+def _parse_box(spec: Optional[str], dim: Optional[int]):
+    """The box of ``--box`` (its dimension must match ``--dim`` when both
+    are given), else the unit cube of ``--dim`` (default 1) dimensions."""
     if spec is None:
-        return [(0.0, 1.0)] * dim
+        return [(0.0, 1.0)] * (1 if dim is None else dim)
     try:
         intervals = []
         for part in spec.split(";"):
@@ -133,6 +135,8 @@ def _parse_box(spec: Optional[str], dim: int):
             intervals.append((float(lo), float(hi)))
     except ValueError as exc:
         raise ConfigError(f"box: expected 'lo,hi;lo,hi;...', got {spec!r}") from exc
+    if dim is not None and len(intervals) != dim:
+        raise ConfigError(f"box: has {len(intervals)} intervals, --dim asks for {dim}")
     return intervals
 
 
@@ -152,7 +156,7 @@ def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
     """Replications of (F - EF)/sqrt(Var F), drawn in blocks from stream
     (0xA0,) of ``seed``, and the Var F that scaled them (a tuple, samples
     first).  The key collides with none of bound_report's ((0,), (1, i, j),
-    (2,), (3,)), ustat's Var F key (0xFE, 0) or the bootstrap's (0xB007,).
+    (3,)), ustat's Var F key (0xFE, 0) or the bootstrap's (0xB007,).
     """
     if var_f.value <= 0:
         raise ConfigError("variance: estimated Var F is not positive")
@@ -212,14 +216,12 @@ def _cmd_bound(args) -> int:
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
     counts = {"mc_samples": args.mc_samples}
-    if args.rij or args.stein_terms:
-        counts["reps"] = args.reps
     if args.stein_terms:
-        counts["z_samples"] = args.z_samples
+        counts.update(reps=args.reps, z_samples=args.z_samples)
     _check_caps(kernel, len(box), "reps" if args.stein_terms else None, **counts)
     intensity = IntensitySpec(box, t=args.t)
-    if args.rij or args.stein_terms:
-        # only these stages draw configurations
+    if args.stein_terms:
+        # only the Stein terms draw configurations
         _check_points(intensity)
     report = bound_report(
         kernel,
@@ -311,10 +313,12 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
     for key in ("kernel", "t_values", "seed"):
         if key not in cfg:
             raise ConfigError(f"{key}: missing required config field")
-    for key, typ in _EXPERIMENT_FIELDS.items():
+    for key, value in cfg.items():
+        if key not in _EXPERIMENT_FIELDS:
+            raise ConfigError(f"{key}: unknown config field")
         # exact types: a bool is an int to isinstance
-        if key in cfg and type(cfg[key]) is not typ:
-            raise ConfigError(f"{key}: expected {typ.__name__}")
+        if type(value) is not _EXPERIMENT_FIELDS[key]:
+            raise ConfigError(f"{key}: expected {_EXPERIMENT_FIELDS[key].__name__}")
     if not cfg["t_values"]:
         raise ConfigError("t_values: must be a nonempty list")
     for t in cfg["t_values"]:
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="emit one point-process realization as CSV")
     p.add_argument("--t", type=float, required=True, help="intensity scale")
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int)
     p.add_argument("--box", help="'lo,hi;lo,hi;...' per dimension (default unit box)")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ustat", help="replicate, standardize, emit samples + distances")
     _add_kernel_flags(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int)
     p.add_argument("--box")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--mc-samples", type=int, default=200_000)
@@ -450,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bound", help="emit a bound-certificate report as JSON")
     _add_kernel_flags(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int)
     p.add_argument("--box")
     p.add_argument("--mc-samples", type=int, default=200_000)
-    p.add_argument("--reps", type=int, default=2000, help="replications for R/term estimates")
+    p.add_argument("--reps", type=int, default=2000, help="replications of the Stein terms")
     p.add_argument("--z-samples", type=int, default=128)
     p.add_argument("--rij", action="store_true", help="estimate the R_ij matrix (order <= 2)")
     p.add_argument("--stein-terms", action="store_true", help="estimate the inner-product terms")

@@ -14,6 +14,7 @@ from pustat.bounds import (
     estimate_Rij,
     estimate_stein_terms,
     fourth_moment_bound,
+    MIN_HITS,
     UNRELIABLE_RATIO,
 )
 from pustat.chaos import MCValue, variance_from_kernels
@@ -139,18 +140,28 @@ def test_error_bars_calibrated_over_seeds():
     # against their exact values look standard normal: at most 2 of the 80
     # beyond 3 and a sample sd in [0.75, 1.3] (1 beyond 3, max |z| = 3.02,
     # sd 1.02, mean 0.01)
+    # R_12 and R_22, from the same class integrals, have a band of their
+    # own: at most 1 of their 40 beyond 3 and a sample sd in [0.75, 1.3]
     intensity = IntensitySpec(UNIT, t=100.0)
     cases = (((1, 1), (2, 2)), ((1, 1, 1, 1),), ((1, 1, 2, 2),), ((2, 2, 2, 2),))
     exact = [float(oracles.distance_contraction_exact(groups, 20, 100)) for groups in cases]
-    z = []
+    exact_r = [float(_r_distance_exact(i, j, 20, 100)) for i, j in ((1, 2), (2, 2))]
+    z, z_r = [], []
     for seed in range(1, 21):
-        rep = bound_report(make_geometric_indicator(0.05), intensity, seed=seed, mc_samples=20_000)
+        rep = bound_report(make_geometric_indicator(0.05), intensity, seed=seed, mc_samples=20_000,
+                           with_rij=True)
         for est, truth in zip((rep.var_f, rep.m[0][0], rep.m[0][1], rep.m[1][1]), exact):
             z.append((est.value - truth) / est.stderr)
+        for est, truth in zip((rep.r[0][1], rep.r[1][1]), exact_r):
+            z_r.append((est.value - truth) / est.stderr)
     z = np.array(z)
     assert len(z) == 80
     assert np.count_nonzero(np.abs(z) > 3.0) <= 2
     assert 0.75 <= z.std(ddof=1) <= 1.3
+    z_r = np.array(z_r)
+    assert len(z_r) == 40
+    assert np.count_nonzero(np.abs(z_r) > 3.0) <= 1
+    assert 0.75 <= z_r.std(ddof=1) <= 1.3
 
 
 def test_m_matrix_symmetric_within_errors(rng):
@@ -479,18 +490,20 @@ def test_fourth_moment_bounds_empirical_moment(rng):
 
 
 def test_r11_count_kernel_zero(rng):
+    # I_0(f_1(z)) = f_1(z) does not depend on the configuration: R_11 sums
+    # no class and is exactly 0, for the count and the distance indicator
     spec = IntensitySpec(UNIT, t=9.0)
-    out = estimate_Rij(make_count(), spec, reps=200, z_samples=64, rng=rng)[0][0]
-    assert abs(out.value) <= 1e-10
-    assert out.stderr <= 1e-10
+    assert estimate_Rij(make_count(), spec, 1, 1, samples=2000, rng=rng) == (0.0, 0.0)
+    rep = bound_report(make_geometric_indicator(0.05), spec, seed=1, mc_samples=2000,
+                       with_rij=True)
+    assert rep.r[0][0] == (0.0, 0.0)
 
 
 def test_r_below_m(rng):
     spec = IntensitySpec(UNIT, t=8.0)
     k = make_geometric_indicator(0.2)
-    r_matrix = estimate_Rij(k, spec, reps=1500, z_samples=128, rng=rng)
     for i, j in ((1, 1), (1, 2), (2, 2)):
-        r = r_matrix[i - 1][j - 1]
+        r = estimate_Rij(k, spec, i, j, samples=50_000, rng=rng)
         m = compute_Mij(k, spec, i, j, samples=50_000, rng=rng)
         assert r.value <= m.value + 4.0 * (r.stderr + m.stderr)
         assert r.value >= -4.0 * r.stderr
@@ -501,7 +514,74 @@ def test_r_order_guard(rng):
 
     spec = IntensitySpec(UNIT, t=1.0)
     with pytest.raises(ValueError):
-        estimate_Rij(make_constant(1.0, 3), spec, rng=rng)
+        estimate_Rij(make_constant(1.0, 3), spec, 1, 1, rng=rng)
+
+
+def _r_distance_exact(i, j, n, t):
+    """R_ij of the distance indicator with r = 1/n on [0, 1] at intensity t,
+    from the exact class integrals of the oracle."""
+    sizes = (i, i, j, j)
+    return sum(w * oracles.distance_class_exact(sizes, masks, n)
+               * Fraction(t) ** (len(masks) + sum(2 - s for s in sizes))
+               for masks, w in bounds._R_WEIGHTS[i, j].items())
+
+
+def test_r_distance_indicator_exact():
+    # R_12 = 3,732,500 and R_22 = 137,083.33 at t = 100, r = 0.05
+    assert _r_distance_exact(1, 2, 20, 100) == 3_732_500
+    assert float(_r_distance_exact(2, 2, 20, 100)) == pytest.approx(137_083.33, abs=0.01)
+    rep = bound_report(make_geometric_indicator(0.05), IntensitySpec(UNIT, t=100.0), seed=1,
+                       with_rij=True)
+    for i, j in ((1, 2), (2, 2)):
+        r = rep.r[i - 1][j - 1]
+        assert abs(r.value - float(_r_distance_exact(i, j, 20, 100))) <= 4.0 * r.stderr
+
+
+@pytest.mark.parametrize("c", [1.5, -2.0])
+def test_r_constant_kernel_closed_forms(c):
+    # f_1 = 2 c lam and f_2 = c, lam = t |box|: R_12 = 4 c^4 lam^5 and
+    # R_22 = 2 c^4 lam^4 + c^4 lam^3, exact in binary
+    spec = IntensitySpec(UNIT, t=2.0)
+    lam = spec.total_mass
+    rep = bound_report(make_constant(c, 2), spec, seed=1, mc_samples=1000, with_rij=True)
+    for (i, j), target in (((1, 2), 4 * c**4 * lam**5),
+                           ((2, 2), 2 * c**4 * lam**4 + c**4 * lam**3)):
+        got = rep.r[i - 1][j - 1]
+        assert got.value == pytest.approx(target, rel=1e-12)
+        assert got.stderr == 0.0
+
+
+def test_r_integrates_f_not_its_absolute_value():
+    # f(x, y) = g(x) g(y), g(x) = x - 1/4 on [0, 1]: R_12 = 4 t^5 m1^2 m2^3
+    # with m1 the integral of g (1/4) and m2 that of g^2 (7/48); |f| has
+    # m1 = 5/16
+    from pustat.kernels import make_product
+
+    t = 10.0
+    kernel = make_product(lambda p: p[:, 0] - 0.25, 2, base_integral=0.25,
+                          abs_base_integral=5.0 / 16.0)
+    r12 = estimate_Rij(kernel, IntensitySpec(UNIT, t=t), 1, 2, samples=100_000)
+    of_f, of_abs = (4 * t**5 * m1**2 * (7 / 48) ** 3 for m1 in (0.25, 5 / 16))
+    assert abs(r12.value - of_f) <= 4.0 * r12.stderr
+    assert abs(r12.value - of_abs) > 20.0 * r12.stderr
+
+
+def test_r_reads_the_classes_of_m(monkeypatch):
+    # f >= 0: R_ij sums classes that M_ij integrated on the same stream,
+    # so --rij runs no integral, and R_ij <= M_ij holds term by term
+    calls = _count_class_integrals(monkeypatch)
+    spec = IntensitySpec(UNIT, t=100.0)
+    counts, reports = [], []
+    for with_rij in (False, True):
+        before = len(calls)
+        reports.append(bound_report(make_geometric_indicator(0.05), spec, seed=4,
+                                    mc_samples=5000, with_rij=with_rij))
+        counts.append(len(calls) - before)
+    assert counts[1] == counts[0] > 0
+    rep = reports[1]
+    for i in range(2):
+        for j in range(2):
+            assert rep.r[i][j].value <= rep.m[i][j].value
 
 
 def test_r_matrix_symmetric():
@@ -518,8 +598,6 @@ def test_z_samples_must_be_positive(rng):
     spec = IntensitySpec(UNIT, t=5.0)
     k = make_geometric_indicator(0.2)
     with pytest.raises(ValueError, match="z_samples"):
-        estimate_Rij(k, spec, reps=10, z_samples=0, rng=rng)
-    with pytest.raises(ValueError, match="z_samples"):
         estimate_stein_terms(k, spec, reps=10, z_samples=0, rng=rng, var_f=_mc(1.0))
 
 
@@ -535,8 +613,6 @@ def test_bound_report_checks_replication_args_first(monkeypatch):
         bound_report(k, spec, seed=1, with_stein_terms=True, z_samples=0)
     with pytest.raises(ValueError, match="reps"):
         bound_report(k, spec, seed=1, with_stein_terms=True, reps=1)
-    with pytest.raises(ValueError, match="reps"):
-        bound_report(k, spec, seed=1, with_rij=True, reps=1)
     with pytest.raises(ValueError, match="order <= 2"):
         bound_report(make_constant(1.0, 3), spec, seed=1, with_rij=True)
 
@@ -762,11 +838,16 @@ def test_class_without_nonzero_draws_is_flagged():
     # draw, so M_22 reads well under its true value (about 7,600) with a
     # stderr under half of it; the hit count still flags it
     spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=100.0)
-    rep = bound_report(make_geometric_indicator(0.05), spec, seed=1, mc_samples=500)
+    rep = bound_report(make_geometric_indicator(0.05), spec, seed=1, mc_samples=500,
+                       with_rij=True)
     m22 = rep.m[1][1]
     assert m22.fewest_hits == 0
     assert 0.0 < m22.stderr < UNRELIABLE_RATIO * m22.value
     assert (2, 2) in rep.unreliable
+    # R sums classes of M from the same draws: M's flag covers it
+    starved = [(i + 1, j + 1) for i in range(2) for j in range(i, 2)
+               if rep.r[i][j].fewest_hits < MIN_HITS]
+    assert starved and set(starved) <= set(rep.unreliable)
 
 
 def test_certification_smoke(rng):
@@ -822,12 +903,6 @@ def test_blocking_changes_nothing(monkeypatch, dim):
             )
 
         one, many = _at_block_caps(monkeypatch, stein)
-        assert one == many
-
-        def rij():
-            return estimate_Rij(kernel, spec, reps=30, z_samples=16, rng=np.random.default_rng(6))
-
-        one, many = _at_block_caps(monkeypatch, rij)
         assert one == many
 
 

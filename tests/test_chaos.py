@@ -170,6 +170,28 @@ def test_class_sums_count_their_nonzero_draws():
     assert 0 < out.fewest_hits < 200
 
 
+def test_class_weights_replace_partition_counts():
+    # weights equal to the partition counts give the plain sum bit for bit;
+    # weights naming one class give that class alone, from the same cache
+    from pustat.partitions import contraction_classes
+
+    k = make_geometric_indicator(0.1)
+    spec = IntensitySpec(UNIT, t=20.0)
+    groups = ((2, 2, 2, 2),)
+    classes = contraction_classes(groups[0])
+
+    def total(weights=None):
+        return chaos.contraction_sum(k, spec, groups, samples=2000, rng=np.random.SeedSequence(4),
+                                     mc=MarginalIntegration(), name="M_22", weights=weights)
+
+    plain = total()
+    assert total(dict(classes)) == plain
+    parts = [total({masks: w}) for masks, w in classes]
+    assert sum(p.value for p in parts) == pytest.approx(plain.value, rel=1e-12)
+    assert min(p.fewest_hits for p in parts) == plain.fewest_hits
+    assert total({}) == (0.0, 0.0) and total({}).fewest_hits == 2000
+
+
 def test_variance_generators_are_not_cached(monkeypatch):
     calls = _count_integrals(monkeypatch)
     k = make_geometric_indicator(0.1)

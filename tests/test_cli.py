@@ -269,6 +269,21 @@ def test_sample_custom_box(tmp_path, capsys):
     assert all(-1.0 <= y <= 1.0 for y in ys)
 
 
+def test_dim_and_box(capsys):
+    # --box alone sets the dimension, --dim alone gives the unit cube, and
+    # both must agree
+    for flags, header in ((("--box", "0,1;0,2"), "x1,x2"), (("--dim", "3"), "x1,x2,x3"),
+                          (("--dim", "2", "--box", "0,1;0,2"), "x1,x2")):
+        code, out, _ = _run(capsys, "sample", "--t", "3", "--seed", "1", *flags)
+        assert code == 0
+        assert out.splitlines()[0] == header
+    for argv in (("sample", "--t", "3"), ("bound", "--kernel", "count", "--t", "3")):
+        code, out, err = _run(capsys, *argv, "--seed", "1", "--dim", "2", "--box", "0,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: box:")
+
+
 def test_sample_bad_box_exits_2(capsys):
     code, _, err = _run(capsys, "sample", "--t", "1", "--seed", "1", "--box", "oops")
     assert code == 2
@@ -392,13 +407,14 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"z_samples": 10**15}, "z_samples"),
     ({"t_values": [10, 1e15]}, "t_values"),
     ({"box": [[0, 1e15]]}, "t_values"),
+    ({"stien_terms": False}, "stien_terms"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
         "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
         "huge_int_c", "infinite_c", "huge_reps", "huge_term_reps", "huge_mc_samples",
-        "huge_z_samples", "too_many_points_t", "too_many_points_box"])
+        "huge_z_samples", "too_many_points_t", "too_many_points_box", "unknown_field"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -610,16 +626,16 @@ def test_bootstrap_table_equals_resample_loop(kind):
     (["ustat", "--kernel", "count", "--reps", "10**15"], "reps"),
     (["ustat", "--kernel", "count", "--mc-samples", "10**15"], "mc_samples"),
     (["bound", "--kernel", "count", "--mc-samples", "10**15"], "mc_samples"),
-    (["bound", "--kernel", "count", "--rij", "--reps", "10**15"], "reps"),
+    (["bound", "--kernel", "count", "--stein-terms", "--reps", "10**15"], "reps"),
     (["bound", "--kernel", "count", "--stein-terms", "--z-samples", "10**15"], "z_samples"),
     # t = 10 on a box of volume 10**15: too many expected points
     (["sample", "--box", "0,10**15"], "t"),
     (["ustat", "--kernel", "count", "--reps", "2", "--box", "0,10**15"], "t"),
-    (["bound", "--kernel", "count", "--rij", "--box", "0,10**15"], "t"),
+    (["bound", "--kernel", "count", "--stein-terms", "--box", "0,10**15"], "t"),
     (["bound", "--kernel", "count", "--stein-terms", "--dim", "2",
       "--box", "0,10**15;0,1"], "t"),
-], ids=["ustat_reps", "ustat_mc_samples", "bound_mc_samples", "bound_rij_reps",
-        "bound_z_samples", "sample_points", "ustat_points", "bound_rij_points",
+], ids=["ustat_reps", "ustat_mc_samples", "bound_mc_samples", "bound_stein_reps",
+        "bound_z_samples", "sample_points", "ustat_points", "bound_stein_points",
         "bound_stein_points_2d"])
 def test_oversized_sample_counts_exit_2(capsys, argv, field):
     # refused by the cap before the first allocation, so this starts no work
@@ -628,6 +644,15 @@ def test_oversized_sample_counts_exit_2(capsys, argv, field):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: must be <= ")
+
+
+def test_rij_alone_reads_no_replication_settings(capsys):
+    # R_ij comes from the class integrals of M_ij: --reps, --z-samples and
+    # the point cap apply to the Stein terms only
+    code, out, err = _run(capsys, "bound", "--kernel", "count", "--rij", "--reps", "1",
+                          "--z-samples", "0", "--t", "10", "--mc-samples", "500", "--seed", "1")
+    assert code == 0, err
+    assert json.loads(out)["r"] == [[{"value": 0.0, "stderr": 0.0}]]
 
 
 @pytest.mark.parametrize("k, dim", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (2, 100)])
