@@ -46,8 +46,12 @@ thin shell between that inner band and the outer one takes the exact test.
 The shell is about 1e-9 r plus a few ulps wide and almost never holds a
 key, so each outer edge is found from the inner one by comparing the next
 key beyond it, and only the queries whose shell holds a key search again.
-The factor 1 - 1e-9 mirrors the outer band's margin.  The inner half-width
-is capped at the outer one.  When it is not positive, or r*r is below the
+The keys are sorted alone; only when some shell holds a key are the
+coordinates put in key order, by one argsort and a gather, for the exact
+test.  A pair count's group totals add up each label's run of the sorted
+counts, since the cells of one label are contiguous in key order.  The
+factor 1 - 1e-9 mirrors the outer band's margin.  The inner half-width is
+capped at the outer one.  When it is not positive, or r*r is below the
 normal range, every candidate takes the test.
 """
 import math
@@ -198,27 +202,32 @@ def _widened(key, inner, edge, side):
 
 
 def _later_neighbours(pts, labels, r):
-    """(counts, order): pts[order] sorted on the cell key, and for each of
-    them the number of its group's points within distance r that come later
-    in its own cell or lie in the next cell."""
+    """For each point, in the order of the cell keys, the number of its
+    group's points within distance r that come later in its own cell or lie
+    in the next cell."""
     cols = _columns(pts)
     n = len(pts)
     layout = _layout(cols, None, int(labels.max()), r, n * (n - 1) // 2)
     span, half, inner, r2 = layout[3:]
     cell = _cells(cols[0], labels, layout)
     key = cols[-1] + cell * span
-    order = np.argsort(key)
-    p, key = [c[order] for c in cols], key[order]
     after = np.arange(1, n + 1)
     if inner > 0.0:
-        sure = np.searchsorted(key, key + inner, side="right")
-        hi = _widened(key, sure, key + half, "right")
-        return sure - after + _tested_windows(p, p, [(sure, hi)], r2), order
+        ranked = np.sort(key)
+        sure = np.searchsorted(ranked, ranked + inner, side="right")
+        hi = _widened(ranked, sure, ranked + half, "right")
+        counts = sure - after
+        if (hi > sure).any():
+            p = [cols[0][np.argsort(key)]]
+            counts += _tested(p, p, sure, hi, r2)
+        return counts
+    order = np.argsort(key)
+    p, key = [c[order] for c in cols], key[order]
     hi = np.searchsorted(key, key + half, side="right")
     windows = [(after, hi)]
     if layout[0] > 1:
         windows.append(_window(key, p[-1] + (cell[order] + 1) * span, half))
-    return _tested_windows(p, p, windows, r2), order
+    return _tested_windows(p, p, windows, r2)
 
 
 def count_pairs_within(points, r):
@@ -233,8 +242,12 @@ def count_group_pairs(points, labels, r, groups):
     labels = np.asarray(labels, dtype=np.int64)
     if len(pts) < 2:
         return np.zeros(groups, dtype=np.int64)
-    counts, order = _later_neighbours(pts, labels, r)
-    return np.bincount(labels[order], weights=counts, minlength=groups).astype(np.int64)
+    counts = _later_neighbours(pts, labels, r)
+    # the cells of one label are contiguous in key order, so the labels in
+    # that order are runs of each label in turn
+    sizes = np.bincount(labels, minlength=groups)
+    runs = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(runs, weights=counts, minlength=groups).astype(np.int64)
 
 
 def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
@@ -259,19 +272,23 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     layout = _layout(cols, qs, top, r, candidates)
     span, half, inner, r2 = layout[3:]
     key = cols[-1] + _cells(cols[0], point_labels, layout) * span
-    order = np.argsort(key)
-    p, key = [c[order] for c in cols], key[order]
     qcell = _cells(qs[0], query_labels, layout)
     qkey = qs[-1] + qcell * span
     # queries in key order make the binary searches walk the keys in order
     qorder = np.argsort(qkey)
     qkey, qs = qkey[qorder], [c[qorder] for c in qs]
     if inner > 0.0:
-        lo_in, hi_in = _window(key, qkey, inner)
-        lo = _widened(key, lo_in, qkey - half, "left")
-        hi = _widened(key, hi_in, qkey + half, "right")
-        counts = hi_in - lo_in + _tested_windows(qs, p, [(lo, lo_in), (hi_in, hi)], r2)
+        ranked = np.sort(key)
+        lo_in, hi_in = _window(ranked, qkey, inner)
+        lo = _widened(ranked, lo_in, qkey - half, "left")
+        hi = _widened(ranked, hi_in, qkey + half, "right")
+        counts = hi_in - lo_in
+        if (lo < lo_in).any() or (hi > hi_in).any():
+            p = [cols[0][np.argsort(key)]]
+            counts += _tested_windows(qs, p, [(lo, lo_in), (hi_in, hi)], r2)
     else:
+        order = np.argsort(key)
+        p, key = [c[order] for c in cols], key[order]
         windows = [_window(key, qkey, half)]
         if layout[0] > 1:
             qcell = qcell[qorder]

@@ -339,17 +339,22 @@ def _rows_at_step_sup(pos: np.ndarray, wt: np.ndarray, reps: int) -> np.ndarray:
     breakpoints: pos[b] and row b of pos[reps:] reshaped to (reps, z).  The
     sum over b is right-continuous, so its supremum is 0 (s below every
     breakpoint) or its value at a breakpoint.  One sort and one running sum
-    visit them all.  Tied breakpoints sort by weight, ascending: the running
-    sum then falls, then rises through a tie group, so inside it no partial
-    sum exceeds both the group's value and the one before it, and the
-    largest running sum is the supremum.
+    visit them all.  The running sum at the last index of a group of tied
+    breakpoints is the function's value there, so the maximum is taken over
+    those indices alone, and the order inside a tie group does not matter.
     """
-    order = np.lexsort((wt, pos))
+    order = np.argsort(pos)
+    ranked = pos[order]
+    inside = np.empty(len(ranked), dtype=bool)  # not the last of its tie group
+    np.equal(ranked[1:], ranked[:-1], out=inside[:-1])
+    inside[-1] = False
+    del ranked  # before the weights are gathered: it keeps the peak down
     run = wt[order]
     np.cumsum(run, out=run)
+    run[inside] = -np.inf
     best = int(np.argmax(run))
     s = pos[order[best]] if run[best] > 0.0 else -np.inf
-    del order, run
+    del order, run, inside
     z = len(pos) // reps - 1
     rows = wt[:reps] * (pos[:reps] <= s)
     rows += np.sum(wt[reps:].reshape(reps, z), axis=1, where=pos[reps:].reshape(reps, z) <= s)

@@ -39,17 +39,18 @@ NUMERICAL_ERROR = 3
 # poisson_exact_dK(t) holds a few arrays of t + 12 sqrt(t) entries
 _TMAX_CAP = 2.0**20
 # The sample counts are capped so that no array of a run reaches 1 GiB
-# (2**27 doubles).  Per unit the largest hold 4 doubles per replication (the
-# list that normal_cdf maps through math.erf/erfc for the distances: a float
-# object and its pointer; the Stein replications, with 1 each, share the
-# cap), dim per z sample (one replication's query points), dim per
-# expected point of a configuration (t times the box volume) and
-# 2k * dim per Monte Carlo draw (an M_ij class of order k has up to 2k
-# blocks), as if every draw were held at once (mc_integral keeps one double
-# per draw).  The Stein terms also hold at most four arrays of
-# reps * (z_samples + 1) <= 2 * reps * z_samples entries at once (breakpoint
-# positions and weights, their sort order and running sum), so their
-# product reps * z_samples has a cap of its own.
+# (2**27 doubles).  Per unit the largest hold 4 doubles per replication (a
+# margin: the distances take one double each, and normal_cdf maps
+# math.erf/erfc over lists of at most 2**16 of them; the Stein replications,
+# with 1 each, share the cap), dim per z sample (one replication's query
+# points), dim per expected point of a configuration (t times the box
+# volume) and 2k * dim per Monte Carlo draw (an M_ij class of order k has up
+# to 2k blocks), as if every draw were held at once (mc_integral keeps one
+# double per draw).  The Stein terms also hold at most four arrays of reps *
+# (z_samples + 1) <= 2 * reps * z_samples entries at once (breakpoint
+# positions and weights, their sort order, and their sorted copy or running
+# sum), and a byte per entry marking the tie groups, so their product reps *
+# z_samples has a cap of its own.
 _ARRAY_DOUBLES = 2**27
 _STEIN_PAIRS = _ARRAY_DOUBLES // (4 * 2)
 

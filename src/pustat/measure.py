@@ -123,8 +123,13 @@ class IntensitySpec:
         return len(self.box)
 
     def _uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # lo + (hi - lo) * u, column by column in place: numpy's broadcast
+        # path costs more than the arithmetic at these sizes
         u = rng.random((n, self.dim))
-        return self._lo + (self._hi - self._lo) * u
+        for col, (lo, hi) in zip(u.T, self.box):
+            col *= hi - lo
+            col += lo
+        return u
 
     def _density_values(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.density(pts), dtype=float).reshape(len(pts))

@@ -47,6 +47,7 @@ _FP_SLACK = 1e-12
 _GRID = {"w_min": -8.0, "w_max": 8.0, "step": 0.01}
 _S_VALUES = (-2.0, 0.0, 1.0)
 _JUMP_H = 1e-6
+_CDF_CHUNK = 1 << 16  # values per list that normal_cdf maps math.erf/erfc over
 
 
 def normal_cdf(x):
@@ -54,17 +55,28 @@ def normal_cdf(x):
 
     scipy's ndtr split: 0.5 + 0.5 erf(x/sqrt 2) for |x| < 1, and the tail
     0.5 erfc(|x|/sqrt 2), reflected for x > 0, beyond.  math.erf/erfc take
-    one value at a time, so each branch maps them over its values.
+    one value at a time, so each branch maps them over its values, a chunk
+    at a time.
     """
     arr = np.asarray(x, dtype=float)
     u = arr * _SQRT1_2
     near = np.abs(u) < _SQRT1_2
     far = ~near
     out = np.empty(arr.shape)
-    out[near] = 0.5 + 0.5 * np.fromiter(map(math.erf, u[near].tolist()), dtype=float)
-    tail = 0.5 * np.fromiter(map(math.erfc, np.abs(u[far]).tolist()), dtype=float)
+    out[near] = 0.5 + 0.5 * _mapped(math.erf, u[near])
+    tail = 0.5 * _mapped(math.erfc, np.abs(u[far]))
     out[far] = np.where(u[far] > 0, 1.0 - tail, tail)
     return float(out) if out.ndim == 0 else out
+
+
+def _mapped(f, values):
+    """f over the 1-D array ``values``, ``_CDF_CHUNK`` values at a time: a
+    Python float takes 32 bytes, so no list holds a whole large input."""
+    out = np.empty(len(values))
+    for start in range(0, len(values), _CDF_CHUNK):
+        chunk = values[start : start + _CDF_CHUNK]
+        out[start : start + len(chunk)] = np.fromiter(map(f, chunk.tolist()), float, len(chunk))
+    return out
 
 
 def g(s, w):

@@ -435,6 +435,43 @@ def test_band_edges_at_r_in_some_shells(rng, monkeypatch, r):
     assert max(held) > 0.0
 
 
+def _argsorts(monkeypatch):
+    """A list of the lengths of the arrays that np.argsort sorts."""
+    lengths = []
+    argsort = np.argsort
+
+    def recording(a, *args, **kwargs):
+        lengths.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("r", [0.25, 0.05])
+def test_points_are_argsorted_only_for_a_held_shell(rng, monkeypatch, r):
+    # the keys are sorted alone; the coordinates are put in key order, by
+    # one argsort, only for a call whose shells hold a key
+    query_groups = [rng.uniform(-1.0, 1.0, size=(n, 1)) for n in (6, 1, 9)]
+    plain = [rng.uniform(-1.5, 1.5, size=(n, 1)) for n in (40, 3, 25)]
+    shelled = [np.vstack([q, _shell_points(q, r)]) for q in query_groups]
+    qs = np.concatenate(query_groups)
+    qlabels = np.repeat(np.arange(3), [len(q) for q in query_groups])
+    lengths = _argsorts(monkeypatch)
+    for groups, point_sorts in ((plain, []), (shelled, [sum(map(len, shelled))])):
+        pts = np.concatenate(groups)
+        labels = np.repeat(np.arange(3), [len(g) for g in groups])
+        lengths.clear()
+        pairs = _accel.count_group_pairs(pts, labels, r, 3)
+        assert pairs.tolist() == [brute_force_pairs(g, r) for g in groups]
+        assert lengths == point_sorts
+        lengths.clear()
+        counts = _accel.count_neighbors(pts, qs, r, labels, qlabels)
+        expected = [brute_force_neighbors(g, q, r) for g, q in zip(groups, query_groups)]
+        assert np.array_equal(counts, np.concatenate(expected))
+        assert lengths == [len(qs)] + point_sorts  # the queries, then any points
+
+
 # ---------------------------------------------------------------------------
 # the mechanism as a count: most of the candidates a strip search tests pass
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pustat.bounds import (
     bound_report,
@@ -740,6 +742,39 @@ def test_stein_sup_of_an_all_negative_function_is_zero():
     wt = np.concatenate([c.sum(axis=1), -c.ravel()])
     assert not np.any(bounds._rows_at_step_sup(pos, wt, 2))
     assert oracles.stein_sup_brute_force(g, top, c) == 0.0
+
+
+@st.composite
+def _step_functions(draw):
+    """(g, top, c) of a sup term's sample function: integer breakpoints in a
+    range of ``spread`` + 1 values, so that ties are frequent within and
+    across replications, and weights of both signs, or signs that make the
+    function negative at every s where it is not 0."""
+    reps, z = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    spread = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.integers(0, spread + 1, reps).astype(float)
+    top = rng.integers(0, spread + 1, (reps, z)).astype(float)
+    c = rng.normal(size=(reps, z))
+    if draw(st.booleans()):
+        # c(1(top > s) - 1(g > s)) is c on [g, top) and -c on [top, g)
+        c = -np.abs(c) * np.where(top >= g[:, None], 1.0, -1.0)
+    return g, top, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_step_functions())
+def test_step_sup_matches_brute_force_property(case):
+    # the running sum is read at the last index of each tie group; a tie
+    # group's order does not matter.  The absolute slack covers the rounding
+    # of sums of at most 40 * 9 unit-scale weights where the sup is 0
+    g, top, c = case
+    reps = len(g)
+    pos = np.concatenate([g, top.ravel()])
+    wt = np.concatenate([c.sum(axis=1), -c.ravel()])
+    exact = oracles.stein_sup_brute_force(g, top, c)
+    assert bounds._rows_at_step_sup(pos, wt, reps).mean() == pytest.approx(
+        exact, rel=1e-12, abs=1e-14)
 
 
 def test_mean_matches_full_integral(rng):

@@ -205,3 +205,40 @@ def test_mc_integral_chunks_on_a_nonconstant_density(rng):
                           3 * measure._MC_CHUNK + 5, rng)
     assert se > 0.0
     assert abs(est - 4.0) <= 4.0 * se
+
+
+@pytest.mark.parametrize("box", [[(-2.0, 3.0)],
+                                 [(0.5, 0.75), (1e6, 1e6 + 1.0)],
+                                 [(-2.0, 3.0), (0.5, 0.75), (1e6, 1e6 + 1.0)]])
+def test_unit_density_draws_are_the_broadcast_formula(box):
+    # the column-by-column draws in place are lo + (hi - lo) * u bit for
+    # bit, and leave the generator where one (n, d) draw leaves it
+    spec = IntensitySpec(box, t=3.0)
+    lo, hi = np.array(box).T
+    for n in (1, 7, 5000):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        got = measure.sample_points(spec, n, a)
+        want = lo + (hi - lo) * b.random((n, len(box)))
+        assert got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_rejection_draws_are_reproduced():
+    # draws and the generator's next double at seed 20121017, recorded with
+    # proposals computed as lo + (hi - lo) * u by broadcasting
+    linear = IntensitySpec([(-2.0, 3.0)], density=lambda p: (p[:, 0] + 2.0) / 5.0,
+                           density_sup=1.0, base_integral=2.5)
+    ramp = IntensitySpec([(0.5, 0.75), (-2.0, 3.0)], density=lambda p: 4.0 * (p[:, 0] - 0.5),
+                         density_sup=1.0, base_integral=0.625)
+    recorded = [
+        (linear, [[1.633695086250765], [2.5333854829191624], [-0.5331727991891881],
+                  [0.09558139387137299]], 0.6609289093185194),
+        (ramp, [[0.6816847543125383, -1.3362995588249214],
+                [0.7266692741459582, -0.5331727991891881],
+                [0.5832946670810334, 2.930098424940123],
+                [0.7438229912194455, 0.9548365041618792]], 0.29486664674087604),
+    ]
+    for spec, points, after in recorded:
+        rng = np.random.default_rng(20121017)
+        assert measure.sample_points(spec, 4, rng).tolist() == points
+        assert rng.random() == after

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pustat import stein
 from pustat.stein import G_MAX, check_stein_properties, g, g_prime, g_second, normal_cdf
 
 from oracles import stein_g_quadrature
@@ -24,6 +25,28 @@ def test_normal_cdf_matches_ndtr():
         assert np.all(np.abs(phi - ref) <= 1e-13 * ref)
     assert normal_cdf(np.array([[-1.0, 0.5]])).shape == (1, 2)
     assert np.isnan(normal_cdf(math.nan))
+
+
+def _cdf_one_value(x):
+    """normal_cdf's split for one Python float: erf inside |x| < 1, the
+    reflected erfc tail beyond."""
+    u = x * math.sqrt(0.5)
+    if abs(u) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(u)
+    tail = 0.5 * math.erfc(abs(u))
+    return 1.0 - tail if u > 0 else tail
+
+
+def test_normal_cdf_chunks_are_bit_identical():
+    # more than two chunks, with values on both sides of |x| = 1 in each
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-3.0, 3.0, size=2 * stein._CDF_CHUNK + 1001)
+    x[stein._CDF_CHUNK - 2 : stein._CDF_CHUNK + 2] = [-1.0, 1.0, np.nextafter(1.0, 0.0), -1.5]
+    phi = normal_cdf(x)
+    assert phi.tobytes() == np.array([_cdf_one_value(v) for v in x.tolist()]).tobytes()
+    for v in (0.3, -1.0, 2.5):
+        out = normal_cdf(np.array(v))
+        assert type(out) is float and out == _cdf_one_value(v)
 
 
 def test_normal_cdf_symmetry():
