@@ -40,7 +40,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .chaos import ClassSum, MCValue, contraction_sum, variance_from_kernels
-from .kernels import MarginalIntegration, SymmetricKernel, kernel_descriptor
+from .kernels import SymmetricKernel, kernel_descriptor
 from .measure import IntensitySpec, sample_points
 from .partitions import check_order
 from .ustat import (
@@ -73,15 +73,15 @@ MIN_HITS = 30
 _SUP_NOTE = "exact supremum over s of the sample mean; biased upward"
 
 
-def _pair_args(k: int, i: int, j: int, rng, mc):
-    """(i, j) as (min, max), the default stream and marginal settings."""
+def _pair_args(k: int, i: int, j: int, rng):
+    """(i, j) as (min, max) and the default stream."""
     check_order(k)
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"indices ({i}, {j}) outside 1..{k}")
     i, j = min(i, j), max(i, j)
     if rng is None:
         rng = np.random.SeedSequence(_M_SEED, spawn_key=(i, j))
-    return i, j, rng, mc or MarginalIntegration()
+    return i, j, rng
 
 
 def compute_Mij(
@@ -92,7 +92,6 @@ def compute_Mij(
     *,
     samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
-    mc: Optional[MarginalIntegration] = None,
 ) -> ClassSum:
     """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
 
@@ -100,15 +99,17 @@ def compute_Mij(
     stream.  ``contraction_sum`` joins the groups (i, i, j, j) of chaos
     kernels of |f|, integrates each of their contraction classes once at
     unit scale with ``samples`` draws and rescales it by its power of t.
+    A chaos kernel without an analytic marginal takes the fixed draws of
+    ``kernels._FALLBACK``, on stream a + 1 for factor a.
 
     ``rng`` is a Generator, consumed as given, or a SeedSequence (the
     default is (0xB0D5, spawn key (i, j))), whose class integrals are
     cached on the kernel of |f|: a call at another t on the same stream
     only rescales them.
     """
-    i, j, rng, mc = _pair_args(kernel.order, i, j, rng, mc)
+    i, j, rng = _pair_args(kernel.order, i, j, rng)
     return contraction_sum(kernel.absolute, intensity, ((i, i, j, j),), samples=samples,
-                           rng=rng, mc=mc, name=f"M_{i}{j}")
+                           rng=rng, name=f"M_{i}{j}")
 
 
 # R_ij, the variance over eta of the integral of I_{i-1}(f_i(z, .))
@@ -143,14 +144,13 @@ def estimate_Rij(
     *,
     samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
-    mc: Optional[MarginalIntegration] = None,
 ) -> ClassSum:
     """R_ij (kernel order <= 2): the classes of ``_R_WEIGHTS`` of the
     chaos kernels of f, taken as ``compute_Mij`` takes its classes of |f|,
     default stream included; for f >= 0 on M_ij's stream they are cached."""
     _check_r_order(kernel.order)
-    i, j, rng, mc = _pair_args(kernel.order, i, j, rng, mc)
-    return contraction_sum(kernel, intensity, ((i, i, j, j),), samples=samples, rng=rng, mc=mc,
+    i, j, rng = _pair_args(kernel.order, i, j, rng)
+    return contraction_sum(kernel, intensity, ((i, i, j, j),), samples=samples, rng=rng,
                            name=f"R_{i}{j}", weights=_R_WEIGHTS[i, j])
 
 
@@ -261,7 +261,6 @@ def estimate_stein_terms(
     z_samples: int = 128,
     rng: np.random.Generator,
     var_f: MCValue,
-    mc: Optional[MarginalIntegration] = None,
 ) -> SteinTerms:
     """Estimate the Kolmogorov-bound terms for G = (F - EF)/sqrt(Var F).
 
@@ -282,7 +281,7 @@ def estimate_stein_terms(
     if var_f.value <= 0.0:
         raise ValueError("Var F estimate must be positive")
     sigma = math.sqrt(var_f.value)
-    ef = kernel.full_integral(intensity, mc=mc)
+    ef = kernel.full_integral(intensity)
     mass = intensity.total_mass
 
     ip1, q2, dg4, ipdg, g4 = np.empty((5, reps))
@@ -298,7 +297,7 @@ def estimate_stein_terms(
         zs = sample_points(intensity, b * z_samples, z_rng).reshape(b, z_samples, intensity.dim)
         d = add_one_costs_many(kernel, points, sizes, zs)
         dg = d / sigma
-        lower = _inverse_ou_lower_costs(kernel, points, sizes, intensity, zs, mc)
+        lower = _inverse_ou_lower_costs(kernel, points, sizes, intensity, zs)
         mdl = (d / kernel.order + lower) / sigma
         gv = (evaluate_many(kernel, points, sizes) - ef) / sigma
         ip1[rows] = mass * np.mean(dg * mdl, axis=1)

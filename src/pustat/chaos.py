@@ -18,12 +18,12 @@ chaos kernels once per seed at unit scale, rescaled to mu_t.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .kernels import MarginalIntegration, SymmetricKernel
+from . import kernels
+from .kernels import SymmetricKernel
 from .measure import IntensitySpec, NumericalError, mc_integral
 from .partitions import check_order, contraction_classes
 
@@ -63,10 +63,11 @@ def chaos_kernel_values(
     i: int,
     x: np.ndarray,
     *,
-    mc: Optional[MarginalIntegration] = None,
+    stream: int = 0,
 ):
     """Batched values of f_i at (m, i, d) probes; pass ``kernel.absolute``
-    for the chaos kernels of |f|.
+    for the chaos kernels of |f|.  A fallback marginal draws from its
+    ``stream`` (``SymmetricKernel.marginal_with_stderr``).
 
     Returns (values, stderrs); stderrs vanish when the marginal is analytic.
     """
@@ -74,7 +75,7 @@ def chaos_kernel_values(
     check_order(k)
     if not 1 <= i <= k:
         raise ValueError(f"chaos kernel index {i} outside 1..{k}")
-    vals, ses = kernel.marginal_with_stderr(intensity, x, i, mc=mc)
+    vals, ses = kernel.marginal_with_stderr(intensity, x, i, stream=stream)
     binom = math.comb(k, i)
     return binom * vals, binom * ses
 
@@ -86,7 +87,6 @@ def contraction_sum(
     *,
     samples: int,
     rng: Union[np.random.Generator, np.random.SeedSequence],
-    mc: MarginalIntegration,
     name: str,
     weights: Optional[dict] = None,
 ) -> ClassSum:
@@ -94,7 +94,7 @@ def contraction_sum(
     of each group-size tuple ``sizes`` in ``groups`` of weight times the
     integral of prod_a f_{sizes[a]}, one variable per block, where
     factor a reads the blocks whose mask holds bit a and draws its fallback
-    marginals from seed ``mc.seed + 7919 (a + 1)``, independent of the others.
+    marginals from fallback stream a + 1, independent of the others.
     A factor that reads the same size and blocks as an earlier one reuses
     its values when their stderrs are all 0 (an analytic marginal, or f;
     also a fallback whose draws all agreed on every probe of the chunk).
@@ -117,11 +117,12 @@ def contraction_sum(
         cache = kernel._integral_cache
         entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
         key = (groups, intensity.box, intensity.density, intensity.density_sup,
-               intensity.base_integral, samples, mc, entropy, rng.spawn_key, rng.pool_size)
+               intensity.base_integral, samples, kernels._FALLBACK, entropy, rng.spawn_key,
+               rng.pool_size)
         rng = np.random.default_rng(rng)
     classes = [(s, masks, w) for s in groups for masks, w in contraction_classes(s)]
     if key not in cache:
-        cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng, mc)
+        cache[key] = _unit_integrals(kernel, intensity, classes, samples, rng)
     k, t = kernel.order, intensity.t
     total = var_acc = 0.0
     fewest_hits = samples
@@ -141,7 +142,7 @@ def contraction_sum(
     return ClassSum(total, math.sqrt(var_acc), fewest_hits)
 
 
-def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
+def _unit_integrals(kernel, intensity, classes, samples, rng):
     """(estimate, stderr, nonzero draws) of each class against mu_1 on the
     box and density of ``intensity``, drawn from ``rng`` class by class."""
     unit = IntensitySpec(intensity.box, 1.0, intensity.density, intensity.density_sup,
@@ -149,8 +150,7 @@ def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
     out = []
     for sizes, masks, _ in classes:
         factors = [
-            (size, [b for b, m in enumerate(masks) if m >> a & 1],
-             replace(mc, seed=mc.seed + 7919 * (a + 1)))
+            (size, [b for b, m in enumerate(masks) if m >> a & 1], a + 1)
             for a, size in enumerate(sizes)
         ]
 
@@ -158,11 +158,12 @@ def _unit_integrals(kernel, intensity, classes, samples, rng, mc):
 
         def integrand(w, factors=factors, hits=hits):
             vals, exact = np.ones(len(w)), {}
-            for size, blocks, mc_a in factors:
+            for size, blocks, stream in factors:
                 fv = exact.get((size, *blocks))
                 if fv is None:
-                    fv, se = chaos_kernel_values(kernel, unit, size, w[:, blocks, :], mc=mc_a)
-                    if not se.any():  # exact, so another seed gives the same values
+                    fv, se = chaos_kernel_values(kernel, unit, size, w[:, blocks, :],
+                                                 stream=stream)
+                    if not se.any():  # exact, so another stream gives the same values
                         exact[(size, *blocks)] = fv
                 vals *= fv
             hits[0] += int(np.count_nonzero(vals))
@@ -178,7 +179,6 @@ def variance_from_kernels(
     *,
     mc_samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
-    mc: Optional[MarginalIntegration] = None,
 ) -> ClassSum:
     """Var F = sum_i i! ||f_i||^2 by ``contraction_sum`` over the groups
     (i, i) for i = 1..k: i! ||f_i||^2 is their one class.  The default
@@ -188,6 +188,5 @@ def variance_from_kernels(
     check_order(k)
     groups = tuple((i, i) for i in range(1, k + 1))
     rng = rng if rng is not None else np.random.SeedSequence(_VARIANCE_SEED)
-    return contraction_sum(kernel, intensity, groups, samples=mc_samples, rng=rng,
-                           mc=mc or MarginalIntegration(), name="Var F")
+    return contraction_sum(kernel, intensity, groups, samples=mc_samples, rng=rng, name="Var F")
 

@@ -127,6 +127,8 @@ def _write_lines(path: Optional[str], lines: Iterable[str]):
 def _parse_box(spec: Optional[str], dim: Optional[int]):
     """The box of ``--box`` (its dimension must match ``--dim`` when both
     are given), else the unit cube of ``--dim`` (default 1) dimensions."""
+    if dim is not None and dim < 1:
+        raise ConfigError(f"dim: must be >= 1, got {dim}")
     if spec is None:
         return [(0.0, 1.0)] * (1 if dim is None else dim)
     try:

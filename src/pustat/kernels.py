@@ -9,7 +9,8 @@ where available, the partial integrals
 
 supplied WITHOUT the binomial factor C(k, i); the chaos layer applies it.
 Kernels lacking an analytic marginal fall back to Monte Carlo with common
-random numbers across probe points (see MarginalIntegration).  For the
+random numbers across probe points: the fixed draws of ``_FALLBACK``, one
+stream per integer ``stream`` (see MarginalIntegration).  For the
 distance indicator's first marginal the fallback counts: f(x, Y) is 0 or 1,
 so the average over the draws Y is the number of draws within r of x, which
 one call of the neighbour counter gives for every probe at once.
@@ -55,11 +56,11 @@ class MarginalUnavailable(Exception):
 
 @dataclass(frozen=True)
 class MarginalIntegration:
-    """Monte Carlo settings for marginal integrals without analytic forms.
-
-    The y-draws are seeded deterministically (common random numbers across
-    probe points), so fallback marginals are pure functions of their inputs.
-    At least 2 samples are needed for a standard error.
+    """The draws of the Monte Carlo marginal fallback: ``samples`` shared
+    y-draws (common random numbers across probe points) from ``seed``, so
+    fallback marginals are pure functions of their inputs.  The package
+    uses one record, ``_FALLBACK``; stream s draws from seed
+    ``seed + 7919 s``.  At least 2 samples are needed for a standard error.
     """
 
     samples: int = 20_000
@@ -68,6 +69,9 @@ class MarginalIntegration:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("marginal integration samples must be >= 2")
+
+
+_FALLBACK = MarginalIntegration()  # the draws of every fallback marginal
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +121,14 @@ class SymmetricKernel:
         x: np.ndarray,
         i: int,
         *,
-        mc: Optional[MarginalIntegration] = None,
+        stream: int = 0,
     ):
         """Values (and standard errors) of the i-th marginal at (m, i, d) probes.
 
         i = order returns f itself, i = 0 the full integral.  Analytic
         marginals carry stderr 0; the Monte Carlo fallback shares its
-        y-draws across all probe rows.
+        y-draws across all probe rows, drawn from seed
+        ``_FALLBACK.seed + 7919 * stream``.
         """
         if not 0 <= i <= self.order:
             raise ValueError(f"marginal index {i} outside 0..{self.order}")
@@ -138,14 +143,15 @@ class SymmetricKernel:
                 return vals, np.zeros(len(x))
             except MarginalUnavailable:
                 pass
-        return _marginal_mc(self, intensity, x, i, mc=mc or MarginalIntegration())
+        mc = replace(_FALLBACK, seed=_FALLBACK.seed + 7919 * stream)
+        return _marginal_mc(self, intensity, x, i, mc=mc)
 
-    def marginal(self, intensity, x, i, *, mc=None) -> np.ndarray:
-        return self.marginal_with_stderr(intensity, x, i, mc=mc)[0]
+    def marginal(self, intensity, x, i) -> np.ndarray:
+        return self.marginal_with_stderr(intensity, x, i)[0]
 
-    def full_integral(self, intensity: IntensitySpec, *, mc=None) -> float:
+    def full_integral(self, intensity: IntensitySpec) -> float:
         """Integral of f against mu_t^k: the order-0 marginal."""
-        return float(self.marginal(intensity, np.empty((1, 0, intensity.dim)), 0, mc=mc)[0])
+        return float(self.marginal(intensity, np.empty((1, 0, intensity.dim)), 0)[0])
 
 
 _EVAL_CHUNK = 1 << 19  # kernel evaluations per batched call

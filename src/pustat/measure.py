@@ -50,10 +50,6 @@ class PointConfiguration:
             raise ValueError("points must be an (n, d) array")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def empty(cls, dim: int) -> "PointConfiguration":
-        return cls(np.empty((0, dim)))
-
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -108,9 +104,7 @@ class IntensitySpec:
         self.t = t
         self.density = density
         self.density_sup = float(density_sup) if density is not None else 1.0
-        self._lo = np.array([lo for lo, _ in box])
-        self._hi = np.array([hi for _, hi in box])
-        self.volume = float(np.prod(self._hi - self._lo))
+        self.volume = float(np.prod([hi - lo for lo, hi in box]))
 
         base = self.volume if density is None else float(base_integral)
         if not (math.isfinite(base) and base >= 0.0):

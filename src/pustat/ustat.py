@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from . import _accel
-from .kernels import _EVAL_CHUNK, MarginalIntegration, SymmetricKernel, _cross_values
+from .kernels import _EVAL_CHUNK, SymmetricKernel, _cross_values
 from .measure import IntensitySpec, PointConfiguration, sample_points
 
 __all__ = [
@@ -197,8 +197,6 @@ def inverse_ou_add_one_costs(
     config: PointConfiguration,
     intensity: IntensitySpec,
     zs: np.ndarray,
-    *,
-    mc: Optional[MarginalIntegration] = None,
 ) -> np.ndarray:
     """-D_z L^{-1}(F - EF) for each row z of zs.
 
@@ -208,9 +206,8 @@ def inverse_ou_add_one_costs(
     term is D_z F / k.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    lower = _inverse_ou_lower_costs(
-        kernel, config.points, np.array([len(config)]), intensity, zs[None], mc
-    )
+    sizes = np.array([len(config)])
+    lower = _inverse_ou_lower_costs(kernel, config.points, sizes, intensity, zs[None])
     return add_one_costs(kernel, config, zs) / kernel.order + lower[0]
 
 
@@ -220,7 +217,6 @@ def _inverse_ou_lower_costs(
     sizes: np.ndarray,
     intensity: IntensitySpec,
     zs: np.ndarray,
-    mc: Optional[MarginalIntegration],
 ) -> np.ndarray:
     """The m < k terms of inverse_ou_add_one_costs for each configuration b
     of a block (stacked as in evaluate_many) and its query rows zs[b], as a
@@ -230,11 +226,11 @@ def _inverse_ou_lower_costs(
     out = np.zeros((b, q))
     for m in range(1, kernel.order):
         if m == 1:
-            out += kernel.marginal(intensity, zs.reshape(b * q, 1, d), 1, mc=mc).reshape(b, q)
+            out += kernel.marginal(intensity, zs.reshape(b * q, 1, d), 1).reshape(b, q)
             continue
         for row, p in enumerate(_split(points, sizes)):
             acc = _sum_with_point(
-                lambda x, _m=m: kernel.marginal(intensity, x, _m, mc=mc),
+                lambda x, _m=m: kernel.marginal(intensity, x, _m),
                 zs[row][:, None, :],
                 p,
                 m - 1,

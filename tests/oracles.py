@@ -406,18 +406,17 @@ def mc_integral_single_shot(g, intensity, n, samples, rng):
     return float(vals.mean()) * scale, float(vals.std(ddof=1)) / math.sqrt(samples) * scale
 
 
-def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
+def mij_at_t(kernel, intensity, i, j, samples, rng):
     """M_ij as the weighted sum of its class integrals against mu_t.
 
     Draws from ``rng`` class by class in the order of
     ``contraction_classes((i, i, j, j))``, (i, j) taken as (min, max), with
-    the per-factor marginal seeds of ``compute_Mij``; no rescaling in t and
-    no cache.
+    the per-factor fallback streams of ``compute_Mij`` (factor a on stream
+    a + 1); no rescaling in t and no cache.
     """
     i, j = min(i, j), max(i, j)
     absolute = kernel.absolute
     sizes = (i, i, j, j)
-    factor_mc = [replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(4)]
     total = 0.0
     var_acc = 0.0
     for masks, weight in contraction_classes(sizes):
@@ -425,8 +424,8 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
 
         def integrand(w, columns=columns):
             vals = np.ones(len(w))
-            for size, idx, mc_a in zip(sizes, columns, factor_mc):
-                fv, _ = chaos_kernel_values(absolute, intensity, size, w[:, idx, :], mc=mc_a)
+            for a, (size, idx) in enumerate(zip(sizes, columns)):
+                fv, _ = chaos_kernel_values(absolute, intensity, size, w[:, idx, :], stream=a + 1)
                 vals = vals * fv
             return vals
 
@@ -436,22 +435,21 @@ def mij_at_t(kernel, intensity, i, j, samples, rng, mc):
     return total, math.sqrt(var_acc)
 
 
-def variance_at_t(kernel, intensity, samples, rng, mc):
+def variance_at_t(kernel, intensity, samples, rng):
     """Var F = sum_i i! ||f_i||^2, each norm the integral against mu_t of a
     product of two chaos kernels.
 
-    Draws from ``rng`` order by order, with the factor marginal seeds of
-    ``contraction_sum`` (factor a from mc.seed + 7919 (a + 1)); no
-    rescaling in t and no cache.
+    Draws from ``rng`` order by order, with the factor fallback streams of
+    ``contraction_sum`` (factor a on stream a + 1); no rescaling in t and
+    no cache.
     """
-    mc_a, mc_b = (replace(mc, seed=mc.seed + 7919 * (a + 1)) for a in range(2))
     total = 0.0
     var_acc = 0.0
     for i in range(1, kernel.order + 1):
 
         def integrand(x, i=i):
-            a, _ = chaos_kernel_values(kernel, intensity, i, x, mc=mc_a)
-            b, _ = chaos_kernel_values(kernel, intensity, i, x, mc=mc_b)
+            a, _ = chaos_kernel_values(kernel, intensity, i, x, stream=1)
+            b, _ = chaos_kernel_values(kernel, intensity, i, x, stream=2)
             return a * b
 
         est, se = mc_integral(integrand, intensity, i, samples, rng)
@@ -654,16 +652,16 @@ def wiener_ito_I1(g, config, intensity, *, g_integral):
     return s - float(g_integral)
 
 
-def inverse_ou_pathwise(kernel, config, intensity, *, mc=None):
+def inverse_ou_pathwise(kernel, config, intensity):
     """-L^{-1}(F - EF) = sum_{m=1..k} (U_m - integral of f dmu_t^k) / m at
     the configuration, where U_m sums the m-th marginal of f over ordered
     m-tuples of distinct points: each unordered m-subset, times m!."""
-    full = kernel.full_integral(intensity, mc=mc)
+    full = kernel.full_integral(intensity)
     n = len(config)
     out = 0.0
     for m in range(1, kernel.order + 1):
         idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp).reshape(-1, m)
-        marg = kernel.marginal(intensity, config.points[idx], m, mc=mc)
+        marg = kernel.marginal(intensity, config.points[idx], m)
         out += (math.factorial(m) * float(marg.sum()) - full) / m
     return out
 

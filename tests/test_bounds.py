@@ -20,7 +20,7 @@ from pustat.bounds import (
     UNRELIABLE_RATIO,
 )
 from pustat.chaos import MCValue, variance_from_kernels
-from pustat import bounds, chaos, cli, ustat
+from pustat import bounds, chaos, cli, kernels, ustat
 from pustat.cli import _replicate_standardized
 from pustat.kernels import (
     MarginalIntegration,
@@ -111,8 +111,7 @@ def test_each_class_integral_within_errors_of_exact_oracle():
                for masks, w in contraction_classes(sizes)]
     assert len(classes) == 20
     got = chaos._unit_integrals(kernel.absolute, IntensitySpec(UNIT), classes, 10**6,
-                                np.random.default_rng(np.random.SeedSequence(16)),
-                                MarginalIntegration())
+                                np.random.default_rng(np.random.SeedSequence(16)))
     for (sizes, masks, _), (est, se, hits) in zip(classes, got):
         exact = float(oracles.distance_class_exact(sizes, masks, 20))
         assert se > 0.0 and hits > 0
@@ -225,20 +224,20 @@ def test_m_scales_as_t_to_the_fifth():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_m_matches_class_integrals_at_t(dim):
+def test_m_matches_class_integrals_at_t(monkeypatch, dim):
     # the unit-scale integrals, rescaled (and, after the first t, read from
     # the cache), agree with every class integrated at the actual t; in 2-D
     # the first marginal takes the Monte Carlo fallback
     k = make_geometric_indicator(0.15)
-    mc = MarginalIntegration(samples=300)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
     box = [(0.0, 1.0)] * dim
     for t in (50.0, 100.0, 200.0):
         spec = IntensitySpec(box, t=t)
         for i, j in ((1, 1), (1, 2), (2, 2)):
-            got = compute_Mij(k, spec, i, j, samples=2000, mc=mc,
+            got = compute_Mij(k, spec, i, j, samples=2000,
                               rng=np.random.SeedSequence(8, spawn_key=(i, j)))
             want = oracles.mij_at_t(k, spec, i, j, 2000, np.random.default_rng(
-                np.random.SeedSequence(8, spawn_key=(i, j))), mc)
+                np.random.SeedSequence(8, spawn_key=(i, j))))
             assert got.value == pytest.approx(want[0], rel=1e-12)
             assert got.stderr == pytest.approx(want[1], rel=1e-12)
             assert got.stderr > 0.0
@@ -263,9 +262,9 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
     spec = IntensitySpec(UNIT, t=20.0)
     n_classes = len(contraction_classes((1, 1, 2, 2)))
 
-    def run(kern=k, intensity=spec, seed=4, samples=2000, mc=None):
+    def run(kern=k, intensity=spec, seed=4, samples=2000):
         before = len(calls)
-        out = compute_Mij(kern, intensity, 1, 2, samples=samples, mc=mc,
+        out = compute_Mij(kern, intensity, 1, 2, samples=samples,
                           rng=np.random.SeedSequence(seed, spawn_key=(1, 1, 2)))
         return out, len(calls) - before
 
@@ -285,11 +284,14 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
         {"intensity": density},
         {"seed": 5},
         {"samples": 3000},
-        {"mc": MarginalIntegration(samples=500)},
         {"kern": make_geometric_indicator(0.1)},
         {"kern": make_geometric_indicator(0.2)},
     ):
         assert run(**change)[1] == n_classes, change
+    # the fallback's draws are part of the key, read at call time
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=500))
+        assert run()[1] == n_classes
     # the default stream is a value too, the same for (1, 2) and (2, 1)
     before = len(calls)
     compute_Mij(k, spec, 2, 1, samples=2000)
@@ -817,14 +819,14 @@ def test_fourth_moment_remark(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_two_dimensional_mc_fallback(rng):
+def test_two_dimensional_mc_fallback(monkeypatch, rng):
     # no analytic marginals in 2-D: variance and M flow through the nested
     # Monte Carlo with independent inner draws, and stay consistent with a
     # direct replication estimate
     spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0)
     k = make_geometric_indicator(0.15)
-    mc = MarginalIntegration(samples=2000)
-    res = variance_from_kernels(k, spec, mc_samples=20_000, rng=rng, mc=mc)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=2000))
+    res = variance_from_kernels(k, spec, mc_samples=20_000, rng=rng)
 
     reps = 3000
     vals = np.empty(reps)
@@ -836,7 +838,7 @@ def test_two_dimensional_mc_fallback(rng):
     se_s2 = math.sqrt(max(m4 - s2 * s2 * (reps - 3) / (reps - 1), 0.0) / reps)
     assert abs(s2 - res.value) <= 4.0 * (se_s2 + res.stderr)
 
-    m11 = compute_Mij(k, spec, 1, 1, samples=4000, rng=rng, mc=mc)
+    m11 = compute_Mij(k, spec, 1, 1, samples=4000, rng=rng)
     assert m11.value > 0.0
     assert m11.stderr < 0.5 * m11.value
 
@@ -923,7 +925,8 @@ def _at_block_caps(monkeypatch, run):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blocking_changes_nothing(monkeypatch, dim):
     spec = IntensitySpec(UNIT * dim, t=40.0)
-    mc = MarginalIntegration(samples=500) if dim == 2 else None
+    if dim == 2:
+        monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=500))
     var_f = MCValue(60.0, 1.0)
     for kernel in (make_geometric_indicator(0.15), make_constant(1.5, 2)):
         one, many = _at_block_caps(
@@ -934,7 +937,7 @@ def test_blocking_changes_nothing(monkeypatch, dim):
         def stein():
             return estimate_stein_terms(
                 kernel, spec, reps=30, z_samples=16,
-                rng=np.random.default_rng(5), var_f=var_f, mc=mc,
+                rng=np.random.default_rng(5), var_f=var_f,
             )
 
         one, many = _at_block_caps(monkeypatch, stein)

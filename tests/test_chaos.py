@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pustat import chaos, measure
+from pustat import chaos, kernels, measure
 from pustat.chaos import chaos_kernel_values, variance_from_kernels
 from pustat.kernels import MarginalIntegration, make_constant, make_count, make_geometric_indicator
 from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
@@ -107,16 +107,16 @@ def test_variance_terms_nonnegative(rng):
     (lambda: make_geometric_indicator(0.2), 1),
     (lambda: make_geometric_indicator(0.2), 2),  # fallback marginals
 ], ids=["constant_k3", "indicator_1d", "indicator_2d"])
-def test_variance_matches_integral_at_t(make, dim):
+def test_variance_matches_integral_at_t(monkeypatch, make, dim):
     # unit-scale integrals rescaled by t^p equal the two-factor integrals
     # against mu_t on the same draws
     spec = IntensitySpec([(0.0, 1.0)] * dim, t=30.0)
-    mc = MarginalIntegration(samples=300)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
     kernel = make()
     if dim == 2:
-        assert chaos_kernel_values(kernel, spec, 1, np.full((1, 1, 2), 0.5), mc=mc)[1][0] > 0.0
-    got = variance_from_kernels(kernel, spec, mc_samples=2000, rng=np.random.default_rng(4), mc=mc)
-    want = oracles.variance_at_t(make(), spec, 2000, np.random.default_rng(4), mc)
+        assert chaos_kernel_values(kernel, spec, 1, np.full((1, 1, 2), 0.5))[1][0] > 0.0
+    got = variance_from_kernels(kernel, spec, mc_samples=2000, rng=np.random.default_rng(4))
+    want = oracles.variance_at_t(make(), spec, 2000, np.random.default_rng(4))
     assert got.value == pytest.approx(want[0], rel=1e-12)
     # a constant integrand's stderr is rounding noise around zero
     assert got.stderr == pytest.approx(want[1], rel=1e-12, abs=1e-12 * want[0])
@@ -182,7 +182,7 @@ def test_class_weights_replace_partition_counts():
 
     def total(weights=None):
         return chaos.contraction_sum(k, spec, groups, samples=2000, rng=np.random.SeedSequence(4),
-                                     mc=MarginalIntegration(), name="M_22", weights=weights)
+                                     name="M_22", weights=weights)
 
     plain = total()
     assert total(dict(classes)) == plain
@@ -227,8 +227,7 @@ def test_variance_evaluates_an_exact_factor_once(monkeypatch):
     got = variance_from_kernels(k, spec, mc_samples=2 * chunk + 3, rng=np.random.default_rng(3))
     assert [c[:2] for c in calls] == [(1, chunk), (1, chunk), (1, 3), (2, chunk), (2, chunk), (2, 3)]
     monkeypatch.undo()
-    want = oracles.variance_at_t(k, spec, 2 * chunk + 3, np.random.default_rng(3),
-                                 MarginalIntegration())
+    want = oracles.variance_at_t(k, spec, 2 * chunk + 3, np.random.default_rng(3))
     assert got.value == pytest.approx(want[0], rel=1e-12)
 
 
@@ -236,9 +235,10 @@ def test_variance_fallback_factors_stay_independent(monkeypatch):
     # in 2-D f_1 comes from the seeded fallback: its two factors draw from
     # their own seeds and differ, while f_2 = f is evaluated once
     calls = _kernel_value_calls(monkeypatch)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
     spec = IntensitySpec([(0.0, 1.0)] * 2, t=30.0)
     variance_from_kernels(make_geometric_indicator(0.2), spec, mc_samples=500,
-                          rng=np.random.default_rng(4), mc=MarginalIntegration(samples=300))
+                          rng=np.random.default_rng(4))
     assert [c[:2] for c in calls] == [(1, 500), (1, 500), (2, 500)]
     assert not np.array_equal(calls[0][2], calls[1][2])
 
@@ -273,7 +273,7 @@ def test_wiener_ito_empty_config():
     from pustat.measure import PointConfiguration
 
     spec = IntensitySpec(UNIT, t=2.0)
-    out = wiener_ito_I1(lambda p: p[:, 0], PointConfiguration.empty(1), spec, g_integral=1.0)
+    out = wiener_ito_I1(lambda p: p[:, 0], PointConfiguration(np.empty((0, 1))), spec, g_integral=1.0)
     assert out == -1.0
 
 

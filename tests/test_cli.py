@@ -216,6 +216,36 @@ def test_bound_2d_certificate(capsys, extra):
     assert _run(capsys, *argv) == (0, out, "")
 
 
+# (value, stderr) of var_f, m[0][1], m[1][1], r[0][1] and t1 at seed 1, at full
+# precision: they pin the fallback's draws, from seed _FALLBACK.seed + 7919 s
+# on stream s.  No draw reaches R_12's class at these settings: it reads 0
+_FALLBACK_STREAM_PINS = {
+    "2d": (("--r", "0.05", "--dim", "2", "--t", "100", "--mc-samples", "500",
+            "--reps", "200", "--z-samples", "8"),
+           [(353.46826, 69.17685249870219), (20589.424, 19244.391528702796),
+            (800.0, 356.33403976576744), (0.0, 0.0), (0.45345046483098655, 0.025479286493777894)]),
+    "3d": (("--r", "0.2", "--dim", "3", "--t", "20", "--mc-samples", "300",
+            "--reps", "50", "--z-samples", "4"),
+           [(48.87408533333333, 7.916426065465389), (82.10165333333333, 24.995850450163818),
+            (74.66666666666667, 27.936755031314448), (0.0, 0.0),
+            (0.7240959413419474, 0.07609239764596651)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FALLBACK_STREAM_PINS))
+def test_fallback_streams_are_pinned_bit_for_bit(capsys, case):
+    # Var F, M_12 and T1 read the Monte Carlo first marginal: factor a of a
+    # class integral on fallback stream a + 1, the -D_z L^{-1} F term on
+    # stream 0; a drift of either moves these bits
+    flags, want = _FALLBACK_STREAM_PINS[case]
+    code, out, err = _run(capsys, "bound", "--kernel", "geometric_indicator", *flags,
+                          "--rij", "--stein-terms", "--seed", "1")
+    assert code == 0, err
+    data = json.loads(out)
+    got = [data["var_f"], data["m"][0][1], data["m"][1][1], data["r"][0][1], data["t1"]]
+    assert [(v["value"], v["stderr"]) for v in got] == want
+
+
 def test_berry_esseen_table(capsys):
     code, out, _ = _run(capsys, "berry-esseen", "--tmax", "64")
     assert code == 0
@@ -282,6 +312,17 @@ def test_dim_and_box(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: box:")
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("argv", [("sample", "--t", "3"), ("ustat", "--kernel", "count", "--t", "3"),
+                                  ("bound", "--kernel", "count", "--t", "3")],
+                         ids=["sample", "ustat", "bound"])
+def test_dim_below_1_exits_2(capsys, argv, dim):
+    code, out, err = _run(capsys, *argv, "--seed", "1", "--dim", dim)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dim") and "Traceback" not in err
 
 
 def test_sample_bad_box_exits_2(capsys):
@@ -540,6 +581,26 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
     # the benchmark's tracer wraps the counters, reads int() of a pair count
     # and len() of a neighbour count, and reads the intensity and the values
     # of _replicate_standardized; its run must print the same bytes
+    traced_calls = _traced_spans(tmp_path, argv)[span]["calls"]
+    assert traced_calls > 0 if calls is None else traced_calls == calls
+
+
+def test_traced_2d_ustat_counts_the_fallback_draws(tmp_path):
+    # the tracer reads mc.samples from the keyword of kernels._marginal_mc
+    # to count its evaluations; on a 2-D box EF and the first marginal take
+    # the fallback, so every call adds a multiple of its draws
+    from pustat.kernels import _FALLBACK
+
+    argv = ["ustat", "--kernel", "geometric_indicator", "--r", "0.05", "--dim", "2",
+            "--t", "50", "--reps", "20", "--mc-samples", "500", "--seed", "1"]
+    evals = _traced_spans(tmp_path, argv)["kernels.marginal_mc"]["evals"]
+    assert evals > 0 and evals % _FALLBACK.samples == 0
+
+
+def _traced_spans(tmp_path, argv):
+    """Run argv plainly and under the benchmark's tracer, each in a fresh
+    interpreter (the tracer patches pustat's modules in place); both exit
+    0 and print the same bytes.  Returns the traced run's spans."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -552,8 +613,7 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
-    traced_calls = json.loads(spans.read_text())["spans"][span]["calls"]
-    assert traced_calls > 0 if calls is None else traced_calls == calls
+    return json.loads(spans.read_text())["spans"]
 
 
 def test_bound_does_not_import_scipy(tmp_path):

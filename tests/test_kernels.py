@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pustat import kernels
 from pustat.kernels import (
     MarginalIntegration,
     MarginalUnavailable,
@@ -155,13 +156,14 @@ def test_geometric_full_integral_2d():
         )
 
 
-def test_geometric_full_integral_2d_matches_mc_fallback():
+def test_geometric_full_integral_2d_matches_mc_fallback(monkeypatch):
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=400_000))
     for box, r in (([(0.0, 1.0), (0.0, 1.0)], 0.1), ([(0.0, 2.0), (0.0, 0.5)], 0.2)):
         spec = IntensitySpec(box, t=4.0)
         k = make_geometric_indicator(r)
         bare = replace(k, marginal_fn=None)
         x0 = np.empty((1, 0, 2))
-        est, se = bare.marginal_with_stderr(spec, x0, 0, mc=MarginalIntegration(samples=400_000))
+        est, se = bare.marginal_with_stderr(spec, x0, 0)
         assert abs(est[0] - k.full_integral(spec)) <= 4.0 * se[0]
 
 
@@ -194,17 +196,17 @@ def test_abs_values_match_abs_of_eval(rng):
     assert np.any(sign_changing(x) < 0.0)
 
 
-def test_product_abs_marginal_matches_mc_fallback():
+def test_product_abs_marginal_matches_mc_fallback(monkeypatch):
     # g = 2x - 1 changes sign on [0, 1]; |g| integrates to 1/2
     spec = IntensitySpec(UNIT, t=4.0)
     k = make_product(lambda p: 2.0 * p[:, 0] - 1.0, 2, base_integral=0.0, abs_base_integral=0.5)
     absolute = k.absolute
     bare = replace(absolute, marginal_fn=None)
-    mc = MarginalIntegration(samples=40_000)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=40_000))
     for x in (np.array([[[0.1]], [[0.45]], [[0.8]]]), np.empty((1, 0, 1))):
         i = x.shape[1]
         analytic = absolute.marginal(spec, x, i)
-        est, se = bare.marginal_with_stderr(spec, x, i, mc=mc)
+        est, se = bare.marginal_with_stderr(spec, x, i)
         assert np.all(se > 0.0)
         assert np.all(np.abs(est - analytic) <= 4.0 * se)
     assert absolute.full_integral(spec) == pytest.approx(4.0, rel=1e-14)  # (t / 2)^2
@@ -226,15 +228,15 @@ def test_kernel_must_say_what_its_abs_is():
         SymmetricKernel(name="g", order=1, eval_fn=ev, abs_kernel=signed)
 
 
-def test_marginal_mc_fallback_agrees_with_analytic():
+def test_marginal_mc_fallback_agrees_with_analytic(monkeypatch):
     # strip the analytic marginal and compare the Monte Carlo fallback
     spec = IntensitySpec(UNIT, t=5.0)
     k = make_geometric_indicator(0.1)
     bare = replace(k, marginal_fn=None)
     x = np.array([[[0.2]], [[0.55]], [[0.9]]])
     analytic = k.marginal(spec, x, 1)
-    mc = MarginalIntegration(samples=40_000)
-    est, se = bare.marginal_with_stderr(spec, x, 1, mc=mc)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=40_000))
+    est, se = bare.marginal_with_stderr(spec, x, 1)
     assert np.all(np.abs(est - analytic) <= 4.0 * se + 1e-12)
 
 
@@ -268,10 +270,11 @@ def _counted_and_dense(r):
 
 # "-f": the marginal of f, which for the indicator is also that of |f|
 @pytest.mark.parametrize("case", list(_PAIR_CASES), ids=lambda case: f"{case}-f")
-def test_pair_marginal_counts_match_dense(case):
+def test_pair_marginal_counts_match_dense(monkeypatch, case):
     spec, r = _PAIR_CASES[case]
     counted, dense = _counted_and_dense(r)
     mc = MarginalIntegration(samples=3000, seed=11)
+    monkeypatch.setattr(kernels, "_FALLBACK", mc)
     # the draws the fallback makes for i = 1; probes at y_j +- r e_1 put
     # pairs at, or within an ulp of, distance r
     y = sample_points(spec, mc.samples, np.random.default_rng(np.random.SeedSequence(mc.seed, spawn_key=(1,))))
@@ -281,31 +284,31 @@ def test_pair_marginal_counts_match_dense(case):
     lo, hi = np.array(spec.box).T
     probes = np.concatenate([y[:40] + step, y[:40] - step, lo + (hi - lo) * rng.random((200, spec.dim))])
     x = probes[:, None, :]
-    vals, ses = counted.marginal_with_stderr(spec, x, 1, mc=mc)
-    dense_vals, dense_ses = dense.marginal_with_stderr(spec, x, 1, mc=mc)
+    vals, ses = counted.marginal_with_stderr(spec, x, 1)
+    dense_vals, dense_ses = dense.marginal_with_stderr(spec, x, 1)
     assert np.array_equal(vals, dense_vals)
     assert np.allclose(ses, dense_ses, rtol=1e-12, atol=0.0)
     assert np.count_nonzero(vals) > 0
 
 
-def test_pair_marginal_routes_give_identical_integrals():
+def test_pair_marginal_routes_give_identical_integrals(monkeypatch):
     spec, r = _PAIR_CASES["2d"]
     counted, dense = _counted_and_dense(r)
-    mc = MarginalIntegration(samples=2000)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=2000))
 
     def _stream():
         return np.random.default_rng(17)
 
-    assert variance_from_kernels(counted, spec, mc_samples=500, rng=_stream(), mc=mc) == (
-        variance_from_kernels(dense, spec, mc_samples=500, rng=_stream(), mc=mc)
+    assert variance_from_kernels(counted, spec, mc_samples=500, rng=_stream()) == (
+        variance_from_kernels(dense, spec, mc_samples=500, rng=_stream())
     )
     for i, j in ((1, 1), (1, 2)):
-        assert compute_Mij(counted, spec, i, j, samples=300, rng=_stream(), mc=mc) == (
-            compute_Mij(dense, spec, i, j, samples=300, rng=_stream(), mc=mc)
+        assert compute_Mij(counted, spec, i, j, samples=300, rng=_stream()) == (
+            compute_Mij(dense, spec, i, j, samples=300, rng=_stream())
         )
 
 
-def test_variance_2d_evaluates_only_the_top_order():
+def test_variance_2d_evaluates_only_the_top_order(monkeypatch):
     # the i = 1 marginals are neighbour counts, so only the two factors of the
     # i = 2 term evaluate f: 2m rows in place of 2 m samples + 2m
     rows = [0]
@@ -318,8 +321,8 @@ def test_variance_2d_evaluates_only_the_top_order():
     counted = replace(k, eval_fn=_counting_eval)
     spec = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0)
     m = 500
-    res = variance_from_kernels(counted, spec, mc_samples=m, rng=np.random.default_rng(3),
-                                mc=MarginalIntegration(samples=2000))
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=2000))
+    res = variance_from_kernels(counted, spec, mc_samples=m, rng=np.random.default_rng(3))
     assert res.value > 0.0
     assert rows[0] <= 2 * m
 
@@ -349,17 +352,17 @@ def test_full_integral_cache_survives_reused_ids():
 def test_cross_values_do_not_depend_on_the_chunk(rng, monkeypatch):
     # the dense Monte Carlo marginal and the sums with a point evaluate the
     # same tuples whatever the block size, so they agree bit for bit
-    from pustat import kernels, ustat
+    from pustat import ustat
 
     spec = IntensitySpec(UNIT * 2, t=3.0)
     kernel = make_product(lambda p: 1.0 + p[:, 0] * p[:, 1], 3)  # no base integral: MC
-    mc = MarginalIntegration(samples=300)
+    monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
     probes = {i: rng.random((25, i, 2)) for i in (0, 1, 2)}
     points, heads = rng.random((9, 2)), {a: rng.random((13, a, 2)) for a in (1, 2, 3)}
     runs = []
     for chunk in (1, 1 << 40, kernels._EVAL_CHUNK):
         monkeypatch.setattr(kernels, "_EVAL_CHUNK", chunk)
-        marginals = [kernel.marginal_with_stderr(spec, x, i, mc=mc) for i, x in probes.items()]
+        marginals = [kernel.marginal_with_stderr(spec, x, i) for i, x in probes.items()]
         sums = [ustat._sum_with_point(kernel, h, points, 3 - a) for a, h in heads.items()]
         runs.append((marginals, sums))
     for marginals, sums in runs[1:]:

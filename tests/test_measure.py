@@ -138,7 +138,7 @@ def test_mc_integral_rejects_bad_input(rng):
 def test_configuration_shape_guard():
     with pytest.raises(ValueError):
         PointConfiguration(np.zeros(3))
-    cfg = PointConfiguration.empty(2)
+    cfg = PointConfiguration(np.empty((0, 2)))
     assert len(cfg) == 0 and cfg.dim == 2
     assert len(with_points(cfg, [0.1, 0.2])) == 1
 

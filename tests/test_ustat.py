@@ -34,7 +34,7 @@ def test_pairs_of_three_points():
 
 
 def test_empty_configuration():
-    cfg = PointConfiguration.empty(1)
+    cfg = PointConfiguration(np.empty((0, 1)))
     for k in (make_count(), make_geometric_indicator(0.2), make_constant(2.0, 3)):
         out = evaluate(k, cfg)
         assert out.value == 0.0 and out.tuple_count == 0
@@ -128,7 +128,7 @@ def test_iterated_difference_vanishes_above_order(rng):
 
 def test_iterated_difference_guard():
     k = make_count()
-    cfg = PointConfiguration.empty(1)
+    cfg = PointConfiguration(np.empty((0, 1)))
     with pytest.raises(ValueError):
         iterated_difference(k, cfg, np.zeros((21, 1)))
     with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ def test_replication_blocks_keep_order(monkeypatch):
 def test_many_configurations_match_one_at_a_time(rng, dim):
     spec = IntensitySpec(UNIT * dim, t=25.0)
     configs = [sample_point_process(spec, rng) for _ in range(6)]
-    configs += [PointConfiguration.empty(dim), _config([0.5] * dim)]
+    configs += [PointConfiguration(np.empty((0, dim))), _config([0.5] * dim)]
     points = np.concatenate([c.points for c in configs])
     sizes = np.array([len(c) for c in configs])
     zs = rng.random((len(configs), 9, dim))
@@ -284,8 +284,8 @@ def _direct_iterated_difference(kernel, cfg, zs):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_iterated_differences_of_a_block_match_one_at_a_time(rng, dim):
     spec = IntensitySpec(UNIT * dim, t=8.0)
-    configs = [PointConfiguration.empty(dim)] + [sample_point_process(spec, rng) for _ in range(5)]
-    configs += [PointConfiguration.empty(dim), _config([0.5] * dim)]
+    configs = [PointConfiguration(np.empty((0, dim)))] + [sample_point_process(spec, rng) for _ in range(5)]
+    configs += [PointConfiguration(np.empty((0, dim))), _config([0.5] * dim)]
     points = np.concatenate([c.points for c in configs])
     sizes = np.array([len(c) for c in configs])
     kernels = (make_geometric_indicator(0.3), make_constant(2.0, 2), make_count(),
