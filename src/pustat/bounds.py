@@ -273,8 +273,8 @@ def estimate_stein_terms(
     replications at the maximizing s; E sup >= sup E, so any bias is
     upward.  ``var_f`` is the Var F that standardizes G.  The configurations
     come from ``rng`` (``replication_blocks``) and the z from the second of
-    two generators spawned from it, so that on a constant density neither
-    depends on the block size.
+    two generators spawned from it, so that neither depends on the block
+    size.
     """
     _check_replication_args(reps, z_samples)
     _, z_rng = rng.spawn(2)

@@ -116,8 +116,7 @@ def contraction_sum(
     if isinstance(rng, np.random.SeedSequence):
         cache = kernel._integral_cache
         entropy = tuple(np.atleast_1d(rng.entropy).tolist())  # int, numpy int or array
-        key = (groups, intensity.box, intensity.density, intensity.density_sup,
-               intensity.base_integral, samples, kernels._FALLBACK, entropy, rng.spawn_key,
+        key = (groups, intensity.box, samples, kernels._FALLBACK, entropy, rng.spawn_key,
                rng.pool_size)
         rng = np.random.default_rng(rng)
     classes = [(s, masks, w) for s in groups for masks, w in contraction_classes(s)]
@@ -144,9 +143,8 @@ def contraction_sum(
 
 def _unit_integrals(kernel, intensity, classes, samples, rng):
     """(estimate, stderr, nonzero draws) of each class against mu_1 on the
-    box and density of ``intensity``, drawn from ``rng`` class by class."""
-    unit = IntensitySpec(intensity.box, 1.0, intensity.density, intensity.density_sup,
-                         intensity.base_integral)
+    box of ``intensity``, drawn from ``rng`` class by class."""
+    unit = IntensitySpec(intensity.box, 1.0)
     out = []
     for sizes, masks, _ in classes:
         factors = [
@@ -165,7 +163,9 @@ def _unit_integrals(kernel, intensity, classes, samples, rng):
                                                  stream=stream)
                     if not se.any():  # exact, so another stream gives the same values
                         exact[(size, *blocks)] = fv
-                vals *= fv
+                # an overflow gives inf or nan, which mc_integral refuses
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals *= fv
             hits[0] += int(np.count_nonzero(vals))
             return vals
 

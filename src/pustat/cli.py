@@ -101,7 +101,7 @@ def _check_points(intensity: IntensitySpec, name: str = "t"):
     ``name``, the setting that gave t."""
     cap = _sample_caps(1, intensity.dim)["points"]
     if not intensity.total_mass <= cap:
-        volume = intensity.base_integral
+        volume = intensity.volume
         raise ConfigError(
             f"{name}: must be <= {cap / volume!r} (at most {cap} expected points in a box of "
             f"volume {volume!r} keep arrays under 1 GiB), got {intensity.t!r}"

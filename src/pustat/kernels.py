@@ -19,9 +19,8 @@ Built-ins:
     count                  k=1, f == 1
     constant(c, k)         f == c
     geometric_indicator(r) k=2, f(x, y) = 1(|x - y| <= r), analytic
-                           marginals on 1-D boxes with unit density, and
-                           an analytic full integral on 2-D boxes with
-                           unit density and r at most either side
+                           marginals on 1-D boxes, and an analytic full
+                           integral on 2-D boxes with r at most either side
     product(g, k)          f = prod_j g(x_j)
 """
 
@@ -209,11 +208,9 @@ def _marginal_mc(kernel, intensity, x, i, *, mc):
 # ---------------------------------------------------------------------------
 
 
-def _require_unit_density_1d(intensity: IntensitySpec):
-    if intensity.dim != 1 or intensity.density is not None:
-        raise MarginalUnavailable(
-            "analytic marginals cover 1-D boxes with unit density only"
-        )
+def _require_1d(intensity: IntensitySpec):
+    if intensity.dim != 1:
+        raise MarginalUnavailable("analytic marginals cover 1-D boxes only")
 
 
 def make_count() -> SymmetricKernel:
@@ -267,9 +264,9 @@ def make_geometric_indicator(r: float) -> SymmetricKernel:
         return intensity.t**2 * area
 
     def _marg(intensity, x, i):
-        if i == 0 and intensity.dim == 2 and intensity.density is None:
+        if i == 0 and intensity.dim == 2:
             return np.full(len(x), _pair_integral_2d(intensity))
-        _require_unit_density_1d(intensity)
+        _require_1d(intensity)
         lo, hi = intensity.box[0]
         t = intensity.t
         if i == 0:
@@ -303,11 +300,11 @@ def make_product(
     """Order-k product kernel f(x_1..x_k) = prod_j g(x_j).
 
     ``g`` maps (m, d) points to (m,) values.  Supplying base_integral (the
-    Lebesgue integral of g over the box) enables analytic marginals on
-    constant-density intensities; otherwise all marginals fall back to
-    Monte Carlo.  |f| is the product kernel of ``g_abs`` (by default |g|),
-    whose integral is ``abs_base_integral``; passing ``g_abs=g`` declares
-    g >= 0, and the kernel is then its own |f|.
+    Lebesgue integral of g over the box) enables analytic marginals;
+    otherwise all marginals fall back to Monte Carlo.  |f| is the product
+    kernel of ``g_abs`` (by default |g|), whose integral is
+    ``abs_base_integral``; passing ``g_abs=g`` declares g >= 0, and the
+    kernel is then its own |f|.
     """
     g_abs = g_abs or (lambda pts: np.abs(g(pts)))
 
@@ -318,7 +315,7 @@ def make_product(
         return vals
 
     def _marg(intensity, x, i):
-        if base_integral is None or intensity.density is not None:
+        if base_integral is None:
             raise MarginalUnavailable("product marginals need a base integral")
         factor = (intensity.t * base_integral) ** (k - i)
         vals = np.full(len(x), factor)

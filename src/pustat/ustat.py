@@ -109,10 +109,8 @@ def replication_blocks(
     from one ``sample_points`` call.  Yields (rows, points, sizes): the
     slice of replications, their points stacked in order, and their counts.
     A block holds at most _BLOCK_POINTS points plus ``queries`` per
-    replication, or a single replication.  On a constant density the points
-    do not depend on the cap (consecutive ``rng.random`` calls give the
-    doubles of one call); with rejection sampling they depend on where the
-    blocks end, and the fixed private cap keeps them reproducible.
+    replication, or a single replication.  The points do not depend on the
+    cap: consecutive ``rng.random`` calls give the doubles of one call.
     """
     sizes = rng.poisson(intensity.total_mass, reps)
     ends = np.cumsum(sizes + queries)

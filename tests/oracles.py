@@ -527,8 +527,8 @@ def _cells_integral(n_blocks, links, diffs, singles):
 @functools.lru_cache(maxsize=None)
 def distance_class_exact(sizes, masks, n):
     """The exact integral against mu_1 of one contraction class of the chaos
-    kernels of the distance indicator (order 2) on [0, 1] with unit density
-    and r = 1/n, n >= 2, as a Fraction.
+    kernels of the distance indicator (order 2) on [0, 1] and r = 1/n,
+    n >= 2, as a Fraction.
 
     ``sizes`` holds 1 or 2 per factor, and factor a reads the blocks whose
     mask holds bit a, in block order, as in ``chaos.contraction_sum``.  At

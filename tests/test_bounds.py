@@ -277,11 +277,8 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
     hit, ran = run(intensity=t40)
     assert ran == 0
     assert hit == run(kern=make_geometric_indicator(0.1), intensity=t40)[0]
-    density = IntensitySpec(UNIT, t=20.0, density=lambda x: np.ones(len(x)), density_sup=2.0,
-                            base_integral=1.0)
     for change in (
         {"intensity": IntensitySpec([(0.0, 2.0)], t=20.0)},
-        {"intensity": density},
         {"seed": 5},
         {"samples": 3000},
         {"kern": make_geometric_indicator(0.1)},

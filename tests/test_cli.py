@@ -804,20 +804,45 @@ def test_many_mc_samples_peak_under_the_readme_bound(tmp_path):
     assert peak < 120.0
 
 
-@pytest.mark.parametrize("t", ["1e80", "1e200"])
-def test_overflow_exits_3_without_traceback(tmp_path, t):
-    # a mass or a squared stderr beyond the float range is a numerical failure
+def _cli_subprocess(tmp_path, *argv):
+    """Run pustat in a fresh interpreter with Python's default warning
+    filters, so a warning shows on stderr as a user would see it."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", t,
-            "--mc-samples", "100", "--seed", "1"]
-    run = subprocess.run([sys.executable, "-m", "pustat.cli", *argv], capture_output=True,
-                         env=env, cwd=tmp_path, text=True)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "pustat.cli", *argv], capture_output=True,
+                          env=env, cwd=tmp_path, text=True)
+
+
+@pytest.mark.parametrize("t", ["1e80", "1e200"])
+def test_overflow_exits_3_without_traceback(tmp_path, t):
+    # a mass or a squared stderr beyond the float range is a numerical failure
+    run = _cli_subprocess(tmp_path, "bound", "--kernel", "geometric_indicator", "--r", "0.05",
+                          "--t", t, "--mc-samples", "100", "--seed", "1")
     assert run.returncode == 3
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     assert "error: " in run.stderr and "non-finite" in run.stderr
+
+
+def test_overflowing_class_integrand_exits_3_with_one_error_line(tmp_path):
+    # c^2 overflows in the product of a class integrand: the integral's
+    # finiteness check reports it, and numpy prints no warning first
+    run = _cli_subprocess(tmp_path, "bound", "--kernel", "constant", "--k", "4", "--c", "1e300",
+                          "--t", "5", "--seed", "1", "--mc-samples", "100")
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr == "error: integrand returned non-finite values\n"
+
+
+def test_overflowing_box_volume_exits_2_with_one_error_line(tmp_path):
+    run = _cli_subprocess(tmp_path, "sample", "--t", "3", "--box", "0,1e308;0,1e308",
+                          "--seed", "1")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: box")
 
 
 @pytest.mark.parametrize("command", ["bound", "ustat"])

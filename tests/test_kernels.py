@@ -168,16 +168,11 @@ def test_geometric_full_integral_2d_matches_mc_fallback(monkeypatch):
 
 
 def test_geometric_2d_analytic_cases_are_narrow():
-    # only the full integral, only unit density, only r <= both sides
+    # only the full integral, only r <= both sides
     k = make_geometric_indicator(0.6)
     x0 = np.empty((1, 0, 2))
-    for spec in (
-        IntensitySpec([(0.0, 2.0), (0.0, 0.5)], t=2.0),
-        IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0, density=lambda p: p[:, 0], density_sup=1.0,
-                      base_integral=0.5),
-    ):
-        with pytest.raises(MarginalUnavailable):
-            k.marginal_fn(spec, x0, 0)
+    with pytest.raises(MarginalUnavailable):
+        k.marginal_fn(IntensitySpec([(0.0, 2.0), (0.0, 0.5)], t=2.0), x0, 0)
     unit2 = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0)
     with pytest.raises(MarginalUnavailable):
         make_geometric_indicator(0.1).marginal_fn(unit2, np.full((1, 1, 2), 0.5), 1)
@@ -253,11 +248,7 @@ _PAIR_CASES = {
     "1d": (IntensitySpec(UNIT, t=7.0), 0.1),
     "2d": (IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=30.0), 0.05),
     "3d": (IntensitySpec([(0.0, 1.0)] * 3, t=5.0), 0.2),
-    "2d_density": (
-        IntensitySpec([(0.0, 2.0), (-1.0, 0.5)], t=4.0, density=lambda p: p[:, 0] / 2.0,
-                      density_sup=1.0, base_integral=1.5),
-        0.3,
-    ),
+    "2d_box": (IntensitySpec([(0.0, 2.0), (-1.0, 0.5)], t=4.0), 0.3),
 }
 
 

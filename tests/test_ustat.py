@@ -219,8 +219,8 @@ def test_ties_at_r_2d():
 
 
 def test_replication_blocks_keep_order(monkeypatch):
-    # counts first, then the points: on a constant density the blocks are
-    # one draw of every point cut at the block boundaries, whatever the cap
+    # counts first, then the points: the blocks are one draw of every
+    # point cut at the block boundaries, whatever the cap
     spec = IntensitySpec(UNIT * 2, t=3.0)
     reps, queries = 40, 2
     rng = np.random.default_rng(9)
