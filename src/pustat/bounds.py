@@ -44,9 +44,9 @@ from .kernels import SymmetricKernel, kernel_descriptor
 from .measure import IntensitySpec, sample_points
 from .partitions import check_order
 from .ustat import (
-    _inverse_ou_lower_costs,
     add_one_costs_many,
     evaluate_many,
+    inverse_ou_add_one_costs_many,
     replication_blocks,
 )
 
@@ -297,8 +297,7 @@ def estimate_stein_terms(
         zs = sample_points(intensity, b * z_samples, z_rng).reshape(b, z_samples, intensity.dim)
         d = add_one_costs_many(kernel, points, sizes, zs)
         dg = d / sigma
-        lower = _inverse_ou_lower_costs(kernel, points, sizes, intensity, zs)
-        mdl = (d / kernel.order + lower) / sigma
+        mdl = inverse_ou_add_one_costs_many(kernel, points, sizes, intensity, zs, d) / sigma
         gv = (evaluate_many(kernel, points, sizes) - ef) / sigma
         ip1[rows] = mass * np.mean(dg * mdl, axis=1)
         q2[rows] = mass * np.mean(dg * dg * mdl * mdl, axis=1)

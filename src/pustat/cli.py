@@ -9,8 +9,8 @@ Subcommands:
     berry-esseen  exact Poisson Kolmogorov distances against 8/sqrt(t)
     experiment    t-sweep from a JSON config, CSV output
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure (a
-non-finite integral, or an unreliable bound integral under --strict).
+Exit codes: 0 success, 2 usage/config error, 3 numerical failure (a non-finite
+integral, or an unreliable bound integral under --strict), 141 a closed stdout.
 Identical argv (including --seed) produces byte-identical output.
 """
 
@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -36,6 +38,7 @@ from .ustat import evaluate_many, replication_blocks
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a command SIGPIPE killed
 # poisson_exact_dK(t) holds a few arrays of t + 12 sqrt(t) entries
 _TMAX_CAP = 2.0**20
 # The sample counts are capped so that no array of a run reaches 1 GiB
@@ -116,12 +119,12 @@ def _fmt(x) -> str:
 def _write_lines(path: Optional[str], lines: Iterable[str]):
     """Write each of ``lines`` and a newline to ``path`` (default stdout),
     as the iterable yields them."""
-    fh = sys.stdout if path is None else open(path, "w")
     try:
-        fh.writelines(line + "\n" for line in lines)
-    finally:
-        if path is not None:
-            fh.close()
+        fh = nullcontext(sys.stdout) if path is None else open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror}") from exc
+    with fh as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _parse_box(spec: Optional[str], dim: Optional[int]):
@@ -141,6 +144,12 @@ def _parse_box(spec: Optional[str], dim: Optional[int]):
     if dim is not None and len(intervals) != dim:
         raise ConfigError(f"box: has {len(intervals)} intervals, --dim asks for {dim}")
     return intervals
+
+
+def _check_seed(seed: int):
+    """Refuse a negative seed before any work: a SeedSequence takes none."""
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
 
 def _kernel_from_args(args) -> dict:
@@ -178,6 +187,7 @@ def _replicate_standardized(kernel, intensity, reps, seed, var_f: MCValue):
 
 
 def _cmd_sample(args) -> int:
+    _check_seed(args.seed)
     box = _parse_box(args.box, args.dim)
     intensity = IntensitySpec(box, t=args.t)
     _check_points(intensity)
@@ -188,6 +198,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_ustat(args) -> int:
+    _check_seed(args.seed)
     if args.reps < 1:
         raise ConfigError("reps: must be >= 1")
     kernel = make_kernel(_kernel_from_args(args))
@@ -216,6 +227,7 @@ def _cmd_ustat(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _check_seed(args.seed)
     kernel = make_kernel(_kernel_from_args(args))
     box = _parse_box(args.box, args.dim)
     counts = {"mc_samples": args.mc_samples}
@@ -322,6 +334,7 @@ def _load_experiment_config(path: str, seed: Optional[int] = None) -> dict:
         # exact types: a bool is an int to isinstance
         if type(value) is not _EXPERIMENT_FIELDS[key]:
             raise ConfigError(f"{key}: expected {_EXPERIMENT_FIELDS[key].__name__}")
+    _check_seed(cfg["seed"])
     if not cfg["t_values"]:
         raise ConfigError("t_values: must be a nonempty list")
     for t in cfg["t_values"]:
@@ -497,7 +510,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: Python's flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from functools import partial
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "add_one_costs_many",
     "replication_blocks",
     "inverse_ou_add_one_costs",
+    "inverse_ou_add_one_costs_many",
 ]
 
 _BLOCK_POINTS = 1 << 14  # points (and queries) per block of replications
@@ -77,13 +79,17 @@ def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarr
                 yield np.concatenate([np.repeat(head[a:b], w, axis=0), col[:, None]], axis=1)
 
 
-def _sum_with_point(values_fn, heads: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
-    """For each (a, d) head of the (m, a, d) array ``heads``, the sum of
-    values_fn(head, subset) over unordered ``size``-subsets of points."""
-    out = np.zeros(len(heads))
-    for idx in _combo_chunks(len(points), size):
-        for rows, vals in _cross_values(values_fn, heads, points[idx]):
-            out[rows] += vals.sum(axis=1)
+def _subset_sums(values_fn, heads, points: np.ndarray, sizes: np.ndarray, size: int) -> np.ndarray:
+    """For configuration b of a block (stacked as in evaluate_many) and each
+    (a, d) head of heads[b], the sum of values_fn(head, subset) over the
+    unordered ``size``-subsets of its points, as a (b, q) array for
+    (b, q, a, d) heads."""
+    out = np.zeros(heads.shape[:2])
+    # zip stops at the last configuration: np.split gives an empty block one piece
+    for acc, head, p in zip(out, heads, np.split(points, np.cumsum(sizes)[:-1])):
+        for idx in _combo_chunks(len(p), size):
+            for rows, vals in _cross_values(values_fn, head, p[idx]):
+                acc[rows] += vals.sum(axis=1)
     return out
 
 
@@ -128,15 +134,6 @@ def _labels(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _split(points: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
-    """The stacked points cut into their configurations."""
-    out, start = [], 0
-    for size in sizes.tolist():
-        out.append(points[start : start + size])
-        start += size
-    return out
-
-
 def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """F of each configuration of a block, where configuration b is the next
     sizes[b] rows of ``points``; the distance indicator counts them all in
@@ -145,9 +142,8 @@ def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray
         pairs = _accel.count_group_pairs(points, _labels(sizes), kernel.pair_radius, len(sizes))
         return 2.0 * pairs.astype(float)
     # every k-subset joined to one empty head
-    k, head = kernel.order, np.empty((1, 0, points.shape[1]))
-    sums = [_sum_with_point(kernel, head, p, k)[0] for p in _split(points, sizes)]
-    return math.factorial(k) * np.array(sums)
+    k, heads = kernel.order, np.empty((len(sizes), 1, 0, points.shape[1]))
+    return math.factorial(k) * _subset_sums(kernel, heads, points, sizes, k)[:, 0]
 
 
 def add_one_costs(
@@ -179,10 +175,7 @@ def add_one_costs_many(
         )
         return 2.0 * counts.astype(float).reshape(b, q)
     k = kernel.order
-    out = np.empty(zs.shape[:2])
-    for row, p in enumerate(_split(points, sizes)):
-        out[row] = _sum_with_point(kernel, zs[row][:, None, :], p, k - 1)
-    return math.factorial(k) * out
+    return math.factorial(k) * _subset_sums(kernel, zs[:, :, None], points, sizes, k - 1)
 
 
 def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
@@ -191,47 +184,35 @@ def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> floa
 
 
 def inverse_ou_add_one_costs(
-    kernel: SymmetricKernel,
-    config: PointConfiguration,
-    intensity: IntensitySpec,
-    zs: np.ndarray,
+    kernel: SymmetricKernel, config: PointConfiguration, intensity: IntensitySpec, zs: np.ndarray
 ) -> np.ndarray:
-    """-D_z L^{-1}(F - EF) for each row z of zs.
+    """-D_z L^{-1}(F - EF) for each row z of zs: the block of one
+    configuration (see inverse_ou_add_one_costs_many)."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))[None]
+    sizes = np.array([len(config)])
+    d = add_one_costs_many(kernel, config.points, sizes, zs)
+    return inverse_ou_add_one_costs_many(kernel, config.points, sizes, intensity, zs, d)[0]
+
+
+def inverse_ou_add_one_costs_many(
+    kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray, intensity: IntensitySpec,
+    zs: np.ndarray, d: np.ndarray,
+) -> np.ndarray:
+    """-D_z L^{-1}(F - EF) of configuration b of a block (stacked as in
+    evaluate_many) at its query rows zs[b], as a (b, q) array, given the
+    block's add-one costs d = add_one_costs_many(kernel, points, sizes, zs).
 
     Add-one cost of the marginal U-statistics: the constant terms cancel,
     leaving sum_{m=1..k} (m-1)! * sum over (m-1)-subsets of
     marginal_m(z, subset).  The order-k marginal is f itself, so the top
-    term is D_z F / k.
+    term is D_z F / k; it is added last.  The order-1 term does not depend
+    on the configuration: one marginal call gives it for all rows.
     """
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    sizes = np.array([len(config)])
-    lower = _inverse_ou_lower_costs(kernel, config.points, sizes, intensity, zs[None])
-    return add_one_costs(kernel, config, zs) / kernel.order + lower[0]
-
-
-def _inverse_ou_lower_costs(
-    kernel: SymmetricKernel,
-    points: np.ndarray,
-    sizes: np.ndarray,
-    intensity: IntensitySpec,
-    zs: np.ndarray,
-) -> np.ndarray:
-    """The m < k terms of inverse_ou_add_one_costs for each configuration b
-    of a block (stacked as in evaluate_many) and its query rows zs[b], as a
-    (b, q) array.  The order-1 term does not depend on the configuration:
-    one marginal call gives it for all rows."""
-    b, q, d = zs.shape
-    out = np.zeros((b, q))
-    for m in range(1, kernel.order):
-        if m == 1:
-            out += kernel.marginal(intensity, zs.reshape(b * q, 1, d), 1).reshape(b, q)
-            continue
-        for row, p in enumerate(_split(points, sizes)):
-            acc = _sum_with_point(
-                lambda x, _m=m: kernel.marginal(intensity, x, _m),
-                zs[row][:, None, :],
-                p,
-                m - 1,
-            )
-            out[row] += math.factorial(m - 1) * acc
-    return out
+    (b, q, dim), heads = zs.shape, zs[:, :, None]
+    lower = np.zeros((b, q))
+    if kernel.order > 1:
+        lower += kernel.marginal(intensity, zs.reshape(b * q, 1, dim), 1).reshape(b, q)
+    for m in range(2, kernel.order):
+        marginal = partial(kernel.marginal, intensity, i=m)
+        lower += math.factorial(m - 1) * _subset_sums(marginal, heads, points, sizes, m - 1)
+    return d / kernel.order + lower

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -804,15 +805,21 @@ def test_many_mc_samples_peak_under_the_readme_bound(tmp_path):
     assert peak < 120.0
 
 
-def _cli_subprocess(tmp_path, *argv):
-    """Run pustat in a fresh interpreter with Python's default warning
-    filters, so a warning shows on stderr as a user would see it."""
+def _cli_env():
+    """The environment of a fresh pustat interpreter: this tree's sources
+    and Python's default warning filters, so a warning shows on stderr as a
+    user would see it."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+def _cli_subprocess(tmp_path, *argv):
+    """Run pustat in a fresh interpreter (see _cli_env)."""
     return subprocess.run([sys.executable, "-m", "pustat.cli", *argv], capture_output=True,
-                          env=env, cwd=tmp_path, text=True)
+                          env=_cli_env(), cwd=tmp_path, text=True)
 
 
 @pytest.mark.parametrize("t", ["1e80", "1e200"])
@@ -853,3 +860,46 @@ def test_radius_must_be_finite_and_positive(capsys, command, r):
     assert code == 2
     assert out == ""
     assert "radius r" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("sample", "--t", "5", "--seed", "1"), "ENOENT"),
+    (("bound", "--kernel", "count", "--t", "5", "--seed", "1"), "EISDIR"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, argv, reason):
+    out = tmp_path / "missing" / "x.csv" if reason == "ENOENT" else tmp_path
+    run = _cli_subprocess(tmp_path, *argv, "--out", str(out))
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"error: out: cannot write {out}: {os.strerror(getattr(errno, reason))}\n"
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path):
+    # the reader stops after the first line, as `| head -n 1` does; the
+    # output is far larger than a pipe's buffer, so a later write meets it
+    argv = ["ustat", "--kernel", "count", "--t", "50", "--reps", "20000", "--seed", "1"]
+    with subprocess.Popen([sys.executable, "-m", "pustat.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_cli_env(), cwd=tmp_path) as proc:
+        assert proc.stdout.readline() == b'# kernel={"name": "count"}\n'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("command", ["sample", "ustat", "bound"])
+def test_negative_seed_exits_2_naming_the_seed(capsys, command):
+    kernel = () if command == "sample" else ("--kernel", "count")
+    code, out, err = _run(capsys, command, *kernel, "--t", "5", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed: must be >= 0, got -1\n"
+
+
+def test_negative_config_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_GOOD_CONFIG, "seed": -3}))
+    code, out, err = _run(capsys, "experiment", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed: must be >= 0, got -3\n"

@@ -354,7 +354,8 @@ def test_cross_values_do_not_depend_on_the_chunk(rng, monkeypatch):
     for chunk in (1, 1 << 40, kernels._EVAL_CHUNK):
         monkeypatch.setattr(kernels, "_EVAL_CHUNK", chunk)
         marginals = [kernel.marginal_with_stderr(spec, x, i) for i, x in probes.items()]
-        sums = [ustat._sum_with_point(kernel, h, points, 3 - a) for a, h in heads.items()]
+        sums = [ustat._subset_sums(kernel, h[None], points, np.array([len(points)]), 3 - a)[0]
+                for a, h in heads.items()]
         runs.append((marginals, sums))
     for marginals, sums in runs[1:]:
         for (vals, ses), (vals0, ses0) in zip(marginals, runs[0][0]):

@@ -6,7 +6,7 @@ import pytest
 
 from pustat.kernels import make_constant, make_count, make_geometric_indicator, make_product
 from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process, sample_points
-from pustat import ustat
+from pustat import kernels, ustat
 from pustat.ustat import (
     add_one_cost,
     add_one_costs,
@@ -14,6 +14,7 @@ from pustat.ustat import (
     evaluate,
     evaluate_many,
     inverse_ou_add_one_costs,
+    inverse_ou_add_one_costs_many,
     replication_blocks,
 )
 
@@ -258,6 +259,44 @@ def test_many_configurations_match_one_at_a_time(rng, dim):
         assert evaluate_many(kernel, points, sizes).tolist() == expected
         costs = add_one_costs_many(kernel, points, sizes, zs)
         assert np.array_equal(costs, np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)]))
+
+
+def _lower_inverse_ou_costs(kernel, intensity, points, zs):
+    # the m < k terms of -D_z L^{-1}F: (m-1)! times the sum of marginal_m(z,
+    # subset) over the (m-1)-subsets, in lexicographic order, m ascending
+    q, dim = zs.shape
+    lower = np.zeros(q)
+    for m in range(1, kernel.order):
+        combos = list(itertools.combinations(range(len(points)), m - 1))
+        subsets = points[np.array(combos, dtype=np.intp).reshape(len(combos), m - 1)]
+        probes = np.empty((q, len(combos), m, dim))
+        probes[:, :, 0], probes[:, :, 1:] = zs[:, None], subsets[None]
+        values = kernel.marginal(intensity, probes.reshape(-1, m, dim), m).reshape(q, len(combos))
+        lower += math.factorial(m - 1) * values.sum(axis=1)
+    return lower
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inverse_ou_block_matches_one_at_a_time_bit_for_bit(rng, monkeypatch, dim):
+    # row b of the block is configuration b's block of one, and both are
+    # D_z F / k added to the lower terms summed first, to the last bit
+    monkeypatch.setattr(kernels, "_FALLBACK", kernels.MarginalIntegration(samples=300))
+    spec = IntensitySpec(UNIT * dim, t=3.0)
+    configs = [sample_point_process(spec, rng) for _ in range(3)]
+    configs.insert(1, PointConfiguration(np.empty((0, dim))))
+    points = np.concatenate([c.points for c in configs])
+    sizes = np.array([len(c) for c in configs])
+    zs = rng.random((len(configs), 5, dim))
+    product = make_product(lambda p: 1.0 + p[:, 0] * p[:, -1], 3)  # no base integral: MC
+    for kernel in (make_count(), make_geometric_indicator(0.3), make_constant(-0.7, 4), product):
+        d = add_one_costs_many(kernel, points, sizes, zs)
+        block = inverse_ou_add_one_costs_many(kernel, points, sizes, spec, zs, d)
+        assert block.shape == zs.shape[:2]
+        for row, cfg, z in zip(block, configs, zs):
+            expected = add_one_costs(kernel, cfg, z) / kernel.order
+            expected += _lower_inverse_ou_costs(kernel, spec, cfg.points, z)
+            assert row.tobytes() == inverse_ou_add_one_costs(kernel, cfg, spec, z).tobytes()
+            assert row.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 3, ustat._EVAL_CHUNK])
