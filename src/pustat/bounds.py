@@ -93,12 +93,14 @@ def compute_Mij(
     samples: int = 200_000,
     rng: Union[np.random.Generator, np.random.SeedSequence, None] = None,
 ) -> ClassSum:
-    """Monte Carlo value of M_ij: one plain-MC integral per contraction class.
+    """M_ij: one integral per contraction class, exact or plain Monte Carlo.
 
     M_ij = M_ji, so (i, j) is taken as (min, max), also for the default
     stream.  ``contraction_sum`` joins the groups (i, i, j, j) of chaos
     kernels of |f|, integrates each of their contraction classes once at
-    unit scale with ``samples`` draws and rescales it by its power of t.
+    unit scale and rescales it by its power of t.  A class of the 1-D
+    distance indicator on a box of at least (B + 1) r takes its exact value
+    (``exact=True``); every other class takes ``samples`` draws.
     A chaos kernel without an analytic marginal takes the fixed draws of
     ``kernels._FALLBACK``, on stream a + 1 for factor a.
 
@@ -109,7 +111,7 @@ def compute_Mij(
     """
     i, j, rng = _pair_args(kernel.order, i, j, rng)
     return contraction_sum(kernel.absolute, intensity, ((i, i, j, j),), samples=samples,
-                           rng=rng, name=f"M_{i}{j}")
+                           rng=rng, name=f"M_{i}{j}", exact=True)
 
 
 # R_ij, the variance over eta of the integral of I_{i-1}(f_i(z, .))
@@ -151,7 +153,7 @@ def estimate_Rij(
     _check_r_order(kernel.order)
     i, j, rng = _pair_args(kernel.order, i, j, rng)
     return contraction_sum(kernel, intensity, ((i, i, j, j),), samples=samples, rng=rng,
-                           name=f"R_{i}{j}", weights=_R_WEIGHTS[i, j])
+                           name=f"R_{i}{j}", weights=_R_WEIGHTS[i, j], exact=True)
 
 
 class BoundValue(NamedTuple):
@@ -444,7 +446,8 @@ def bound_report(
     Stein terms from (3,).  So the report is reproducible and individual
     stages are independent.
     ``mc_samples`` is the number of draws of each Var F integral and of
-    each contraction-class integral.  The Stein terms take ``reps``
+    each contraction-class integral of M_ij and R_ij that takes Monte
+    Carlo (``compute_Mij``).  The Stein terms take ``reps``
     replications of ``z_samples`` z each.
     The Var F, M_ij and R_ij streams are passed as SeedSequences, so reports
     at several t for one kernel, box and seed integrate each class once and

@@ -116,15 +116,23 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path: Optional[str], lines: Iterable[str]):
-    """Write each of ``lines`` and a newline to ``path`` (default stdout),
-    as the iterable yields them."""
+def _open_out(path: Optional[str]):
+    """The output of a command: stdout, or ``path`` opened for writing.
+    Each command opens it after its checks and before its first sample or
+    integral, so an unwritable path is refused before any work; a run that
+    fails after that leaves the file empty."""
+    if path is None:
+        return nullcontext(sys.stdout)
     try:
-        fh = nullcontext(sys.stdout) if path is None else open(path, "w")
+        return open(path, "w")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {path}: {exc.strerror}") from exc
-    with fh as out:
-        out.writelines(line + "\n" for line in lines)
+
+
+def _write_lines(out, lines: Iterable[str]):
+    """Write each of ``lines`` and a newline to ``out``, as the iterable
+    yields them."""
+    out.writelines(line + "\n" for line in lines)
 
 
 def _parse_box(spec: Optional[str], dim: Optional[int]):
@@ -191,9 +199,11 @@ def _cmd_sample(args) -> int:
     box = _parse_box(args.box, args.dim)
     intensity = IntensitySpec(box, t=args.t)
     _check_points(intensity)
-    cfg = sample_point_process(intensity, np.random.default_rng(np.random.SeedSequence(args.seed)))
-    head = ",".join(f"x{c + 1}" for c in range(cfg.dim))
-    _write_lines(args.out, chain([head], (",".join(map(_fmt, row)) for row in cfg.points)))
+    with _open_out(args.out) as out:
+        cfg = sample_point_process(intensity,
+                                   np.random.default_rng(np.random.SeedSequence(args.seed)))
+        head = ",".join(f"x{c + 1}" for c in range(cfg.dim))
+        _write_lines(out, chain([head], (",".join(map(_fmt, row)) for row in cfg.points)))
     return 0
 
 
@@ -206,23 +216,24 @@ def _cmd_ustat(args) -> int:
     _check_caps(kernel, len(box), reps=args.reps, mc_samples=args.mc_samples)
     intensity = IntensitySpec(box, t=args.t)
     _check_points(intensity)
-    var_f = variance_from_kernels(
-        kernel,
-        intensity,
-        mc_samples=args.mc_samples,
-        rng=np.random.SeedSequence(args.seed, spawn_key=(0xFE, 0)),
-    )
-    vals, _ = _replicate_standardized(kernel, intensity, args.reps, args.seed, var_f)
-    dk = empirical_dK(vals)
-    dw = empirical_dW(vals)
-    lines = [
-        f"# kernel={json.dumps(kernel_descriptor(kernel), sort_keys=True)}",
-        f"# t={_fmt(intensity.t)} reps={args.reps} seed={args.seed}",
-        f"# var_f={_fmt(var_f.value)} var_f_se={_fmt(var_f.stderr)}",
-        f"# dk_emp={_fmt(dk)} dw_emp={_fmt(dw)}",
-        "standardized_value",
-    ]
-    _write_lines(args.out, chain(lines, map(_fmt, vals)))
+    with _open_out(args.out) as out:
+        var_f = variance_from_kernels(
+            kernel,
+            intensity,
+            mc_samples=args.mc_samples,
+            rng=np.random.SeedSequence(args.seed, spawn_key=(0xFE, 0)),
+        )
+        vals, _ = _replicate_standardized(kernel, intensity, args.reps, args.seed, var_f)
+        dk = empirical_dK(vals)
+        dw = empirical_dW(vals)
+        lines = [
+            f"# kernel={json.dumps(kernel_descriptor(kernel), sort_keys=True)}",
+            f"# t={_fmt(intensity.t)} reps={args.reps} seed={args.seed}",
+            f"# var_f={_fmt(var_f.value)} var_f_se={_fmt(var_f.stderr)}",
+            f"# dk_emp={_fmt(dk)} dw_emp={_fmt(dw)}",
+            "standardized_value",
+        ]
+        _write_lines(out, chain(lines, map(_fmt, vals)))
     return 0
 
 
@@ -238,17 +249,18 @@ def _cmd_bound(args) -> int:
     if args.stein_terms:
         # only the Stein terms draw configurations
         _check_points(intensity)
-    report = bound_report(
-        kernel,
-        intensity,
-        seed=args.seed,
-        mc_samples=args.mc_samples,
-        with_rij=args.rij,
-        with_stein_terms=args.stein_terms,
-        reps=args.reps,
-        z_samples=args.z_samples,
-    )
-    _write_lines(args.out, [json.dumps(report.to_dict(), indent=2)])
+    with _open_out(args.out) as out:
+        report = bound_report(
+            kernel,
+            intensity,
+            seed=args.seed,
+            mc_samples=args.mc_samples,
+            with_rij=args.rij,
+            with_stein_terms=args.stein_terms,
+            reps=args.reps,
+            z_samples=args.z_samples,
+        )
+        _write_lines(out, [json.dumps(report.to_dict(), indent=2)])
     if args.strict and (report.var_f_unreliable or report.unreliable):
         if report.var_f_unreliable:
             print("error: unreliable Var F estimate", file=sys.stderr)
@@ -269,25 +281,28 @@ def _cmd_partitions(args) -> int:
     # both calls check (i, j) before anything is written
     parts = enumerate_partitions(args.i, args.j)
     head = f"count={count_partitions(args.i, args.j)}"
-    _write_lines(args.out, chain([head], map(_partition_line, parts)))
+    with _open_out(args.out) as out:
+        _write_lines(out, chain([head], map(_partition_line, parts)))
     return 0
 
 
 def _cmd_stein_check(args) -> int:
-    _write_lines(args.out, [json.dumps(check_stein_properties(), indent=2)])
+    with _open_out(args.out) as out:
+        _write_lines(out, [json.dumps(check_stein_properties(), indent=2)])
     return 0
 
 
 def _cmd_berry_esseen(args) -> int:
     if not 1 <= args.tmax <= _TMAX_CAP:
         raise ConfigError(f"tmax: must be between 1 and 2**20 = {_TMAX_CAP:.0f}, got {args.tmax!r}")
-    lines = ["t,dk_exact,bound"]
-    t = 1.0
-    while t <= args.tmax:
-        dk = poisson_exact_dK(t)
-        lines.append(f"{_fmt(t)},{_fmt(dk)},{_fmt(8.0 / math.sqrt(t))}")
-        t *= 2.0
-    _write_lines(args.out, lines)
+    with _open_out(args.out) as out:
+        lines = ["t,dk_exact,bound"]
+        t = 1.0
+        while t <= args.tmax:
+            dk = poisson_exact_dK(t)
+            lines.append(f"{_fmt(t)},{_fmt(dk)},{_fmt(8.0 / math.sqrt(t))}")
+            t *= 2.0
+        _write_lines(out, lines)
     return 0
 
 
@@ -385,38 +400,42 @@ def _cmd_experiment(args) -> int:
     _check_caps(kernel, len(cfg["box"]), "term_reps" if cfg["stein_terms"] else None,
                 **{key: cfg[key] for key in _EXPERIMENT_MINIMA})
     _check_points(IntensitySpec(cfg["box"], t=max(cfg["t_values"])), "t_values")
-    rows = [_SWEEP_COLUMNS]
-    for t in cfg["t_values"]:
-        intensity = IntensitySpec(cfg["box"], t=t)
-        report = bound_report(
-            kernel,
-            intensity,
-            seed=cfg["seed"],
-            mc_samples=cfg["mc_samples"],
-            with_stein_terms=cfg["stein_terms"],
-            reps=cfg["term_reps"],
-            z_samples=cfg["z_samples"],
-        )
-        # standardize by the Var F the row prints
-        vals, _ = _replicate_standardized(kernel, intensity, cfg["reps"], cfg["seed"], report.var_f)
-        dk_emp = empirical_dK(vals)
-        dw_emp = empirical_dW(vals)
-        dk_se, dw_se = _bootstrap_se(vals, cfg["seed"])
-        th = report.stein_terms
-        stats = {
-            "var_f": report.var_f,
-            "dk_emp": (dk_emp, dk_se),
-            "dk_bound": report.dk[:2],
-            "dw_emp": (dw_emp, dw_se),
-            "dw_bound": report.dw[:2],
-            **({"t1": th.t1, "t2": th.t2, "sup_term": th.sup_term} if th else {}),
-        }
-        cells = [_fmt(t)]
-        for name in _SWEEP_STATS:
-            cells.extend(map(_fmt, stats[name]) if name in stats else ("", ""))
-        rows.append(",".join(cells))
-    _write_lines(args.out, rows)
+    with _open_out(args.out) as out:
+        rows = [_sweep_row(kernel, cfg, t) for t in cfg["t_values"]]
+        _write_lines(out, [_SWEEP_COLUMNS, *rows])
     return 0
+
+
+def _sweep_row(kernel, cfg: dict, t: float) -> str:
+    """The CSV row of the sweep at intensity t."""
+    intensity = IntensitySpec(cfg["box"], t=t)
+    report = bound_report(
+        kernel,
+        intensity,
+        seed=cfg["seed"],
+        mc_samples=cfg["mc_samples"],
+        with_stein_terms=cfg["stein_terms"],
+        reps=cfg["term_reps"],
+        z_samples=cfg["z_samples"],
+    )
+    # standardize by the Var F the row prints
+    vals, _ = _replicate_standardized(kernel, intensity, cfg["reps"], cfg["seed"], report.var_f)
+    dk_emp = empirical_dK(vals)
+    dw_emp = empirical_dW(vals)
+    dk_se, dw_se = _bootstrap_se(vals, cfg["seed"])
+    th = report.stein_terms
+    stats = {
+        "var_f": report.var_f,
+        "dk_emp": (dk_emp, dk_se),
+        "dk_bound": report.dk[:2],
+        "dw_emp": (dw_emp, dw_se),
+        "dw_bound": report.dw[:2],
+        **({"t1": th.t1, "t2": th.t2, "sup_term": th.sup_term} if th else {}),
+    }
+    cells = [_fmt(t)]
+    for name in _SWEEP_STATS:
+        cells.extend(map(_fmt, stats[name]) if name in stats else ("", ""))
+    return ",".join(cells)
 
 
 # ---------------------------------------------------------------------------

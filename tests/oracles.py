@@ -13,7 +13,11 @@ sorting and evaluating each sample anew (and dW from Phi^{-1} at every
 level k/n), the Poisson Kolmogorov distance
 from high-precision arithmetic and from scipy's gammaln and ndtr, a Monte
 Carlo integral from one draw of all its samples, and M_ij and Var F from
-their integrals run at the actual t instead of at unit scale.
+their integrals run at the actual t instead of at unit scale.  The one
+exception is the exact class integral of the 1-D distance indicator at
+r = 1/n, which runs the package's own cell algorithm at whole cells; the
+tests that pin the package's exact route also check it against code it
+does not share (closed forms, and plain Monte Carlo at a non-whole L/r).
 
 The Malliavin operators that the certificates do not call live here too,
 written from their definitions: D^n F by inclusion-exclusion over augmented
@@ -37,7 +41,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
-from pustat.chaos import MCValue, chaos_kernel_values
+from pustat.chaos import MCValue, _distance_cells, chaos_kernel_values
 from pustat.measure import PointConfiguration, mc_integral, sample_points
 from pustat.partitions import contraction_classes
 from pustat.ustat import evaluate_many, replication_blocks
@@ -463,67 +467,6 @@ def variance_at_t(kernel, intensity, samples, rng):
 # ---------------------------------------------------------------------------
 
 
-def _simplex_integral(exponents):
-    """Integral of prod_m z_m^{e_m} over 0 < z_1 < ... < z_B < 1, which is
-    prod_m 1 / (m + e_1 + ... + e_m)."""
-    out, power = Fraction(1), 0
-    for m, e in enumerate(exponents, start=1):
-        power += e
-        out /= m + power
-    return out
-
-
-def _linked_cells(n_blocks, links, n):
-    """Every tuple of cells, one per block, whose linked blocks lie at most
-    one cell apart."""
-    cells = []
-
-    def rec():
-        u = len(cells)
-        if u == n_blocks:
-            yield tuple(cells)
-            return
-        for c in range(n):
-            cells.append(c)
-            if all(abs(cells[a] - cells[b]) <= 1 for a, b in links if max(a, b) == u):
-                yield from rec()
-            cells.pop()
-
-    return rec()
-
-
-# 2 a(x) / r on cell 0, an inner cell and cell n - 1, as {power of y: coefficient}
-_TWICE_REACH = ({0: 2, 1: 2}, {0: 4}, {0: 4, 1: -2})
-
-
-def _cells_integral(n_blocks, links, diffs, singles):
-    """The y-integral over [0, 1]^B of the class on one tuple of cells.
-
-    ``links`` are the (u, v) block pairs of the f_2 factors with cell
-    differences ``diffs`` = c_u - c_v, and ``singles`` the (block, kind) of
-    the f_1 factors.  The f_2 factor is 1 for equal cells, 1(y_u <= y_v)
-    for c_u - c_v = 1 and 1(y_v <= y_u) for -1; the f_1 factor is a
-    polynomial in y (``_TWICE_REACH``).  Each of the B! orders of the y's
-    keeps or drops the whole integrand, and each monomial is integrated
-    over its simplex.
-    """
-    poly = {(0,) * n_blocks: Fraction(1)}
-    for u, kind in singles:
-        out = {}
-        for exps, coef in poly.items():
-            for e, c in _TWICE_REACH[kind].items():
-                key = exps[:u] + (exps[u] + e,) + exps[u + 1:]
-                out[key] = out.get(key, 0) + coef * c
-        poly = out
-    total = Fraction(0)
-    for order in itertools.permutations(range(n_blocks)):
-        pos = {u: m for m, u in enumerate(order)}
-        if all(d == 0 or (pos[u] < pos[v]) == (d == 1) for (u, v), d in zip(links, diffs)):
-            total += sum(coef * _simplex_integral([exps[u] for u in order])
-                         for exps, coef in poly.items())
-    return total
-
-
 @functools.lru_cache(maxsize=None)
 def distance_class_exact(sizes, masks, n):
     """The exact integral against mu_1 of one contraction class of the chaos
@@ -531,35 +474,13 @@ def distance_class_exact(sizes, masks, n):
     n >= 2, as a Fraction.
 
     ``sizes`` holds 1 or 2 per factor, and factor a reads the blocks whose
-    mask holds bit a, in block order, as in ``chaos.contraction_sum``.  At
-    unit scale f_2(x, y) = 1(|x - y| <= r) and f_1(x) = 2 a(x), a(x) the
-    length of [x - r, x + r] within [0, 1].  The box is cut into n cells of
-    width r and each block written as x = (c + y) r, so a(x) is 2r in the
-    inner cells, r(1 + y) in cell 0 and r(2 - y) in cell n - 1, and f_2 is
-    a function of the order of the y's.  The sum runs over the cell tuples
-    whose linked blocks lie at most one cell apart; tuples with the same
-    cell differences and f_1 kinds share one y-integral.
-
-    It covers neither boxes of dimension 2 or more nor an r that does not
-    divide the box length into whole cells.
+    mask holds bit a, in block order, as in ``chaos.contraction_sum``.  The
+    cell algorithm is the program's own (``chaos._distance_cells``, the
+    integral over r^{B+s1}, s1 the number of size-1 factors), run at whole
+    cells with no affine form, so it covers neither boxes of dimension 2 or
+    more nor an r that does not divide the box length into whole cells.
     """
-    if not (n >= 2 and set(sizes) <= {1, 2}):
-        raise ValueError("the oracle covers order-2 chaos kernels with r = 1/n, n >= 2")
-    r = Fraction(1, n)
-    reads = [[b for b, m in enumerate(masks) if m >> a & 1] for a in range(len(sizes))]
-    links = [tuple(blocks) for size, blocks in zip(sizes, reads) if size == 2]
-    single_blocks = [blocks[0] for size, blocks in zip(sizes, reads) if size == 1]
-    memo = {}
-    total = Fraction(0)
-    for cells in _linked_cells(len(masks), links, n):
-        diffs = tuple(cells[u] - cells[v] for u, v in links)
-        singles = tuple((u, 0 if cells[u] == 0 else 2 if cells[u] == n - 1 else 1)
-                        for u in single_blocks)
-        if (diffs, singles) not in memo:
-            memo[diffs, singles] = _cells_integral(len(masks), links, diffs, singles)
-        total += memo[diffs, singles]
-    # dx = r^B dy, and each f_1 factor carries one r
-    return total * r ** (len(masks) + len(single_blocks))
+    return _distance_cells(sizes, masks, n) * Fraction(1, n) ** (len(masks) + sizes.count(1))
 
 
 def distance_contraction_exact(groups, n, t):

@@ -38,6 +38,12 @@ from oracles import poisson_central_moment4, scale_kernel
 UNIT = [(0.0, 1.0)]
 
 
+def _short(r):
+    """A 1-D box shorter than 2r, where every class of the distance
+    indicator takes Monte Carlo."""
+    return [(0.0, 1.75 * r)]
+
+
 def _mc(value, stderr=0.0):
     return MCValue(value, stderr)
 
@@ -71,13 +77,15 @@ def test_m_of_f_is_m_of_its_abs():
 def test_m11_geometric_analytic_oracle(rng):
     # single partition: M_11 = t * integral of (2 t seg(x))^4 dx with
     # seg(x) = |[x-r, x+r] cap [0,1]|; for r <= 1/2 the x-integral is
-    # 16 r^4 - (98/5) r^5 (split at r and 1-r, integrate the quartics)
+    # 16 r^4 - (98/5) r^5 (split at r and 1-r, integrate the quartics);
+    # the class takes the exact route, so the stderr is 0
     t, r = 8.0, 0.2
     spec = IntensitySpec(UNIT, t=t)
     k = make_geometric_indicator(r)
     target = 16.0 * t**5 * (16.0 * r**4 - 98.0 / 5.0 * r**5)
     out = compute_Mij(k, spec, 1, 1, samples=400_000, rng=rng)
-    assert abs(out.value - target) <= 4.0 * out.stderr
+    assert out.stderr == 0.0
+    assert out.value == pytest.approx(target, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 20])
@@ -119,18 +127,20 @@ def test_each_class_integral_within_errors_of_exact_oracle():
 
 
 def test_certificate_within_errors_of_exact_oracle():
-    # r = 1/20 at t = 100 with the default draws: Var F and every M_ij
-    # lie within 4 stderr of their exact values (z = +0.11, -0.35, +0.82
-    # and -1.32 at seed 1)
+    # r = 1/20 at t = 100 with the default draws: Var F lies within 4
+    # stderr of its exact value (z = +0.11 at seed 1), and every M_ij,
+    # integrated exactly, equals its exact value to rounding
     rep = bound_report(make_geometric_indicator(0.05), IntensitySpec(UNIT, t=100.0), seed=1)
+    exact = float(oracles.distance_contraction_exact(((1, 1), (2, 2)), 20, 100))
+    assert abs(rep.var_f.value - exact) <= 4.0 * rep.var_f.stderr
     for est, groups in (
-        (rep.var_f, ((1, 1), (2, 2))),
         (rep.m[0][0], ((1, 1, 1, 1),)),
         (rep.m[0][1], ((1, 1, 2, 2),)),
         (rep.m[1][1], ((2, 2, 2, 2),)),
     ):
         exact = float(oracles.distance_contraction_exact(groups, 20, 100))
-        assert abs(est.value - exact) <= 4.0 * est.stderr, groups
+        assert est.stderr == 0.0
+        assert est.value == pytest.approx(exact, rel=1e-12), groups
     # every class got enough nonzero draws for its stderr to hold
     assert rep.unreliable == ()
     assert not rep.var_f_unreliable
@@ -142,18 +152,29 @@ def test_error_bars_calibrated_over_seeds():
     # beyond 3 and a sample sd in [0.75, 1.3] (1 beyond 3, max |z| = 3.02,
     # sd 1.02, mean 0.01)
     # R_12 and R_22, from the same class integrals, have a band of their
-    # own: at most 1 of their 40 beyond 3 and a sample sd in [0.75, 1.3]
+    # own: at most 1 of their 40 beyond 3 and a sample sd in [0.75, 1.3].
+    # M_ij and R_ij take the Monte Carlo route on bound_report's streams:
+    # the certificate integrates them exactly
+    kernel = make_geometric_indicator(0.05)
     intensity = IntensitySpec(UNIT, t=100.0)
     cases = (((1, 1), (2, 2)), ((1, 1, 1, 1),), ((1, 1, 2, 2),), ((2, 2, 2, 2),))
     exact = [float(oracles.distance_contraction_exact(groups, 20, 100)) for groups in cases]
     exact_r = [float(_r_distance_exact(i, j, 20, 100)) for i, j in ((1, 2), (2, 2))]
+
+    def _sum(seed, i, j, **weights):
+        return chaos.contraction_sum(kernel, intensity, ((i, i, j, j),), samples=20_000,
+                                     rng=np.random.SeedSequence(seed, spawn_key=(1, i, j)),
+                                     name="z", exact=False, **weights)
+
     z, z_r = [], []
     for seed in range(1, 21):
-        rep = bound_report(make_geometric_indicator(0.05), intensity, seed=seed, mc_samples=20_000,
-                           with_rij=True)
-        for est, truth in zip((rep.var_f, rep.m[0][0], rep.m[0][1], rep.m[1][1]), exact):
+        var_f = variance_from_kernels(kernel, intensity, mc_samples=20_000,
+                                      rng=np.random.SeedSequence(seed, spawn_key=(0,)))
+        for est, truth in zip((var_f, _sum(seed, 1, 1), _sum(seed, 1, 2), _sum(seed, 2, 2)),
+                              exact):
             z.append((est.value - truth) / est.stderr)
-        for est, truth in zip((rep.r[0][1], rep.r[1][1]), exact_r):
+        for (i, j), truth in zip(((1, 2), (2, 2)), exact_r):
+            est = _sum(seed, i, j, weights=bounds._R_WEIGHTS[i, j])
             z_r.append((est.value - truth) / est.stderr)
     z = np.array(z)
     assert len(z) == 80
@@ -167,8 +188,9 @@ def test_error_bars_calibrated_over_seeds():
 
 def test_m_matrix_symmetric_within_errors(rng):
     # on one shared stream, (i, j) and (j, i) draw different samples and
-    # agree within their errors
-    spec = IntensitySpec(UNIT, t=8.0)
+    # agree within their errors; a box shorter than 2r keeps every class on
+    # Monte Carlo
+    spec = IntensitySpec(_short(0.2), t=8.0)
     k = make_geometric_indicator(0.2)
     for i, j in ((1, 2), (2, 2)):
         a = compute_Mij(k, spec, i, j, samples=100_000, rng=rng)
@@ -185,6 +207,10 @@ def test_m_matrix_symmetric_within_errors(rng):
     rep = bound_report(k, spec, seed=2, mc_samples=5000)
     assert rep.m[0][1] == rep.m[1][0]
     assert rep.to_dict()["m"][0][1] == rep.to_dict()["m"][1][0]
+    # on the unit box M_12 (at most 3 blocks, 4r <= 1) is exact
+    unit = IntensitySpec(UNIT, t=8.0)
+    a = compute_Mij(k, unit, 1, 2, samples=20_000)
+    assert a == compute_Mij(k, unit, 2, 1, samples=20_000, rng=rng) and a.stderr == 0.0
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -217,20 +243,26 @@ def test_m_scales_as_t_to_the_fifth():
     k = make_geometric_indicator(0.1)
     for stream in (lambda: np.random.SeedSequence(3, spawn_key=(9,)),
                    lambda: np.random.default_rng(3)):
+        a = compute_Mij(k, IntensitySpec(_short(0.1), t=100.0), 1, 1, samples=5000, rng=stream())
+        b = compute_Mij(k, IntensitySpec(_short(0.1), t=200.0), 1, 1, samples=5000, rng=stream())
+        assert b.value / a.value == pytest.approx(2.0**5, rel=1e-14)
+        assert b.stderr / a.stderr == pytest.approx(2.0**5, rel=1e-14)
+        # the exact route on the unit box scales the same way
         a = compute_Mij(k, IntensitySpec(UNIT, t=100.0), 1, 1, samples=5000, rng=stream())
         b = compute_Mij(k, IntensitySpec(UNIT, t=200.0), 1, 1, samples=5000, rng=stream())
         assert b.value / a.value == pytest.approx(2.0**5, rel=1e-14)
-        assert b.stderr / a.stderr == pytest.approx(2.0**5, rel=1e-14)
+        assert a.stderr == b.stderr == 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_m_matches_class_integrals_at_t(monkeypatch, dim):
     # the unit-scale integrals, rescaled (and, after the first t, read from
     # the cache), agree with every class integrated at the actual t; in 2-D
-    # the first marginal takes the Monte Carlo fallback
+    # the first marginal takes the Monte Carlo fallback, and the 1-D box is
+    # shorter than 2r, so that no class takes the exact route
     k = make_geometric_indicator(0.15)
     monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
-    box = [(0.0, 1.0)] * dim
+    box = _short(0.15) if dim == 1 else [(0.0, 1.0)] * dim
     for t in (50.0, 100.0, 200.0):
         spec = IntensitySpec(box, t=t)
         for i, j in ((1, 1), (1, 2), (2, 2)):
@@ -241,6 +273,12 @@ def test_m_matches_class_integrals_at_t(monkeypatch, dim):
             assert got.value == pytest.approx(want[0], rel=1e-12)
             assert got.stderr == pytest.approx(want[1], rel=1e-12)
             assert got.stderr > 0.0
+        if dim == 1:  # on the unit box every class is exact
+            m11 = compute_Mij(k, IntensitySpec(UNIT, t=t), 1, 1, samples=2000)
+            r = 0.15
+            assert m11.value == pytest.approx(16 * t**5 * (16 * r**4 - 98 / 5 * r**5), rel=1e-12)
+            assert all(compute_Mij(k, IntensitySpec(UNIT, t=t), i, j, samples=2000).stderr == 0.0
+                       for i, j in ((1, 1), (1, 2), (2, 2)))
 
 
 def _count_class_integrals(monkeypatch):
@@ -257,9 +295,10 @@ def _count_class_integrals(monkeypatch):
 
 
 def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
+    # a box shorter than 2r keeps every class on Monte Carlo
     calls = _count_class_integrals(monkeypatch)
     k = make_geometric_indicator(0.1)
-    spec = IntensitySpec(UNIT, t=20.0)
+    spec = IntensitySpec(_short(0.1), t=20.0)
     n_classes = len(contraction_classes((1, 1, 2, 2)))
 
     def run(kern=k, intensity=spec, seed=4, samples=2000):
@@ -273,12 +312,12 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
     assert run(seed=np.int64(4))[1] == 0
     # another t on the same stream rescales, and gives what a fresh kernel
     # integrates at that t
-    t40 = IntensitySpec(UNIT, t=40.0)
+    t40 = IntensitySpec(_short(0.1), t=40.0)
     hit, ran = run(intensity=t40)
     assert ran == 0
     assert hit == run(kern=make_geometric_indicator(0.1), intensity=t40)[0]
     for change in (
-        {"intensity": IntensitySpec([(0.0, 2.0)], t=20.0)},
+        {"intensity": IntensitySpec([(0.0, 0.19)], t=20.0)},
         {"seed": 5},
         {"samples": 3000},
         {"kern": make_geometric_indicator(0.1)},
@@ -295,6 +334,16 @@ def test_m_cache_hits_only_on_equal_inputs(monkeypatch):
     default_t40 = compute_Mij(k, t40, 1, 2, samples=2000)
     assert len(calls) - before == n_classes
     assert default_t40 == compute_Mij(make_geometric_indicator(0.1), t40, 1, 2, samples=2000)
+    # on the unit box the exact route draws nothing and is cached too; an
+    # exact and a Monte Carlo call on equal streams keep separate entries
+    before = len(calls)
+    unit = IntensitySpec(UNIT, t=20.0)
+    exact = run(intensity=unit)[0]
+    assert run(intensity=unit)[0] == exact and exact.stderr == 0.0
+    assert len(calls) == before
+    drawn = chaos.contraction_sum(k, unit, ((1, 1, 2, 2),), samples=2000, name="M_12",
+                                  rng=np.random.SeedSequence(4, spawn_key=(1, 1, 2)))
+    assert len(calls) - before == n_classes and drawn.stderr > 0.0
 
 
 def test_m_overflowing_scale_is_a_numerical_error():
@@ -309,20 +358,26 @@ def test_m_overflowing_scale_is_a_numerical_error():
 
 def test_m_generators_are_not_cached(monkeypatch):
     # a Generator's state is not a value: each call draws afresh from it
+    # (a box shorter than 2r keeps every class on Monte Carlo)
     calls = _count_class_integrals(monkeypatch)
     k = make_geometric_indicator(0.1)
-    spec = IntensitySpec(UNIT, t=20.0)
+    spec = IntensitySpec(_short(0.1), t=20.0)
     a = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
     b = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(1))
     c = compute_Mij(k, spec, 1, 2, samples=2000, rng=np.random.default_rng(2))
     assert len(calls) == 3 * len(contraction_classes((1, 1, 2, 2)))
     assert a == b
     assert a != c
+    # on the unit box every class is exact, and the Generator is not drawn
+    gen = np.random.default_rng(1)
+    assert compute_Mij(k, IntensitySpec(UNIT, t=20.0), 1, 2, samples=2000, rng=gen).stderr == 0.0
+    assert len(calls) == 3 * len(contraction_classes((1, 1, 2, 2)))
+    assert gen.random() == np.random.default_rng(1).random()
 
 
 def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
-    # an experiment over three t runs the class integrals of one, Var F's
-    # two (orders 1 and 2) included
+    # an experiment over three t runs the Monte Carlo class integrals of
+    # one: Var F's two (orders 1 and 2)
     calls = _count_class_integrals(monkeypatch)
     counts = []
     for t_values in ([50, 100, 200], [100]):
@@ -335,8 +390,8 @@ def test_experiment_integrates_each_class_once(tmp_path, capsys, monkeypatch):
         assert cli.main(["experiment", str(path)]) == 0
         counts.append(len(calls) - before)
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(t_values)
-    n_classes = sum(len(contraction_classes((i, i, j, j))) for i, j in ((1, 1), (1, 2), (2, 2)))
-    assert counts == [n_classes + 2, n_classes + 2]
+    # the M_ij classes take the exact route: only Var F's two draw
+    assert counts == [2, 2]
 
 
 def test_m_order_cap():
@@ -413,8 +468,10 @@ def test_bounds_require_positive_variance():
 
 def test_bound_invariant_under_kernel_scaling():
     # f -> c f multiplies M by c^4 and Var by c^2: the ratio is unchanged;
-    # identical streams make the comparison exact up to float rounding
-    spec = IntensitySpec(UNIT, t=6.0)
+    # identical streams make the comparison exact up to float rounding.
+    # scale_kernel drops pair_radius, so a box shorter than 2r keeps the
+    # base kernel on the same Monte Carlo route as the scaled ones
+    spec = IntensitySpec(_short(0.15), t=6.0)
     base = make_geometric_indicator(0.15)
     vals = {}
     for name, kern in (("base", base), (3.0, scale_kernel(base, 3.0)),
@@ -432,6 +489,10 @@ def test_bound_invariant_under_kernel_scaling():
         vals[name] = dk_bound(m, _mc(var.value, var.stderr), 2).value
     assert vals[3.0] == pytest.approx(vals["base"], rel=1e-9)
     assert vals[-3.0] == pytest.approx(vals["base"], rel=1e-9)
+    # on the unit box the base kernel's M_ij are exact
+    unit = IntensitySpec(UNIT, t=6.0)
+    assert all(compute_Mij(base, unit, i, j, samples=20_000).stderr == 0.0
+               for i, j in ((1, 1), (1, 2), (2, 2)))
 
 
 def test_bound_rate_exact_for_count():
@@ -535,7 +596,8 @@ def test_r_distance_indicator_exact():
                        with_rij=True)
     for i, j in ((1, 2), (2, 2)):
         r = rep.r[i - 1][j - 1]
-        assert abs(r.value - float(_r_distance_exact(i, j, 20, 100))) <= 4.0 * r.stderr
+        assert r.stderr == 0.0
+        assert r.value == pytest.approx(float(_r_distance_exact(i, j, 20, 100)), rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1.5, -2.0])
@@ -586,13 +648,16 @@ def test_r_reads_the_classes_of_m(monkeypatch):
 
 
 def test_r_matrix_symmetric():
-    spec = IntensitySpec(UNIT, t=20.0)
-    rep = bound_report(make_geometric_indicator(0.1), spec, seed=5, mc_samples=2000,
-                       with_rij=True, reps=100)
-    assert rep.r[0][1] == rep.r[1][0]
-    assert rep.r[0][1].stderr > 0.0
-    r = rep.to_dict()["r"]
-    assert r[0][1] == r[1][0]
+    # a box shorter than 2r keeps every class on Monte Carlo; on the unit
+    # box R is exact
+    for box, drawn in ((_short(0.1), True), (UNIT, False)):
+        spec = IntensitySpec(box, t=20.0)
+        rep = bound_report(make_geometric_indicator(0.1), spec, seed=5, mc_samples=2000,
+                           with_rij=True, reps=100)
+        assert rep.r[0][1] == rep.r[1][0]
+        assert (rep.r[0][1].stderr > 0.0) == drawn
+        r = rep.to_dict()["r"]
+        assert r[0][1] == r[1][0]
 
 
 def test_z_samples_must_be_positive(rng):

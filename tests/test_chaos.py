@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pustat import chaos, kernels, measure
+from pustat.bounds import compute_Mij
 from pustat.chaos import chaos_kernel_values, variance_from_kernels
 from pustat.kernels import MarginalIntegration, make_constant, make_count, make_geometric_indicator
 from pustat.measure import IntensitySpec, NumericalError, mc_integral, sample_point_process
+from pustat.partitions import contraction_classes
 from pustat.ustat import evaluate
 
 import oracles
@@ -312,3 +314,115 @@ def test_variance_overflow_is_a_numerical_error():
     spec = IntensitySpec(UNIT, t=1e60)
     with pytest.raises(NumericalError, match="non-finite"):
         variance_from_kernels(make_geometric_indicator(0.05), spec, mc_samples=100)
+
+
+# ---------------------------------------------------------------------------
+# the exact route of the 1-D distance indicator's class integrals
+# ---------------------------------------------------------------------------
+
+_M_GROUPS = ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2))
+
+
+def _m_classes():
+    return [(sizes, masks) for sizes in _M_GROUPS
+            for masks, _ in contraction_classes(sizes)]
+
+
+def test_exact_classes_match_the_cell_oracle():
+    # the kernel takes the float 0.05, the oracle r = 1/20 exactly
+    kernel = make_geometric_indicator(0.05)
+    classes = _m_classes()
+    assert len(classes) == 18
+    for sizes, masks in classes:
+        got = chaos._exact_unit_integral(kernel, IntensitySpec(UNIT), sizes, masks)
+        want = float(oracles.distance_class_exact(sizes, masks, 20))
+        assert got == pytest.approx(want, rel=1e-12), (sizes, masks)
+
+
+def test_exact_classes_match_monte_carlo_off_whole_cells():
+    # L / r = 5.48 is not a whole number of cells; plain Monte Carlo with
+    # 10^6 draws shares no code with the route (max |z| = 2.14)
+    kernel = make_geometric_indicator(0.25)
+    intensity = IntensitySpec([(0.0, 1.37)])
+    classes = [(sizes, masks, 1) for sizes, masks in _m_classes()]
+    drawn = chaos._unit_integrals(kernel, intensity, classes, 10**6,
+                                  np.random.default_rng(np.random.SeedSequence(21)))
+    for (sizes, masks, _), (est, se, _) in zip(classes, drawn):
+        exact = chaos._exact_unit_integral(kernel, intensity, sizes, masks)
+        assert se > 0.0
+        assert abs(exact - est) <= 4.0 * se, (sizes, masks)
+
+
+def test_exact_m11_closed_form():
+    # M_11 = 16 t^5 (16 r^4 - 98 r^5 / 5) on the unit interval: to 1e-12 at
+    # r = 0.07 (1/r not whole), and bit for bit at r = 0.05 against the
+    # closed form evaluated in rationals and rounded once, as the zero-
+    # tolerance M_11 gate of perfbench needs
+    from fractions import Fraction
+
+    r = 0.07
+    for t in (3.0, 100.0):
+        got = compute_Mij(make_geometric_indicator(r), IntensitySpec(UNIT, t=t), 1, 1)
+        assert got.stderr == 0.0
+        assert got.value == pytest.approx(16 * t**5 * (16 * r**4 - 98 / 5 * r**5), rel=1e-12)
+    r = Fraction(0.05)
+    for t in (50, 100, 200):
+        got = compute_Mij(make_geometric_indicator(0.05), IntensitySpec(UNIT, t=t), 1, 1)
+        assert got.value == float(16 * Fraction(t) ** 5 * (16 * r**4 - Fraction(98, 5) * r**5))
+    # its one class against mu_1 on a box of length L >= 2r is
+    # 16 (16 r^4 L - 98 r^5 / 5), correctly rounded (a float evaluation of
+    # the affine form misses it on about half of these)
+    for r in (0.05, 0.07, 0.1, 0.13, 0.2, 0.3, 0.011, 0.0123):
+        for lo, hi in ((0.0, 1.0), (0.3, 1.45), (-2.0, 5.5), (0.1, 0.9)):
+            length = Fraction(hi) - Fraction(lo)
+            want = 16 * (16 * Fraction(r) ** 4 * length - Fraction(98, 5) * Fraction(r) ** 5)
+            got = chaos._exact_unit_integral(make_geometric_indicator(r),
+                                             IntensitySpec([(lo, hi)]), (1, 1, 1, 1), (0b1111,))
+            assert got == float(want), (r, lo, hi)
+
+
+def test_exact_route_starts_at_b_plus_one_radii(monkeypatch):
+    # r = 0.25 on the unit interval: L = 4r exactly, so the classes of at
+    # most 3 blocks take the route and those of 4 blocks take Monte Carlo
+    kernel = make_geometric_indicator(0.25)
+    intensity = IntensitySpec(UNIT, t=10.0)
+    routes = {len(masks): set() for _, masks in _m_classes()}
+    for sizes, masks in _m_classes():
+        exact = chaos._exact_unit_integral(kernel, intensity, sizes, masks)
+        routes[len(masks)].add(exact is not None)
+    assert routes == {1: {True}, 2: {True}, 3: {True}, 4: {False}}
+    # the test is taken in rationals: at r = 0.2 the float 5 * 0.2 is 1.0,
+    # but the rational 5r is above 1, so the 4-block classes are drawn
+    assert 5 * 0.2 == 1.0
+    wide = make_geometric_indicator(0.2)
+    assert all((chaos._exact_unit_integral(wide, intensity, sizes, masks) is None)
+               == (len(masks) == 4) for sizes, masks in _m_classes())
+    # contraction_sum draws for the 4-block classes alone, with their stderr
+    calls = []
+
+    def counting(g, intensity, n, *args, **kwargs):
+        calls.append(n)
+        return mc_integral(g, intensity, n, *args, **kwargs)
+
+    monkeypatch.setattr(chaos, "mc_integral", counting)
+    out = chaos.contraction_sum(kernel, intensity, ((2, 2, 2, 2),), samples=2000,
+                                rng=np.random.default_rng(3), name="M_22", exact=True)
+    four = [((2, 2, 2, 2), masks, w) for masks, w in contraction_classes((2, 2, 2, 2))
+            if len(masks) == 4]
+    assert calls == [4] * len(four) and out.stderr > 0.0
+    # the Monte Carlo classes draw as they would alone, in class order
+    drawn = chaos._unit_integrals(kernel, IntensitySpec(UNIT), four, 2000,
+                                  np.random.default_rng(3))
+    var = sum((w * 10.0**4 * se) ** 2 for (_, _, w), (_, se, _) in zip(four, drawn))
+    assert math.sqrt(var) == pytest.approx(out.stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, value, stderr", [
+    (1, 40285.43040415771, 18.46538763177021),
+    (2, 40279.18659025967, 18.380466878985384),
+])
+def test_variance_never_takes_the_exact_route(seed, value, stderr):
+    # Var F keeps its Monte Carlo bytes (the values of the previous release)
+    got = variance_from_kernels(make_geometric_indicator(0.05), IntensitySpec(UNIT, t=100.0),
+                                rng=np.random.SeedSequence(seed, spawn_key=(0,)))
+    assert (got.value, got.stderr) == (value, stderr)

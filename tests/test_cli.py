@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pustat import bounds
 from pustat.cli import (
     _STEIN_PAIRS, _bootstrap_se, _check_caps, _kernel_from_args, _sample_caps, build_parser, main,
 )
@@ -119,9 +120,10 @@ def test_bound_with_terms(capsys):
 
 def test_bound_strict_flags_unreliable_integrals(capsys):
     # starved sampling of a rare indicator: stderr/estimate blows past the
-    # threshold and strict mode reports a numerical failure
+    # threshold and strict mode reports a numerical failure (in 2-D, where
+    # every class takes Monte Carlo)
     argv = ["bound", "--kernel", "geometric_indicator", "--r", "0.01", "--t", "5",
-            "--seed", "1", "--mc-samples", "60", "--strict"]
+            "--seed", "1", "--mc-samples", "60", "--dim", "2", "--strict"]
     code, out, err = _run(capsys, *argv)
     assert code == 3
     assert "unreliable" in err
@@ -130,6 +132,12 @@ def test_bound_strict_flags_unreliable_integrals(capsys):
     code, out, _ = _run(capsys, *argv[:-1])
     assert code == 0
     assert json.loads(out)["unreliable"]
+    # on the unit interval every M_ij is exact and none is flagged
+    code, out, _ = _run(capsys, *argv[:-3])
+    assert code == 0
+    data = json.loads(out)
+    assert data["unreliable"] == []
+    assert all(v["stderr"] == 0.0 for row in data["m"] for v in row)
     # M_21 is the estimate M_12: an off-diagonal entry is flagged once, as i <= j
     code, out, err = _run(capsys, "bound", "--kernel", "geometric_indicator", "--r", "0.05",
                           "--dim", "2", "--t", "100", "--mc-samples", "500", "--seed", "1",
@@ -816,6 +824,16 @@ def _cli_env():
     return env
 
 
+def test_import_does_not_load_fractions(tmp_path):
+    # the exact class integrals import fractions (and with it decimal) at
+    # their first class, not with the package
+    script = ("import pustat.cli, sys; "
+              "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_cli_env(),
+                         cwd=tmp_path, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def _cli_subprocess(tmp_path, *argv):
     """Run pustat in a fresh interpreter (see _cli_env)."""
     return subprocess.run([sys.executable, "-m", "pustat.cli", *argv], capture_output=True,
@@ -872,6 +890,33 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, argv, reason):
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr == f"error: out: cannot write {out}: {os.strerror(getattr(errno, reason))}\n"
+
+
+def test_unwritable_out_is_refused_before_any_integral(tmp_path, capsys, monkeypatch):
+    def _no_integrals(*args, **kwargs):
+        raise AssertionError("an integral ran before --out was opened")
+
+    monkeypatch.setattr(bounds, "variance_from_kernels", _no_integrals)
+    monkeypatch.setattr(bounds, "compute_Mij", _no_integrals)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_GOOD_CONFIG))
+    for argv in (["bound", "--kernel", "geometric_indicator", "--r", "0.05", "--t", "100",
+                  "--seed", "1"], ["experiment", str(cfg)]):
+        out = tmp_path / "missing" / "x.out"
+        code, stdout, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: out: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_numerical_failure_leaves_an_empty_out(tmp_path, capsys):
+    # --out is opened before the integrals, so a run that exits 3 leaves it empty
+    out = tmp_path / "x.json"
+    out.write_text("old contents\n")
+    code, _, err = _run(capsys, "bound", "--kernel", "constant", "--c", "1e300", "--k", "4",
+                        "--t", "5", "--seed", "1", "--mc-samples", "100", "--out", str(out))
+    assert code == 3 and "non-finite" in err
+    assert out.read_text() == ""
 
 
 def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path):
