@@ -33,8 +33,11 @@ such ulps.
 
 Strip count.  As many strips as fit, but at most one per point (queries
 included).  One strip when fewer than three fit, or when the band alone
-would give a group fewer candidates than one ``_BLOCK``: there the extra
-windows cost more than the candidates they save.
+would give fewer candidates than one ``_BLOCK`` (an exact-test chunk),
+counted as the block's query-point pairs over the label count, times the
+band's share of the last coordinates: for L groups of equal size that is
+the candidates of all L groups together, L times those of one group.
+Below it the extra windows cost more than the candidates they save.
 
 Sure-inside band (1-D).  In one dimension the exact test is
 ``(x_i - x_j)**2 <= r*r``, and rounding is monotone, so it passes for every
@@ -60,7 +63,12 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_BLOCK = 1 << 15  # candidate pairs per block; keeps the temporaries in cache
+# candidate pairs per exact-test chunk.  A chunk makes about 7 temporaries of
+# _BLOCK 8-byte values, which must stay below glibc's 128 KB mmap threshold: a
+# larger array is mapped afresh, and its pages faulted in, on every chunk.
+# 2^13 keeps them at 64 KB and in cache; 2^12 made the single-group counts
+# slower.
+_BLOCK = 1 << 13
 
 # The exact test rounds x_i - x_j, its square and r*r, so it can accept a pair
 # whose true |dx| is a few ulps above r (x_i < 0 < x_j, say, where the
@@ -125,7 +133,7 @@ def _cells(first, labels, layout):
     return labels * stride + strip
 
 
-def _blocks(lo, hi, size=_BLOCK):
+def _blocks(lo, hi, size):
     """Candidate pairs (row, lo[row] <= col < hi[row]) in blocks of rows.
 
     Yields (a, b, width, col) for rows a..b-1: each row's candidate count
@@ -158,7 +166,7 @@ def _tested(qs, p, lo, hi, r2):
     over the coordinates in order, as ``sum(axis=-1)`` adds them."""
     out = np.zeros(len(lo), dtype=np.int64)
     with np.errstate(over="ignore"):  # an overflowing square is inf; the test decides it
-        for a, b, w, col in _blocks(lo, hi):
+        for a, b, w, col in _blocks(lo, hi, _BLOCK):
             d2 = None
             for qc, pc in zip(qs, p):
                 dx = np.repeat(qc[a:b], w)

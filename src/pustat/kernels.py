@@ -19,8 +19,10 @@ Built-ins:
     count                  k=1, f == 1
     constant(c, k)         f == c
     geometric_indicator(r) k=2, f(x, y) = 1(|x - y| <= r), analytic
-                           marginals on 1-D boxes, and an analytic full
-                           integral on 2-D boxes with r at most either side
+                           marginals on 1-D boxes; on 2-D boxes an
+                           analytic full integral with r at most either
+                           side, and first marginal with 2r at most either
+                           side
     product(g, k)          f = prod_j g(x_j)
 """
 
@@ -79,7 +81,9 @@ class SymmetricKernel:
 
     ``pair_radius`` is set for the distance indicator and routes the order-2
     hot paths, and its Monte Carlo first marginal, through the neighbour
-    counter in ``pustat._accel``.
+    counter in ``pustat._accel``.  That fallback serves boxes of three or
+    more dimensions and 2-D boxes with a side under 2r; other 2-D boxes
+    take the closed-form disc area.
 
     The ``M_ij`` integrals need |f|, so a kernel declares exactly one of
     ``nonnegative=True`` (it is its own |f|) and ``abs_kernel``, a
@@ -213,6 +217,46 @@ def _require_1d(intensity: IntensitySpec):
         raise MarginalUnavailable("analytic marginals cover 1-D boxes only")
 
 
+def _cap(d):
+    """Area of the part of the unit disc beyond a line at distance d in [0, 1]."""
+    return np.arccos(d) - d * np.sqrt(1.0 - d * d)
+
+
+def _half_chord_integral(a):
+    """Antiderivative of sqrt(1 - a^2) on [0, 1]."""
+    return 0.5 * (a * np.sqrt(1.0 - a * a) + np.arcsin(a))
+
+
+def _corner(u, v):
+    """Area of the part of the unit disc around (u, v), u and v in [0, 1],
+    where both coordinates are negative: the integral of sqrt(1 - a^2) - v
+    over u < a < sqrt(1 - v^2), empty once u reaches that end."""
+    end = np.sqrt(1.0 - v * v)
+    u = np.minimum(u, end)
+    return _half_chord_integral(end) - _half_chord_integral(u) - v * (end - u)
+
+
+def _disc_area_in_box(r, box, pts):
+    """|B(p, r) & box| for each row p of the (m, 2) points of a 2-D box.
+
+    With 2r at most either side, the disc meets at most one vertical and
+    one horizontal edge, at distances dx and dy, so the area is the disc
+    minus the cap beyond each edge plus the corner beyond both.  It is
+    taken for the unit disc at dx / r and dy / r, both capped at 1, and
+    scaled by r^2.  Raises MarginalUnavailable for a wider disc and for a
+    probe outside the closed box.
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = box
+    if 2.0 * r > min(hi_a - lo_a, hi_b - lo_b):
+        raise MarginalUnavailable("the 2-D first marginal needs 2r <= both box sides")
+    lo, hi = np.array([lo_a, lo_b]), np.array([hi_a, hi_b])
+    if not ((pts >= lo) & (pts <= hi)).all():
+        raise MarginalUnavailable("the 2-D first marginal covers probes in the box")
+    near = np.minimum(np.minimum(pts - lo, hi - pts), r) / r
+    u, v = near[:, 0], near[:, 1]
+    return r * r * (math.pi - _cap(u) - _cap(v) + _corner(u, v))
+
+
 def make_count() -> SymmetricKernel:
     """Order-1 kernel f == 1; the U-statistic is the point count."""
     return replace(make_constant(1.0, 1), name="count", params={})
@@ -264,8 +308,10 @@ def make_geometric_indicator(r: float) -> SymmetricKernel:
         return intensity.t**2 * area
 
     def _marg(intensity, x, i):
-        if i == 0 and intensity.dim == 2:
-            return np.full(len(x), _pair_integral_2d(intensity))
+        if intensity.dim == 2:
+            if i == 0:
+                return np.full(len(x), _pair_integral_2d(intensity))
+            return intensity.t * _disc_area_in_box(r, intensity.box, x[:, 0, :])
         _require_1d(intensity)
         lo, hi = intensity.box[0]
         t = intensity.t

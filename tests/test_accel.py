@@ -70,12 +70,31 @@ def test_coincident_points(rng):
         _check(pts, rng.random((9, d)), 0.3)
 
 
+def _chunk_walks(monkeypatch):
+    """The number of chunks of each walk of ``_accel._blocks``, as a list
+    that fills while the patch holds: a patched ``_BLOCK`` must reach the
+    exact test, which reads it at each call."""
+    walks = []
+    blocks = _accel._blocks
+
+    def counting(lo, hi, size):
+        walks.append(0)
+        for chunk in blocks(lo, hi, size):
+            walks[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(_accel, "_blocks", counting)
+    return walks
+
+
 def test_small_blocks_match_oracle(rng, monkeypatch):
     monkeypatch.setattr(_accel, "_BLOCK", 5)
+    walks = _chunk_walks(monkeypatch)
     for d in (1, 2, 3):
         pts = np.vstack([rng.random((120, d)), np.full((30, d), 0.5)])
         qs = rng.random((60, d))
         _check(pts, qs, 0.2)
+    assert max(walks) > 1
 
 
 def test_pair_count_known_values():
@@ -201,10 +220,12 @@ def test_group_counts_when_r_squared_underflows(d):
 
 def test_group_counts_small_blocks(rng, monkeypatch):
     monkeypatch.setattr(_accel, "_BLOCK", 5)
+    walks = _chunk_walks(monkeypatch)
     for d in (1, 2, 3):
         groups = _random_groups(rng, d, [120, 0, 1, 40]) + [np.full((30, d), 0.5)]
         queries = _random_groups(rng, d, [60, 3, 0, 10, 7])
         _check_groups(groups, queries, 0.2)
+    assert max(walks) > 1
 
 
 def test_neighbour_labels_come_in_pairs():
@@ -260,7 +281,10 @@ def _strips(pts, top_label, r):
 @pytest.fixture(params=[_accel._BLOCK, 5], ids=["block", "block5"])
 def block(request, monkeypatch):
     monkeypatch.setattr(_accel, "_BLOCK", request.param)
-    return request.param
+    walks = _chunk_walks(monkeypatch)
+    yield request.param
+    if request.param == 5:
+        assert max(walks) > 1, "no exact test ran in more than one chunk"
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -104,19 +104,21 @@ def test_variance_terms_nonnegative(rng):
     assert res.value >= 0.0
 
 
-@pytest.mark.parametrize("make, dim", [
-    (lambda: make_constant(1.5, 3), 1),
-    (lambda: make_geometric_indicator(0.2), 1),
-    (lambda: make_geometric_indicator(0.2), 2),  # fallback marginals
+@pytest.mark.parametrize("make, box", [
+    (lambda: make_constant(1.5, 3), UNIT),
+    (lambda: make_geometric_indicator(0.2), UNIT),
+    # 2r above the short side: fallback marginals
+    (lambda: make_geometric_indicator(0.2), [(0.0, 1.0), (0.0, 0.3)]),
 ], ids=["constant_k3", "indicator_1d", "indicator_2d"])
-def test_variance_matches_integral_at_t(monkeypatch, make, dim):
+def test_variance_matches_integral_at_t(monkeypatch, make, box):
     # unit-scale integrals rescaled by t^p equal the two-factor integrals
     # against mu_t on the same draws
-    spec = IntensitySpec([(0.0, 1.0)] * dim, t=30.0)
+    spec = IntensitySpec(box, t=30.0)
     monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
     kernel = make()
-    if dim == 2:
-        assert chaos_kernel_values(kernel, spec, 1, np.full((1, 1, 2), 0.5))[1][0] > 0.0
+    if spec.dim == 2:
+        probe = np.array([[[0.5, 0.15]]])
+        assert chaos_kernel_values(kernel, spec, 1, probe)[1][0] > 0.0
     got = variance_from_kernels(kernel, spec, mc_samples=2000, rng=np.random.default_rng(4))
     want = oracles.variance_at_t(make(), spec, 2000, np.random.default_rng(4))
     assert got.value == pytest.approx(want[0], rel=1e-12)
@@ -234,11 +236,12 @@ def test_variance_evaluates_an_exact_factor_once(monkeypatch):
 
 
 def test_variance_fallback_factors_stay_independent(monkeypatch):
-    # in 2-D f_1 comes from the seeded fallback: its two factors draw from
-    # their own seeds and differ, while f_2 = f is evaluated once
+    # on a 2-D box with 2r above one side f_1 comes from the seeded
+    # fallback: its two factors draw from their own seeds and differ, while
+    # f_2 = f is evaluated once
     calls = _kernel_value_calls(monkeypatch)
     monkeypatch.setattr(kernels, "_FALLBACK", MarginalIntegration(samples=300))
-    spec = IntensitySpec([(0.0, 1.0)] * 2, t=30.0)
+    spec = IntensitySpec([(0.0, 1.0), (0.0, 0.3)], t=30.0)
     variance_from_kernels(make_geometric_indicator(0.2), spec, mc_samples=500,
                           rng=np.random.default_rng(4))
     assert [c[:2] for c in calls] == [(1, 500), (1, 500), (2, 500)]

@@ -227,12 +227,21 @@ def test_bound_2d_certificate(capsys, extra):
 
 # (value, stderr) of var_f, m[0][1], m[1][1], r[0][1] and t1 at seed 1, at full
 # precision: they pin the fallback's draws, from seed _FALLBACK.seed + 7919 s
-# on stream s.  No draw reaches R_12's class at these settings: it reads 0
+# on stream s.  The 2-D box is narrower than 2r, so the first marginal takes
+# the fallback; on the unit square ("2d_closed_form") it is the disc area in
+# the box and no fallback draw is made.  No draw reaches R_12's class in the
+# unit square or cube at these settings: it reads 0
 _FALLBACK_STREAM_PINS = {
-    "2d": (("--r", "0.05", "--dim", "2", "--t", "100", "--mc-samples", "500",
-            "--reps", "200", "--z-samples", "8"),
-           [(353.46826, 69.17685249870219), (20589.424, 19244.391528702796),
-            (800.0, 356.33403976576744), (0.0, 0.0), (0.45345046483098655, 0.025479286493777894)]),
+    "2d": (("--r", "0.05", "--dim", "2", "--box", "0,1;0,0.08", "--t", "100",
+            "--mc-samples", "500", "--reps", "200", "--z-samples", "8"),
+           [(17.928873338880003, 1.3279455306047758), (92.66471927808001, 15.549048952630919),
+            (461.8240000000001, 83.49587746145387), (5.722047774720001, 2.9063657480541925),
+            (0.643553400321226, 0.04428749927569891)]),
+    "2d_closed_form": (("--r", "0.05", "--dim", "2", "--t", "100", "--mc-samples", "500",
+                        "--reps", "200", "--z-samples", "8"),
+                       [(353.16128086436674, 69.16701327838396),
+                        (20907.2488764113, 19567.787656764092), (800.0, 356.33403976576744),
+                        (0.0, 0.0), (0.4522346694825192, 0.025399488244207624)]),
     "3d": (("--r", "0.2", "--dim", "3", "--t", "20", "--mc-samples", "300",
             "--reps", "50", "--z-samples", "4"),
            [(48.87408533333333, 7.916426065465389), (82.10165333333333, 24.995850450163818),
@@ -243,9 +252,9 @@ _FALLBACK_STREAM_PINS = {
 
 @pytest.mark.parametrize("case", list(_FALLBACK_STREAM_PINS))
 def test_fallback_streams_are_pinned_bit_for_bit(capsys, case):
-    # Var F, M_12 and T1 read the Monte Carlo first marginal: factor a of a
-    # class integral on fallback stream a + 1, the -D_z L^{-1} F term on
-    # stream 0; a drift of either moves these bits
+    # Var F, M_12 and T1 read the first marginal: in the fallback, factor a
+    # of a class integral on stream a + 1 and the -D_z L^{-1} F term on
+    # stream 0; a drift of either, or of the closed form, moves these bits
     flags, want = _FALLBACK_STREAM_PINS[case]
     code, out, err = _run(capsys, "bound", "--kernel", "geometric_indicator", *flags,
                           "--rij", "--stein-terms", "--seed", "1")
@@ -596,12 +605,13 @@ def test_traced_bound_prints_the_untraced_bytes(tmp_path, argv, span, calls):
 
 def test_traced_2d_ustat_counts_the_fallback_draws(tmp_path):
     # the tracer reads mc.samples from the keyword of kernels._marginal_mc
-    # to count its evaluations; on a 2-D box EF and the first marginal take
-    # the fallback, so every call adds a multiple of its draws
+    # to count its evaluations; on a 2-D box narrower than 2r the first
+    # marginal takes the fallback, so every call adds a multiple of its draws
     from pustat.kernels import _FALLBACK
 
     argv = ["ustat", "--kernel", "geometric_indicator", "--r", "0.05", "--dim", "2",
-            "--t", "50", "--reps", "20", "--mc-samples", "500", "--seed", "1"]
+            "--box", "0,1;0,0.08", "--t", "50", "--reps", "20", "--mc-samples", "500",
+            "--seed", "1"]
     evals = _traced_spans(tmp_path, argv)["kernels.marginal_mc"]["evals"]
     assert evals > 0 and evals % _FALLBACK.samples == 0
 

@@ -168,16 +168,86 @@ def test_geometric_full_integral_2d_matches_mc_fallback(monkeypatch):
 
 
 def test_geometric_2d_analytic_cases_are_narrow():
-    # only the full integral, only r <= both sides
+    # the full integral needs r <= both sides, the first marginal 2r <= both
+    # sides and its probes in the closed box; no analytic case in 3-D
     k = make_geometric_indicator(0.6)
     x0 = np.empty((1, 0, 2))
     with pytest.raises(MarginalUnavailable):
         k.marginal_fn(IntensitySpec([(0.0, 2.0), (0.0, 0.5)], t=2.0), x0, 0)
-    unit2 = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0)
+    narrow = IntensitySpec([(0.0, 1.0), (0.0, 0.3)], t=2.0)
     with pytest.raises(MarginalUnavailable):
-        make_geometric_indicator(0.1).marginal_fn(unit2, np.full((1, 1, 2), 0.5), 1)
+        make_geometric_indicator(0.2).marginal_fn(narrow, np.full((1, 1, 2), 0.15), 1)
+    unit2 = IntensitySpec([(0.0, 1.0), (0.0, 1.0)], t=2.0)
+    outside = np.array([[[0.5, 0.5]], [[0.5, np.nextafter(1.0, 2.0)]]])
+    with pytest.raises(MarginalUnavailable):
+        make_geometric_indicator(0.1).marginal_fn(unit2, outside, 1)
     with pytest.raises(MarginalUnavailable):
         make_geometric_indicator(0.1).marginal_fn(IntensitySpec([(0.0, 1.0)] * 3), np.empty((1, 0, 3)), 0)
+
+
+def test_geometric_2d_first_marginal_matches_mc_fallback():
+    # the disc area in the box against 2,000,000 shared fallback draws: the
+    # interior, each edge, a corner, a probe exactly r from an edge and one
+    # near a corner; then r at half the short side, where the centre line
+    # lies exactly r from both long edges
+    for box, r, probes in (
+        ([(0.0, 1.0), (0.0, 1.0)], 0.05,
+         [[0.5, 0.5], [0.0, 0.4], [1.0, 0.6], [0.3, 0.0], [0.7, 1.0], [1.0, 0.0],
+          [0.05, 0.5], [0.02, 0.03]]),
+        ([(0.0, 2.0), (0.0, 0.5)], 0.25, [[1.0, 0.25], [0.1, 0.25], [2.0, 0.5], [0.3, 0.1]]),
+    ):
+        spec = IntensitySpec(box, t=3.0)
+        k = make_geometric_indicator(r)
+        x = np.array(probes)[:, None, :]
+        vals, ses = k.marginal_with_stderr(spec, x, 1)
+        assert not ses.any()
+        est, se = kernels._marginal_mc(k, spec, x, 1, mc=MarginalIntegration(samples=2_000_000))
+        assert np.all(np.abs(est - vals) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("box, r", [
+    ([(0.0, 1.0), (0.0, 1.0)], 0.05),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.5),
+    ([(-0.3, 0.4), (2.0, 2.13)], 0.05),
+    ([(-0.3, 0.4), (2.0, 2.13)], (2.13 - 2.0) / 2.0),
+])
+def test_geometric_2d_first_marginal_integrates_to_the_full_integral(box, r):
+    # tensor Gauss-Legendre, each side split where the disc leaves its edges
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    axes = []
+    for lo, hi in box:
+        cuts = [lo, lo + r, hi - r, hi]
+        axes.append((
+            np.concatenate([a + 0.5 * (b - a) * (nodes + 1.0) for a, b in zip(cuts, cuts[1:])]),
+            np.concatenate([0.5 * (b - a) * weights for a, b in zip(cuts, cuts[1:])]),
+        ))
+    (xa, wa), (xb, wb) = axes
+    grid = np.stack(np.meshgrid(xa, xb, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    spec = IntensitySpec(box, t=3.0)
+    k = make_geometric_indicator(r)
+    vals = k.marginal(spec, grid, 1).reshape(len(xa), len(xb))
+    # the marginal is t |B(x, r) & box|; the full integral t^2 times its integral
+    assert wa @ vals @ wb == pytest.approx(k.full_integral(spec) / spec.t, rel=1e-10)
+
+
+@pytest.mark.parametrize("box, r", [
+    ([(0.0, 1.0), (0.0, 1.0)], 5e-324),
+    ([(0.0, 1.0), (0.0, 1.0)], 1e-200),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.5),
+    ([(-1e150, 1e150), (0.0, 1e150)], 5e149),
+])
+def test_geometric_2d_first_marginal_raises_no_warning(box, r):
+    # subnormal and huge radii, probes on the edges, at the corners, exactly
+    # r and an ulp from an edge: numpy's errors raise, and a RuntimeWarning
+    # is an error under pytest
+    (lo_a, hi_a), (lo_b, hi_b) = box
+    xs = [lo_a, np.nextafter(lo_a, hi_a), lo_a + r, 0.5 * (lo_a + hi_a), hi_a - r, hi_a]
+    ys = [lo_b, np.nextafter(lo_b, hi_b), lo_b + r, 0.5 * (lo_b + hi_b), hi_b - r, hi_b]
+    x = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    spec = IntensitySpec(box, t=2.0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        vals = make_geometric_indicator(r).marginal(spec, x, 1)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
 
 def test_abs_values_match_abs_of_eval(rng):
