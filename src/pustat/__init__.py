@@ -40,6 +40,6 @@ from .measure import (
 )
 from .partitions import count_partitions, enumerate_partitions
 from .stein import check_stein_properties, g, g_prime, normal_cdf
-from .ustat import UStatValue, add_one_cost, evaluate
+from .ustat import add_one_costs, evaluate
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "estimate_Rij",
     "estimate_stein_terms",
     "SteinTerms",
-    "BoundValue",
     "BoundReport",
     "bound_report",
     "UNRELIABLE_RATIO",
@@ -156,15 +155,6 @@ def estimate_Rij(
                            name=f"R_{i}{j}", weights=_R_WEIGHTS[i, j], exact=True)
 
 
-class BoundValue(NamedTuple):
-    """A bound with propagated stderr; effective clips at 1 (a distance
-    between laws never exceeds one)."""
-
-    value: float
-    stderr: float
-    effective: float
-
-
 def _upper_triangle(m_matrix: List[List[MCValue]], k: int, off_diagonal: float):
     """(weight, M_ij) for i <= j, with ``off_diagonal`` as the weight of i < j.
 
@@ -189,26 +179,29 @@ def _root_sum(entries: List[Tuple[float, MCValue]]) -> Tuple[float, float]:
     return total, var_acc
 
 
-def _scaled_bound(
-    const: float, entries: List[Tuple[float, MCValue]], var_f: MCValue
-) -> BoundValue:
+def _check_var_f(var_f: MCValue):
+    """Refuse a Var F that cannot scale a bound."""
     if var_f.value <= 0.0:
         raise ValueError("Var F must be positive")
+
+
+def _scaled_bound(const: float, entries: List[Tuple[float, MCValue]], var_f: MCValue) -> MCValue:
+    _check_var_f(var_f)
     root_total, root_var = _root_sum(entries)
     value = const * root_total / var_f.value
     se = math.sqrt(
         (const / var_f.value) ** 2 * root_var + (value * var_f.stderr / var_f.value) ** 2
     )
-    return BoundValue(value, se, min(value, 1.0))
+    return MCValue(value, se)
 
 
-def dk_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> BoundValue:
+def dk_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> MCValue:
     """Kolmogorov bound 19 k^5 sum_{i,j} sqrt(M_ij) / Var F (full double sum,
     read from the upper triangle)."""
     return _scaled_bound(19.0 * k**5, _upper_triangle(m_matrix, k, 2.0), var_f)
 
 
-def dw_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> BoundValue:
+def dw_bound(m_matrix: List[List[MCValue]], var_f: MCValue, k: int) -> MCValue:
     """Wasserstein bound 2 k^{7/2} sum_{i<=j} sqrt(M_ij) / Var F (triangular sum)."""
     return _scaled_bound(2.0 * k**3.5, _upper_triangle(m_matrix, k, 1.0), var_f)
 
@@ -389,8 +382,8 @@ class BoundReport:
     seed: Optional[int]
     var_f: MCValue
     m: List[List[MCValue]]
-    dk: BoundValue
-    dw: BoundValue
+    dk: MCValue
+    dw: MCValue
     fourth_moment: MCValue
     r: Optional[List[List[MCValue]]] = None
     stein_terms: Optional[SteinTerms] = None
@@ -412,7 +405,8 @@ class BoundReport:
             "r": None if self.r is None else [[_mcv(v) for v in row] for row in self.r],
             "dk_bound": self.dk.value,
             "dk_bound_stderr": self.dk.stderr,
-            "dk_bound_effective": self.dk.effective,
+            # a distance between laws never exceeds one
+            "dk_bound_effective": min(self.dk.value, 1.0),
             "dw_bound": self.dw.value,
             "dw_bound_stderr": self.dw.stderr,
             "fourth_moment_bound": self.fourth_moment.value,
@@ -455,7 +449,8 @@ def bound_report(
     whose stderr exceeds ``UNRELIABLE_RATIO`` times the estimate or one of
     whose class integrals (R_ij's among them) had fewer than ``MIN_HITS``
     nonzero draws; ``var_f_unreliable`` applies the same test to Var F.
-    The stage settings are checked before the first integral.
+    The stage settings are checked before the first integral, and a Var F
+    that is not positive is refused before any M_ij.
     """
     k = kernel.order
     check_order(k)
@@ -468,6 +463,7 @@ def bound_report(
         return np.random.SeedSequence(int(seed), spawn_key=key)
 
     var_f = variance_from_kernels(kernel, intensity, mc_samples=mc_samples, rng=_seq(0))
+    _check_var_f(var_f)
 
     # M_ji = M_ij and R_ji = R_ij: integrate i <= j and mirror
     m: List[List[MCValue]] = [[None] * k for _ in range(k)]

@@ -427,9 +427,9 @@ def _sweep_row(kernel, cfg: dict, t: float) -> str:
     stats = {
         "var_f": report.var_f,
         "dk_emp": (dk_emp, dk_se),
-        "dk_bound": report.dk[:2],
+        "dk_bound": report.dk,
         "dw_emp": (dw_emp, dw_se),
-        "dw_bound": report.dw[:2],
+        "dw_bound": report.dw,
         **({"t1": th.t1, "t2": th.t2, "sup_term": th.sup_term} if th else {}),
     }
     cells = [_fmt(t)]

@@ -26,7 +26,6 @@ one call of the grouped counter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Tuple
 
@@ -37,10 +36,8 @@ from .kernels import _EVAL_CHUNK, SymmetricKernel, _cross_values
 from .measure import IntensitySpec, PointConfiguration, sample_points
 
 __all__ = [
-    "UStatValue",
     "evaluate",
     "evaluate_many",
-    "add_one_cost",
     "add_one_costs",
     "add_one_costs_many",
     "replication_blocks",
@@ -49,14 +46,6 @@ __all__ = [
 ]
 
 _BLOCK_POINTS = 1 << 14  # points (and queries) per block of replications
-
-
-@dataclass(frozen=True)
-class UStatValue:
-    """Value of a U-statistic plus the number of ordered tuples visited."""
-
-    value: float
-    tuple_count: int
 
 
 def _combo_chunks(n: int, k: int, chunk: int = _EVAL_CHUNK) -> Iterator[np.ndarray]:
@@ -98,12 +87,10 @@ def _counted(kernel: SymmetricKernel) -> bool:
     return kernel.pair_radius is not None and kernel.order == 2
 
 
-def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> UStatValue:
+def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> float:
     """Sum of f over all ordered k-tuples of distinct configuration points:
     the block of one configuration (see evaluate_many)."""
-    n = len(config)
-    value = evaluate_many(kernel, config.points, np.array([n]))[0]
-    return UStatValue(float(value), math.perm(n, kernel.order))
+    return float(evaluate_many(kernel, config.points, np.array([len(config)]))[0])
 
 
 def replication_blocks(
@@ -176,11 +163,6 @@ def add_one_costs_many(
         return 2.0 * counts.astype(float).reshape(b, q)
     k = kernel.order
     return math.factorial(k) * _subset_sums(kernel, zs[:, :, None], points, sizes, k - 1)
-
-
-def add_one_cost(kernel: SymmetricKernel, config: PointConfiguration, z) -> float:
-    """D_z F at a single point z."""
-    return float(add_one_costs(kernel, config, np.atleast_2d(z))[0])
 
 
 def inverse_ou_add_one_costs(

@@ -429,7 +429,8 @@ def test_dk_bound_count_closed_form():
         out = dk_bound(m, _mc(t), 1)
         assert abs(out.value - 19.0 / math.sqrt(t)) <= 1e-12 * out.value
     assert dk_bound([[_mc(400.0)]], _mc(400.0), 1).value == pytest.approx(0.95, abs=1e-15)
-    assert dk_bound([[_mc(1.0)]], _mc(1.0), 1).effective == 1.0  # raw 19 clips at 1
+    rep = bound_report(make_count(), IntensitySpec(UNIT, t=1.0), seed=1, mc_samples=500)
+    assert rep.to_dict()["dk_bound_effective"] == 1.0  # raw 19 clips at 1
 
 
 def test_dw_bound_count_closed_form():
@@ -539,7 +540,7 @@ def test_fourth_moment_bounds_empirical_moment(rng):
     reps = 10_000
     vals = np.empty(reps)
     for rep in range(reps):
-        vals[rep] = evaluate(k, sample_point_process(spec, rng)).value
+        vals[rep] = evaluate(k, sample_point_process(spec, rng))
     centred = vals - vals.mean()
     m4 = float(np.mean(centred**4))
     se_m4 = float(np.std(centred**4, ddof=1)) / math.sqrt(reps)
@@ -681,6 +682,27 @@ def test_bound_report_checks_replication_args_first(monkeypatch):
         bound_report(k, spec, seed=1, with_stein_terms=True, reps=1)
     with pytest.raises(ValueError, match="order <= 2"):
         bound_report(make_constant(1.0, 3), spec, seed=1, with_rij=True)
+
+
+def test_bound_report_refuses_var_f_before_any_mij(monkeypatch, capsys):
+    # Var F <= 0 (f = 0, or no points at t = 0) is refused before the M_ij
+    # and the Stein terms, with dk_bound's message; the CLI exits 2
+    def _no_integrals(*args, **kwargs):
+        raise AssertionError("a bound integral ran after Var F <= 0")
+
+    monkeypatch.setattr(bounds, "compute_Mij", _no_integrals)
+    monkeypatch.setattr(bounds, "estimate_stein_terms", _no_integrals)
+    zero = make_constant(0.0, 4)
+    for with_stein_terms in (False, True):
+        with pytest.raises(ValueError, match="^Var F must be positive$"):
+            bound_report(zero, IntensitySpec(UNIT, t=5.0), seed=1,
+                         with_stein_terms=with_stein_terms)
+    with pytest.raises(ValueError, match="^Var F must be positive$"):
+        bound_report(make_geometric_indicator(0.05), IntensitySpec(UNIT * 2, t=0.0), seed=1)
+    argv = ["bound", "--kernel", "constant", "--c", "0", "--k", "4", "--t", "5", "--seed", "1"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: Var F must be positive\n"
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +871,7 @@ def test_mean_matches_full_integral(rng):
     reps = 10_000
     vals = np.empty(reps)
     for rep in range(reps):
-        vals[rep] = evaluate(k, sample_point_process(spec, rng)).value
+        vals[rep] = evaluate(k, sample_point_process(spec, rng))
     se = float(vals.std(ddof=1)) / math.sqrt(reps)
     assert abs(vals.mean() - target) <= 4.0 * se
 
@@ -893,7 +915,7 @@ def test_two_dimensional_mc_fallback(monkeypatch, rng):
     reps = 3000
     vals = np.empty(reps)
     for rep in range(reps):
-        vals[rep] = evaluate(k, sample_point_process(spec, rng)).value
+        vals[rep] = evaluate(k, sample_point_process(spec, rng))
     s2 = float(vals.var(ddof=1))
     centred = vals - vals.mean()
     m4 = float(np.mean(centred**4))
@@ -962,7 +984,7 @@ def test_certification_smoke(rng):
     sigma = math.sqrt(rep.var_f.value)
     vals = np.empty(2000)
     for i in range(2000):
-        vals[i] = (evaluate(k, sample_point_process(spec, rng)).value - ef) / sigma
+        vals[i] = (evaluate(k, sample_point_process(spec, rng)) - ef) / sigma
     dk_emp = empirical_dK(vals)
     dw_emp = empirical_dW(vals)
     assert dk_emp <= rep.dk.value

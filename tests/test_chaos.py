@@ -254,7 +254,7 @@ def test_variance_matches_sample_variance(rng):
         spec = IntensitySpec(UNIT, t=t)
         res = variance_from_kernels(kernel, spec, mc_samples=200_000, rng=rng)
         reps = 10_000
-        vals = np.array([evaluate(kernel, sample_point_process(spec, rng)).value for _ in range(reps)])
+        vals = np.array([evaluate(kernel, sample_point_process(spec, rng)) for _ in range(reps)])
         s2 = vals.var(ddof=1)
         m4 = np.mean((vals - vals.mean()) ** 4)
         se_s2 = math.sqrt(max(m4 - s2 * s2 * (reps - 3) / (reps - 1), 0.0) / reps)

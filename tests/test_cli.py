@@ -467,13 +467,15 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"t_values": [10, 1e15]}, "t_values"),
     ({"box": [[0, 1e15]]}, "t_values"),
     ({"stien_terms": False}, "stien_terms"),
+    ({"t_values": []}, "t_values"),
 ], ids=["missing_t_values", "unknown_kernel", "bool_reps", "bool_seed", "negative_reps",
         "zero_reps", "one_rep", "one_term_rep", "one_mc_sample", "zero_z_samples",
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
         "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
         "huge_int_c", "infinite_c", "huge_reps", "huge_term_reps", "huge_mc_samples",
-        "huge_z_samples", "too_many_points_t", "too_many_points_box", "unknown_field"])
+        "huge_z_samples", "too_many_points_t", "too_many_points_box", "unknown_field",
+        "empty_t_values"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}
@@ -484,6 +486,28 @@ def test_experiment_config_errors(tmp_path, capsys, change, field):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                         ids=["missing_file", "invalid_json", "json_list"])
+def test_experiment_unreadable_config_exits_2(tmp_path, capsys, text):
+    # a config that is not there, not JSON or not an object: one line naming it
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run(capsys, "experiment", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_ustat_refuses_a_var_f_that_is_not_positive(capsys):
+    # c = 0 makes F = 0: nothing to standardize by
+    code, out, err = _run(capsys, "ustat", "--kernel", "constant", "--c", "0", "--k", "2",
+                          "--t", "10", "--reps", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: variance: estimated Var F is not positive\n"
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -557,7 +581,7 @@ def test_experiment_standardizes_by_printed_var_f(tmp_path, capsys):
     sizes = rng.poisson(t, reps)
     points = rng.random((int(sizes.sum()), 1))
     configs = np.split(points, np.cumsum(sizes)[:-1])
-    vals = np.array([evaluate(kernel, PointConfiguration(p)).value for p in configs])
+    vals = np.array([evaluate(kernel, PointConfiguration(p)) for p in configs])
     vals = (vals - ef) / sigma
     assert empirical_dK(vals) == float(row["dk_emp"])
 

@@ -57,5 +57,5 @@ def test_readme_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     out = capsys.readouterr().out.splitlines()
-    assert "UStatValue(value=924.0, tuple_count=9900)" in out
+    assert "924.0" in out
     assert "18365184" in out

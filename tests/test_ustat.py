@@ -8,7 +8,6 @@ from pustat.kernels import make_constant, make_count, make_geometric_indicator, 
 from pustat.measure import IntensitySpec, PointConfiguration, sample_point_process, sample_points
 from pustat import kernels, ustat
 from pustat.ustat import (
-    add_one_cost,
     add_one_costs,
     add_one_costs_many,
     evaluate,
@@ -29,33 +28,28 @@ def _config(*pts):
 
 def test_pairs_of_three_points():
     cfg = _config([0.1], [0.5], [0.9])
-    out = evaluate(make_constant(1.0, 2), cfg)
-    assert out.value == 6.0  # 3 * 2 ordered pairs
-    assert out.tuple_count == 6
+    assert evaluate(make_constant(1.0, 2), cfg) == 6.0  # 3 * 2 ordered pairs
 
 
 def test_empty_configuration():
     cfg = PointConfiguration(np.empty((0, 1)))
     for k in (make_count(), make_geometric_indicator(0.2), make_constant(2.0, 3)):
-        out = evaluate(k, cfg)
-        assert out.value == 0.0 and out.tuple_count == 0
+        assert evaluate(k, cfg) == 0.0
 
 
 def test_count_kernel_counts(rng):
     spec = IntensitySpec(UNIT, t=6.0)
     cfg = sample_point_process(spec, rng)
-    out = evaluate(make_count(), cfg)
-    assert out.value == float(len(cfg))
-    assert out.tuple_count == len(cfg)
+    assert evaluate(make_count(), cfg) == float(len(cfg))
 
 
 def test_permutation_invariance(rng):
     k = make_geometric_indicator(0.2)
     pts = rng.random((40, 1))
-    base = evaluate(k, PointConfiguration(pts)).value
+    base = evaluate(k, PointConfiguration(pts))
     for _ in range(5):
         shuffled = PointConfiguration(pts[rng.permutation(len(pts))])
-        assert evaluate(k, shuffled).value == base
+        assert evaluate(k, shuffled) == base
 
 
 def test_geometric_fast_path_matches_generic(rng):
@@ -66,7 +60,7 @@ def test_geometric_fast_path_matches_generic(rng):
     generic = replace(k, pair_radius=None)
     for n in (0, 1, 2, 17, 60):
         cfg = PointConfiguration(rng.random((n, 1)))
-        assert evaluate(k, cfg).value == evaluate(generic, cfg).value
+        assert evaluate(k, cfg) == evaluate(generic, cfg)
         zs = rng.random((7, 1))
         assert np.array_equal(add_one_costs(k, cfg, zs), add_one_costs(generic, cfg, zs))
 
@@ -74,7 +68,7 @@ def test_geometric_fast_path_matches_generic(rng):
 def test_add_one_cost_count_kernel(rng):
     spec = IntensitySpec(UNIT, t=4.0)
     cfg = sample_point_process(spec, rng)
-    assert add_one_cost(make_count(), cfg, [0.5]) == 1.0
+    assert add_one_costs(make_count(), cfg, [[0.5]])[0] == 1.0
 
 
 def test_add_one_cost_pairs():
@@ -82,7 +76,7 @@ def test_add_one_cost_pairs():
     k = make_constant(1.0, 2)
     for n in (0, 1, 5, 11):
         cfg = PointConfiguration(np.linspace(0.0, 1.0, n).reshape(n, 1))
-        assert add_one_cost(k, cfg, [0.5]) == 2.0 * n
+        assert add_one_costs(k, cfg, [[0.5]])[0] == 2.0 * n
 
 
 def test_add_one_cost_consistency(rng):
@@ -91,8 +85,8 @@ def test_add_one_cost_consistency(rng):
     for _ in range(20):
         cfg = PointConfiguration(rng.random((rng.integers(0, 30), 1)))
         z = rng.random(1)
-        direct = evaluate(k, with_points(cfg, z)).value - evaluate(k, cfg).value
-        inc = add_one_cost(k, cfg, z)
+        direct = evaluate(k, with_points(cfg, z)) - evaluate(k, cfg)
+        inc = add_one_costs(k, cfg, [z])[0]
         assert abs(inc - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -107,7 +101,7 @@ def test_iterated_difference_first_order(rng):
     k = make_geometric_indicator(0.2)
     cfg = PointConfiguration(rng.random((10, 1)))
     z = rng.random((1, 1))
-    assert iterated_difference(k, cfg, z) == pytest.approx(add_one_cost(k, cfg, z[0]), rel=1e-12)
+    assert iterated_difference(k, cfg, z) == pytest.approx(add_one_costs(k, cfg, z)[0], rel=1e-12)
 
 
 def test_iterated_difference_second_order():
@@ -142,7 +136,7 @@ def test_inverse_ou_order_one_is_centred_statistic(rng):
     k = make_count()
     for _ in range(10):
         cfg = sample_point_process(spec, rng)
-        expected = evaluate(k, cfg).value - spec.total_mass
+        expected = evaluate(k, cfg) - spec.total_mass
         assert inverse_ou_pathwise(k, cfg, spec) == pytest.approx(expected, abs=1e-12)
 
 
@@ -200,7 +194,7 @@ def test_ties_at_r_1d():
     spec = IntensitySpec(UNIT, t=10.0)
     k = make_geometric_indicator(0.25)
     cfg = _config([0.0], [0.25], [0.5], [0.75], [1.0])
-    assert evaluate(k, cfg).value == 8.0  # 4 neighbouring pairs, each at 0.25
+    assert evaluate(k, cfg) == 8.0  # 4 neighbouring pairs, each at 0.25
     zs = np.array([[0.5], [0.125], [1.25], [1.5]])
     assert add_one_costs(k, cfg, zs).tolist() == [6.0, 4.0, 2.0, 0.0]
     # marginal_1(z) = t * |[z - r, z + r] ∩ [0, 1]| plus the neighbour count
@@ -211,7 +205,7 @@ def test_ties_at_r_2d():
     spec = IntensitySpec(UNIT * 2, t=10.0)
     k = make_geometric_indicator(0.5)
     cfg = _config([0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5])
-    assert evaluate(k, cfg).value == 8.0  # the 4 sides; the diagonals are longer
+    assert evaluate(k, cfg) == 8.0  # the 4 sides; the diagonals are longer
     zs = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.0], [1.0, 1.0]])
     counts = [3.0, 1.0, 2.0, 0.0]
     assert add_one_costs(k, cfg, zs).tolist() == [2.0 * c for c in counts]
@@ -255,7 +249,7 @@ def test_many_configurations_match_one_at_a_time(rng, dim):
     zs = rng.random((len(configs), 9, dim))
     product = make_product(lambda p: 2.0 * p[:, 0], 3, base_integral=1.0)
     for kernel in (make_geometric_indicator(0.2), make_constant(2.0, 2), make_count(), product):
-        expected = [evaluate(kernel, c).value for c in configs]
+        expected = [evaluate(kernel, c) for c in configs]
         assert evaluate_many(kernel, points, sizes).tolist() == expected
         costs = add_one_costs_many(kernel, points, sizes, zs)
         assert np.array_equal(costs, np.stack([add_one_costs(kernel, c, z) for c, z in zip(configs, zs)]))
@@ -316,7 +310,7 @@ def _direct_iterated_difference(kernel, cfg, zs):
     for mask in range(1 << len(zs)):
         chosen = [i for i in range(len(zs)) if (mask >> i) & 1]
         sign = -1.0 if (len(zs) - len(chosen)) % 2 else 1.0
-        total += sign * evaluate(kernel, with_points(cfg, zs[chosen])).value
+        total += sign * evaluate(kernel, with_points(cfg, zs[chosen]))
     return total
 
 
