@@ -85,13 +85,13 @@ _STRIP_MARGIN = 1e-6
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _layout(cols, qs, top_label, r, candidates):
+def _layout(cols, qs, top_label, r):
     """(cells per label, strip origin, strip width, cell span, outer
     half-width, inner half-width, r*r) for the keys of points and queries
     with coordinate columns ``cols`` and ``qs`` (None when the points are
-    the queries) and labels up to ``top_label``, where ``candidates`` is the
-    number of query-point pairs before any band.  One cell per label means
-    one strip; an inner half-width <= 0 means no sure-inside band."""
+    the queries, a pair count) and labels up to ``top_label``.  One cell
+    per label means one strip; an inner half-width <= 0 means no
+    sure-inside band."""
 
     def joined(axis):
         return cols[axis] if qs is None else np.concatenate([cols[axis], qs[axis]])
@@ -108,6 +108,8 @@ def _layout(cols, qs, top_label, r, candidates):
     half = min(band, hi - lo + slack)
     stride, origin, width = 1, 0.0, math.inf
     # the extra windows pay only once one band gives a block of candidates
+    n = len(cols[0])
+    candidates = n * (n - 1) // 2 if qs is None else n * len(qs[0])
     many = candidates / (top_label + 1) * min(1.0, 2.0 * half / (hi - lo + slack)) >= _BLOCK
     if many and len(cols) > 1:
         first = joined(0)
@@ -214,12 +216,11 @@ def _later_neighbours(pts, labels, r):
     group's points within distance r that come later in its own cell or lie
     in the next cell."""
     cols = _columns(pts)
-    n = len(pts)
-    layout = _layout(cols, None, int(labels.max()), r, n * (n - 1) // 2)
+    layout = _layout(cols, None, int(labels.max()), r)
     span, half, inner, r2 = layout[3:]
     cell = _cells(cols[0], labels, layout)
     key = cols[-1] + cell * span
-    after = np.arange(1, n + 1)
+    after = np.arange(1, len(pts) + 1)
     if inner > 0.0:
         ranked = np.sort(key)
         sure = np.searchsorted(ranked, ranked + inner, side="right")
@@ -275,9 +276,8 @@ def count_neighbors(points, queries, r, point_labels=None, query_labels=None):
     point_labels = np.asarray(point_labels, dtype=np.int64)
     query_labels = np.asarray(query_labels, dtype=np.int64)
     top = int(max(point_labels.max(), query_labels.max()))
-    candidates = len(pts) * len(qs)
     cols, qs = _columns(pts), _columns(qs)
-    layout = _layout(cols, qs, top, r, candidates)
+    layout = _layout(cols, qs, top, r)
     span, half, inner, r2 = layout[3:]
     key = cols[-1] + _cells(cols[0], point_labels, layout) * span
     qcell = _cells(qs[0], query_labels, layout)

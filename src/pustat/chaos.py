@@ -218,15 +218,15 @@ def _exact_unit_integral(kernel, intensity, sizes, masks):
     """The integral against mu_1 of one class where it is known exactly,
     correctly rounded; None where it is not.
 
-    That is the distance indicator (a kernel with ``pair_radius``, order
-    2) on a 1-D box of length L >= (B + 1) r, B the class's block count:
-    there the integral is r^{B+s1} (alpha L / r + beta), s1 the number of
+    That is the distance indicator (a kernel with ``pair_radius``) on a
+    1-D box of length L >= (B + 1) r, B the class's block count: there
+    the integral is r^{B+s1} (alpha L / r + beta), s1 the number of
     size-1 factors, with the rationals of ``_distance_affine``.  L, r and
     the test are taken in exact rationals of the floats, so the one
     rounding is the last.  ``fractions`` is imported here, at the first
     class that may take the route, not with the package.
     """
-    if kernel.pair_radius is None or kernel.order != 2 or intensity.dim != 1:
+    if kernel.pair_radius is None or intensity.dim != 1:
         return None
     from fractions import Fraction
 

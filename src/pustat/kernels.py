@@ -79,11 +79,13 @@ _FALLBACK = MarginalIntegration()  # the draws of every fallback marginal
 class SymmetricKernel:
     """Order-k symmetric kernel with batched evaluation.
 
-    ``pair_radius`` is set for the distance indicator and routes the order-2
-    hot paths, and its Monte Carlo first marginal, through the neighbour
-    counter in ``pustat._accel``.  That fallback serves boxes of three or
-    more dimensions and 2-D boxes with a side under 2r; other 2-D boxes
-    take the closed-form disc area.
+    ``pair_radius`` r promises f(x, y) = 1(|x - y| <= r): order 2 and its
+    own |f| (``nonnegative=True``), or the kernel is refused.  Every other
+    kernel, a scaled indicator too, leaves it unset.  It routes F, D_z F,
+    the exact 1-D class integrals and the Monte Carlo first marginal
+    through the neighbour counter in ``pustat._accel``.  That fallback
+    serves boxes of three or more dimensions and 2-D boxes with a side
+    under 2r; other 2-D boxes take the closed-form disc area.
 
     The ``M_ij`` integrals need |f|, so a kernel declares exactly one of
     ``nonnegative=True`` (it is its own |f|) and ``abs_kernel``, a
@@ -109,6 +111,8 @@ class SymmetricKernel:
         absk = self.abs_kernel
         if absk is not None and not (absk.nonnegative and absk.order == self.order):
             raise ValueError("abs_kernel must be a nonnegative kernel of the same order")
+        if self.pair_radius is not None and (self.order != 2 or absk is not None):
+            raise ValueError("pair_radius marks the order-2 distance indicator, its own |f|")
 
     @property
     def absolute(self) -> SymmetricKernel:
@@ -383,7 +387,8 @@ def make_product(
     )
 
 
-_BUILTIN_NAMES = ("count", "constant", "geometric_indicator")
+_BUILTIN_KEYS = {"count": (), "constant": ("c", "k"), "geometric_indicator": ("r",)}
+_BUILTIN_NAMES = tuple(_BUILTIN_KEYS)
 
 
 def make_kernel(spec) -> SymmetricKernel:
@@ -397,7 +402,12 @@ def make_kernel(spec) -> SymmetricKernel:
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError("kernel descriptor must be a name or a dict with a 'name'")
     name = spec["name"]
+    if not isinstance(name, str) or name not in _BUILTIN_KEYS:
+        raise ValueError(f"unknown kernel '{name}' (built-ins: {', '.join(_BUILTIN_NAMES)})")
     params = {key: val for key, val in spec.items() if key != "name"}
+    for key in params:
+        if key not in _BUILTIN_KEYS[name]:
+            raise ValueError(f"kernel '{name}' takes no key '{key}'")
     # exact types: a bool is an int to isinstance
     for key, types in (("r", (int, float)), ("c", (int, float)), ("k", (int,))):
         if key in params and type(params[key]) not in types:
@@ -406,11 +416,9 @@ def make_kernel(spec) -> SymmetricKernel:
         return make_count()
     if name == "constant":
         return make_constant(params.get("c", 1.0), params.get("k", 1))
-    if name == "geometric_indicator":
-        if "r" not in params:
-            raise ValueError("geometric_indicator descriptor requires 'r'")
-        return make_geometric_indicator(params["r"])
-    raise ValueError(f"unknown kernel '{name}' (built-ins: {', '.join(_BUILTIN_NAMES)})")
+    if "r" not in params:
+        raise ValueError("geometric_indicator descriptor requires 'r'")
+    return make_geometric_indicator(params["r"])
 
 
 def kernel_descriptor(kernel: SymmetricKernel) -> dict:

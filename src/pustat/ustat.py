@@ -82,11 +82,6 @@ def _subset_sums(values_fn, heads, points: np.ndarray, sizes: np.ndarray, size: 
     return out
 
 
-def _counted(kernel: SymmetricKernel) -> bool:
-    """Whether F and D_z F of the kernel are neighbour counts."""
-    return kernel.pair_radius is not None and kernel.order == 2
-
-
 def evaluate(kernel: SymmetricKernel, config: PointConfiguration) -> float:
     """Sum of f over all ordered k-tuples of distinct configuration points:
     the block of one configuration (see evaluate_many)."""
@@ -125,7 +120,7 @@ def evaluate_many(kernel: SymmetricKernel, points: np.ndarray, sizes: np.ndarray
     """F of each configuration of a block, where configuration b is the next
     sizes[b] rows of ``points``; the distance indicator counts them all in
     one call."""
-    if _counted(kernel):
+    if kernel.pair_radius is not None:
         pairs = _accel.count_group_pairs(points, _labels(sizes), kernel.pair_radius, len(sizes))
         return 2.0 * pairs.astype(float)
     # every k-subset joined to one empty head
@@ -154,7 +149,7 @@ def add_one_costs_many(
     evaluate_many) at its query rows zs[b], as a (b, q) array for (b, q, d)
     query points zs; the distance indicator counts them all in one call."""
     zs = np.asarray(zs, dtype=float)
-    if _counted(kernel):
+    if kernel.pair_radius is not None:
         b, q, d = zs.shape
         query_labels = np.repeat(np.arange(b), q)
         counts = _accel.count_neighbors(

@@ -205,7 +205,7 @@ def test_group_counts_far_from_origin_with_tiny_r(rng, d):
         _check_groups(groups, queries, r)
     # at 4e6 the key ulps exceed r, so the sure-inside band is empty
     first = np.array([4e6, 4e6 + 1e-8])
-    assert _accel._layout([first], None, 3, r, 1)[5] <= 0.0
+    assert _accel._layout([first], None, 3, r)[5] <= 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -246,7 +246,7 @@ def test_huge_radius_counts_every_pair(rng, r):
         _check_groups(groups, _random_groups(rng, d, [3, 2, 0, 4]), r)
         _check(groups[0], groups[2], r)
         pts = np.concatenate(groups)
-        span = _accel._layout(list(pts.T), None, 3, r, len(pts) ** 2)[3]
+        span = _accel._layout(list(pts.T), None, 3, r)[3]
         assert math.isfinite(span)
 
 
@@ -273,8 +273,7 @@ def test_overflowing_squares_count_without_warnings(rng, r):
 
 def _strips(pts, top_label, r):
     """The strip count a pair count of ``pts`` with labels up to top_label uses."""
-    n = len(pts)
-    stride = _accel._layout(_accel._columns(pts), None, top_label, r, n * (n - 1) // 2)[0]
+    stride = _accel._layout(_accel._columns(pts), None, top_label, r)[0]
     return max(stride - 1, 1)
 
 
@@ -336,7 +335,7 @@ def test_ties_straddling_strip_edges(d, block):
     # the grid is finer than the strips, so exact-r pairs straddle every edge
     assert _strips(pts, 0, r) >= 3
     n = len(pts)
-    layout = _accel._layout(_accel._columns(pts), None, 0, r, n * (n - 1) // 2)
+    layout = _accel._layout(_accel._columns(pts), None, 0, r)
     strip = _accel._cells(pts[:, 0], np.zeros(n, dtype=np.int64), layout)
     tied = slice(len(base), 2 * len(base))  # the exact-r partners along x0
     assert np.any(strip[: len(base)] != strip[tied])

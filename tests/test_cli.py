@@ -460,6 +460,7 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
     ({"kernel": {"name": "constant", "c": "1"}}, "kernel"),
     ({"kernel": {"name": "constant", "c": 10**400}}, "kernel"),
     ({"kernel": {"name": "constant", "c": math.inf}}, "kernel"),
+    ({"kernel": {"name": "constant", "c": 2.0, "K": 3}}, "kernel"),
     ({"reps": 10**15}, "reps"),
     ({"term_reps": 10**15}, "term_reps"),
     ({"mc_samples": 10**15}, "mc_samples"),
@@ -473,9 +474,9 @@ _GOOD_CONFIG = {"kernel": {"name": "count"}, "t_values": [10], "seed": 1, "reps"
         "bool_t", "zero_t", "negative_t", "string_t", "infinite_t", "nan_t", "huge_int_t",
         "number_box", "string_box_end", "empty_box", "triple_box", "bool_box_end",
         "huge_int_box_end", "string_r", "bool_r", "huge_int_r", "float_k", "bool_k", "string_c",
-        "huge_int_c", "infinite_c", "huge_reps", "huge_term_reps", "huge_mc_samples",
-        "huge_z_samples", "too_many_points_t", "too_many_points_box", "unknown_field",
-        "empty_t_values"])
+        "huge_int_c", "infinite_c", "unknown_kernel_key", "huge_reps", "huge_term_reps",
+        "huge_mc_samples", "huge_z_samples", "too_many_points_t", "too_many_points_box",
+        "unknown_field", "empty_t_values"])
 def test_experiment_config_errors(tmp_path, capsys, change, field):
     # refused before the first row, with a message that names the field
     cfg = {**_GOOD_CONFIG, **change}

@@ -76,6 +76,8 @@ def test_make_kernel_rejects_bad_descriptors():
         make_kernel({"name": "no_such_kernel"})
     with pytest.raises(ValueError):
         make_kernel({"name": "geometric_indicator"})
+    with pytest.raises(ValueError, match="'K'"):
+        make_kernel({"name": "constant", "c": 2.0, "K": 3})
 
 
 def test_order_below_one_names_the_order(capsys):
@@ -291,6 +293,24 @@ def test_kernel_must_say_what_its_abs_is():
     assert signed.absolute is nonneg
     with pytest.raises(ValueError, match="abs_kernel"):
         SymmetricKernel(name="g", order=1, eval_fn=ev, abs_kernel=signed)
+
+
+def test_pair_radius_marks_the_order_2_indicator():
+    # the neighbour-counted route trusts pair_radius, so only an order-2
+    # kernel that is its own |f| may set it
+    def ev(x):
+        return np.ones(len(x))
+
+    for order in (1, 3):
+        with pytest.raises(ValueError, match="pair_radius"):
+            SymmetricKernel(name="f", order=order, eval_fn=ev, pair_radius=0.1, nonnegative=True)
+    nonneg = SymmetricKernel(name="|f|", order=2, eval_fn=ev, nonnegative=True)
+    with pytest.raises(ValueError, match="pair_radius"):
+        SymmetricKernel(name="f", order=2, eval_fn=ev, pair_radius=0.1, abs_kernel=nonneg)
+    # the indicator without its marginals, and scaled ones, which clear it
+    assert replace(make_geometric_indicator(0.1), marginal_fn=None).pair_radius == 0.1
+    for c in (3.0, -3.0):
+        assert scale_kernel(make_geometric_indicator(0.1), c).pair_radius is None
 
 
 def test_marginal_mc_fallback_agrees_with_analytic(monkeypatch):
